@@ -142,11 +142,6 @@ def default_capacity(noise: Noise) -> CapacityFn:
     return ERASURE_EXACT if noise is Noise.ERASURE else DEPOLARIZING_HASHING
 
 
-def capacity(fn: CapacityFn, gamma: float) -> float:
-    """Evaluate a capacity function at error rate gamma."""
-    return fn.eval(gamma)
-
-
 @dataclass(frozen=True)
 class Impossibility:
     """A parameter point where no finite bound (or memory) exists.

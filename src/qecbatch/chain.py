@@ -11,6 +11,7 @@ qubits currently carry an error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,6 @@ __all__ = [
     "Noise",
     "ModelParams",
     "ChainState",
-    "correction_budget",
     "initial_state",
     "step",
     "step_count",
@@ -71,6 +71,10 @@ class ModelParams:
     noise: Noise = Noise.ERASURE
 
     def __post_init__(self) -> None:
+        for name in ("n", "q_period"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         _check_prob("p", self.p)
@@ -87,11 +91,6 @@ class ModelParams:
         """Gate budget per batch, floor(n * alpha)."""
         product = self.n * self.alpha
         return int(math.floor(product + _BUDGET_SLACK + _BUDGET_REL_SLACK * product))
-
-
-def correction_budget(params: ModelParams) -> int:
-    """Number of qubits the correction machinery can touch per batch."""
-    return params.k_batch
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,19 @@
 Commands: simulate (Monte Carlo exceedance curve), exact (dense kernel
 evolution), meanfield (crossing epochs and iterates), bounds (overhead
 report), couple (two-rate dominance check), sweep (bounds over a
-parameter grid) and verify (built-in cross-check suite).
+parameter grid) and verify (the cross-checks of `qecbatch.checks` on
+small grids).
 
 Parameters come from an optional key=value config file plus flags;
-flags win. Unknown config keys are hard errors. Results are written
-atomically (temp file then rename) as CSV or JSON, both carrying the
-fully resolved configuration, and every emitted JSON config re-parses
-to the same ExperimentConfig. Exit codes: 0 success (impossibility
-verdicts included), 1 usage or parameter error, 2 verification failure.
+flags win. Each key is described once, by its ExperimentConfig field:
+the field's metadata holds the help text and the commands that take the
+key as a flag, and its annotated type (int, float or str) picks the
+parser unless the metadata names one. Unknown config keys are hard
+errors. Results are written atomically (temp file then rename) as CSV
+or JSON, both carrying the fully resolved configuration, and every
+emitted JSON config re-parses to the same ExperimentConfig. Exit codes:
+0 success (impossibility verdicts included), 1 usage or parameter
+error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import checks as checks_mod
 from . import exact as exact_mod
 from . import meanfield as mf_mod
 from . import montecarlo as mc_mod
@@ -84,46 +90,106 @@ class GridAxis:
         return f"{self.name}:{self.start!r}:{self.stop!r}:{self.steps}"
 
 
+def _parser(kind: type, noun: str):
+    def parse(key: str, raw: object):
+        try:
+            return kind(str(raw))
+        except ValueError:
+            raise ValueError(f"config key '{key}' needs {noun}, got '{raw}'") from None
+    return parse
+
+
+# Parsers for keys annotated `T` or `T | None`, by T.
+_TYPE_PARSERS = {
+    "int": _parser(int, "an integer"),
+    "float": _parser(float, "a number"),
+    "str": _parser(str, "text"),
+}
+
+THETA_LIMIT_PRESET = 1e-6
+
+
+def _parse_theta(key: str, raw: object) -> float:
+    if isinstance(raw, str) and raw.strip().lower() == "limit":
+        print(
+            f"note: theta=limit evaluates the bound at the finite slack "
+            f"theta={THETA_LIMIT_PRESET:g}, not at the theta -> 0 limit itself",
+            file=sys.stderr,
+        )
+        return THETA_LIMIT_PRESET
+    return _TYPE_PARSERS["float"](key, raw)
+
+
+def _parse_grid(key: str, raw: object) -> tuple[GridAxis, ...]:
+    if isinstance(raw, (list, tuple)):
+        tokens: list[str] = []
+        for item in raw:
+            tokens.extend(str(item).split())
+    else:
+        tokens = str(raw).split()
+    return tuple(GridAxis.parse(token) for token in tokens)
+
+
+def _key(help: str, commands: str, default: object = None, **extra: object):
+    """A config key: its help text and the commands that take it as a flag.
+
+    `extra` may name a `parse` function (default: by annotated type), a
+    `metavar` (default: the type in capitals), an argparse `action` and the
+    `choices` a value must be one of.
+    """
+    metadata = {"help": help, "commands": commands.split(), **extra}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved inputs for one CLI run."""
+    """Fully resolved inputs for one CLI run.
+
+    Every field after `command` is a config key; `--help` lists each
+    command's flags in field order.
+    """
 
     command: str
-    n: int | None = None
-    p: float | None = None
-    alpha: float | None = None
-    q: float = 0.0
-    q_period: int = 1
-    noise: str = "erasure"
-    l: int | None = None
-    beta: float | None = None
-    theta: float | None = None
-    delta: float | None = None
-    kappa: float | None = None
-    t_g: float | None = None
-    capacity: str = "hashing"
-    n_traj: int | None = None
-    t_max: int | None = None
-    burn_in: int | None = None
-    master_seed: int = 20260817
-    q_low: float | None = None
-    q_high: float | None = None
-    threads: int = 1
-    out: str | None = None
-    format: str | None = None
-    grid: tuple[GridAxis, ...] = ()
+    n: int | None = _key("memory size in qubits", "simulate exact couple")
+    l: int | None = _key("logical qubits to store", "bounds sweep")
+    p: float | None = _key("per-batch decoherence probability",
+                           "simulate exact meanfield bounds couple sweep")
+    alpha: float | None = _key("correction budget fraction",
+                               "simulate exact meanfield bounds couple sweep")
+    theta: float | None = _key("slack below the steady fraction ('limit' = 1e-6 preset)",
+                               "bounds sweep", parse=_parse_theta)
+    q: float = _key("static-phase decoherence probability", "simulate exact bounds sweep", 0.0)
+    q_period: int = _key("correction epochs per static phase", "simulate exact couple", 1)
+    noise: str = _key("erasure or depolarizing", "simulate exact bounds sweep", "erasure",
+                      choices=("erasure", "depolarizing"))
+    capacity: str = _key("depolarizing capacity mode: hashing or hashing-cutoff",
+                         "bounds sweep", "hashing", choices=tuple(_CAPACITY_CHOICES))
+    kappa: float | None = _key("decoherence rate (pairs with --t-g)", "bounds")
+    t_g: float | None = _key("duration of one correction batch", "bounds")
+    beta: float | None = _key("target error fraction", "simulate exact meanfield")
+    delta: float | None = _key("mean-field slack override", "meanfield")
+    q_low: float | None = _key("static rate of the coupled low-noise memory", "couple")
+    q_high: float | None = _key("static rate of the coupled high-noise memory", "couple")
+    n_traj: int | None = _key("number of trajectories", "simulate couple")
+    t_max: int | None = _key("number of correction epochs", "simulate exact couple")
+    master_seed: int = _key("seed for all randomness", "simulate couple verify", 20260817)
+    threads: int = _key("worker count hint (results do not depend on it)", "simulate", 1)
+    out: str | None = _key("output file path", "simulate exact meanfield bounds couple sweep",
+                           metavar="PATH")
+    format: str | None = _key("csv or json", "simulate exact meanfield couple sweep",
+                              choices=("csv", "json"))
+    grid: tuple[GridAxis, ...] = _key(
+        "sweep axis, repeatable; names from " + ", ".join(_SWEEPABLE), "sweep", (),
+        parse=_parse_grid, metavar="NAME:START:STOP:STEPS", action="append",
+    )
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command '{self.command}'")
-        if self.noise not in ("erasure", "depolarizing"):
-            raise ValueError(f"noise must be erasure or depolarizing, got '{self.noise}'")
-        if self.capacity not in _CAPACITY_CHOICES:
-            raise ValueError(
-                f"capacity must be one of {', '.join(sorted(_CAPACITY_CHOICES))}, got '{self.capacity}'"
-            )
-        if self.format is not None and self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got '{self.format}'")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices and value is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, got '{value}'")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
@@ -147,73 +213,19 @@ class ExperimentConfig:
         return _CAPACITY_CHOICES[self.capacity]
 
 
-def _parse_bool_free_int(key: str, raw: object) -> int:
-    try:
-        return int(str(raw))
-    except ValueError:
-        raise ValueError(f"config key '{key}' needs an integer, got '{raw}'") from None
+_KEYS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
 
 
-def _parse_float(key: str, raw: object) -> float:
-    try:
-        return float(str(raw))
-    except ValueError:
-        raise ValueError(f"config key '{key}' needs a number, got '{raw}'") from None
+def _type_name(key: str) -> str:
+    """The annotated type of a key without its `| None`: int, float or str."""
+    return _KEYS[key].type.removesuffix(" | None")
 
 
-def _parse_str(key: str, raw: object) -> str:
-    return str(raw)
-
-
-THETA_LIMIT_PRESET = 1e-6
-
-
-def _parse_theta(key: str, raw: object) -> float:
-    if isinstance(raw, str) and raw.strip().lower() == "limit":
-        print(
-            f"note: theta=limit evaluates the bound at the finite slack "
-            f"theta={THETA_LIMIT_PRESET:g}, not at the theta -> 0 limit itself",
-            file=sys.stderr,
-        )
-        return THETA_LIMIT_PRESET
-    return _parse_float(key, raw)
-
-
-def _parse_grid(key: str, raw: object) -> tuple[GridAxis, ...]:
-    if isinstance(raw, (list, tuple)):
-        tokens: list[str] = []
-        for item in raw:
-            tokens.extend(str(item).split())
-    else:
-        tokens = str(raw).split()
-    return tuple(GridAxis.parse(token) for token in tokens)
-
-
-_KEY_PARSERS = {
-    "n": _parse_bool_free_int,
-    "p": _parse_float,
-    "alpha": _parse_float,
-    "q": _parse_float,
-    "q_period": _parse_bool_free_int,
-    "noise": _parse_str,
-    "l": _parse_bool_free_int,
-    "beta": _parse_float,
-    "theta": _parse_theta,
-    "delta": _parse_float,
-    "kappa": _parse_float,
-    "t_g": _parse_float,
-    "capacity": _parse_str,
-    "n_traj": _parse_bool_free_int,
-    "t_max": _parse_bool_free_int,
-    "burn_in": _parse_bool_free_int,
-    "master_seed": _parse_bool_free_int,
-    "q_low": _parse_float,
-    "q_high": _parse_float,
-    "threads": _parse_bool_free_int,
-    "out": _parse_str,
-    "format": _parse_str,
-    "grid": _parse_grid,
-}
+def _parse_key(key: str, raw: object, where: str = "") -> object:
+    if key not in _KEYS:
+        raise ValueError(f"unknown config key '{key}'{where}")
+    parse = _KEYS[key].metadata.get("parse") or _TYPE_PARSERS[_type_name(key)]
+    return parse(key, raw)
 
 
 def parse_config(
@@ -236,28 +248,18 @@ def parse_config(
             if "=" not in stripped:
                 raise ValueError(f"config line {lineno} is not key = value: '{line.strip()}'")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _KEY_PARSERS:
-                raise ValueError(f"unknown config key '{key}' (line {lineno})")
-            merged[key] = _KEY_PARSERS[key](key, raw)
+            merged[key] = _parse_key(key, raw, f" (line {lineno})")
     for key, raw in (overrides or {}).items():
-        if key not in _KEY_PARSERS:
-            raise ValueError(f"unknown config key '{key}'")
-        merged[key] = _KEY_PARSERS[key](key, raw)
+        merged[key] = _parse_key(key, raw)
     return ExperimentConfig(command=command, **merged)
 
 
 def config_from_mapping(mapping: Mapping[str, object]) -> ExperimentConfig:
     """Rebuild a config from an emitted JSON `config` section."""
     data = dict(mapping)
-    command = data.pop("command", None)
-    if command is None:
+    if "command" not in data:
         raise ValueError("config mapping is missing 'command'")
-    parsed = {key: _KEY_PARSERS[key](key, value) if key in _KEY_PARSERS else value
-              for key, value in data.items()}
-    unknown = [key for key in parsed if key not in _KEY_PARSERS]
-    if unknown:
-        raise ValueError(f"unknown config key '{unknown[0]}'")
-    return ExperimentConfig(command=str(command), **parsed)
+    return parse_config(str(data.pop("command")), overrides=data)
 
 
 def _require(config: ExperimentConfig, *names: str) -> None:
@@ -480,8 +482,8 @@ def _run_couple(config: ExperimentConfig) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = (
-    "l", "p", "alpha", "theta", "q", "noise", "capacity_mode", "status",
+_SWEEP_COLUMNS = _SWEEPABLE + (
+    "noise", "capacity_mode", "status",
     "n_min", "overhead_lb", "crossing_epochs", "alpha_threshold",
     "noise_threshold", "residual_rate", "crossover_alpha", "baseline_full_parallel",
 )
@@ -511,11 +513,9 @@ def _run_sweep(config: ExperimentConfig) -> int:
     rows: list[tuple] = []
     meshes = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
     points = np.stack([mesh.ravel() for mesh in meshes], axis=-1)
+    base = {name: getattr(config, name) for name in _SWEEPABLE}
     for point in points:
-        kwargs = {
-            "l": config.l, "p": config.p, "alpha": config.alpha,
-            "theta": config.theta, "q": config.q,
-        }
+        kwargs = dict(base)
         for name, value in zip(names, point):
             kwargs[name] = int(round(value)) if name == "l" else float(value)
         try:
@@ -525,10 +525,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
                 **kwargs,
             )
         except ValueError:
-            rows.append(tuple(
-                [kwargs["l"], kwargs["p"], kwargs["alpha"], kwargs["theta"], kwargs["q"],
-                 config.noise, "", "out-of-domain"] + [None] * 8
-            ))
+            rows.append((*kwargs.values(), config.noise, "", "out-of-domain") + (None,) * 8)
             continue
         rows.append(_sweep_row(report))
     fmt = _fmt(config, "csv")
@@ -544,93 +541,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
     return 0
 
 
-def _check_closed_form(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(200):
-        p = rng.uniform(0.02, 0.98)
-        alpha = rng.uniform(0.02, 0.9) * p
-        delta = rng.uniform(0.05, 0.95) * (p - alpha)
-        k = int(rng.integers(0, 200))
-        closed = mf_mod.mf_iterate(1.0, p, alpha, delta, k)
-        looped = mf_mod.iterate_recursion(1.0, p, alpha, delta, k)
-        worst = max(worst, abs(closed - looped))
-    return worst <= 1e-9, f"max |closed - recursion| = {worst:.3g}"
-
-
-def _check_crossing_formula(seed: int) -> tuple[bool, str]:
-    fractions = np.linspace(0.1, 0.9, 6)
-    mismatches = 0
-    checked = 0
-    for p in fractions:
-        for fa in fractions:
-            alpha = fa * p
-            for fb in fractions:
-                beta = fb * (p - alpha) / p
-                crossing = mf_mod.epochs_to_cross(p, alpha, beta)
-                x = 0.0
-                iter_T = None
-                for k in range(1, 100000):
-                    x = x + (1.0 - x) * (p - crossing.delta) - alpha
-                    if x > beta:
-                        iter_T = k
-                        break
-                checked += 1
-                if iter_T != crossing.T:
-                    mismatches += 1
-    return mismatches == 0, f"{checked} grid points, {mismatches} mismatches"
-
-
-def _check_exact_dominance(seed: int) -> tuple[bool, str]:
-    violations = 0
-    checked = 0
-    for n in (50, 200):
-        for p in (0.2, 0.5):
-            for fa in (0.25, 0.5):
-                alpha = fa * p
-                params = ModelParams(n=n, p=p, alpha=alpha)
-                kernel = exact_mod.build_kernel(params)
-                for fb in (0.25, 0.75):
-                    beta = fb * (p - alpha) / p
-                    bound = bounds_mod.hitting_prob_lb(n, p, alpha, beta)
-                    dist = exact_mod.evolve(
-                        kernel, exact_mod.StateDistribution.point_mass(n), bound.T
-                    )
-                    checked += 1
-                    if exact_mod.tail_prob(dist, n * beta) < bound.value:
-                        violations += 1
-    return violations == 0, f"{checked} grid points, {violations} bound violations"
-
-
-def _check_oracle_vs_mc(seed: int) -> tuple[bool, str]:
-    n, p, alpha, t_max, n_traj = 60, 0.2, 0.05, 40, 20000
-    beta = 0.5 * (p - alpha) / p
-    params = ModelParams(n=n, p=p, alpha=alpha)
-    kernel = exact_mod.build_kernel(params)
-    spec = mc_mod.TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max, master_seed=seed)
-    est = mc_mod.run_batch(spec, n * beta)
-    dist = exact_mod.StateDistribution.point_mass(n)
-    misses = 0
-    for t in range(t_max + 1):
-        truth = exact_mod.tail_prob(dist, n * beta)
-        se = math.sqrt(truth * (1.0 - truth) / n_traj)
-        if abs(est.p_hat_by_t[t] - truth) > 3.0 * se:
-            misses += 1
-        if t < t_max:
-            dist = exact_mod.evolve(kernel, dist, 1)
-    ok = misses <= math.floor(0.01 * (t_max + 1))
-    return ok, f"{misses}/{t_max + 1} epochs beyond 3 standard errors"
-
-
-_VERIFY_CHECKS = (
-    ("closed-form vs recursion", _check_closed_form),
-    ("crossing-epoch formula vs iteration", _check_crossing_formula),
-    ("exact tail dominates closed-form bound", _check_exact_dominance),
-    ("exact oracle vs Monte Carlo", _check_oracle_vs_mc),
-)
-
-
-def _run_verify(config: ExperimentConfig, checks=_VERIFY_CHECKS) -> int:
+def _run_verify(config: ExperimentConfig, checks=checks_mod.VERIFY) -> int:
     failures = 0
     for name, check in checks:
         ok, detail = check(config.master_seed)
@@ -665,44 +576,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_FLAG_HELP = {
-    "n": ("int", "memory size in qubits"),
-    "p": ("float", "per-batch decoherence probability"),
-    "alpha": ("float", "correction budget fraction"),
-    "q": ("float", "static-phase decoherence probability"),
-    "q_period": ("int", "correction epochs per static phase"),
-    "noise": ("str", "erasure or depolarizing"),
-    "l": ("int", "logical qubits to store"),
-    "beta": ("float", "target error fraction"),
-    "theta": ("float", "slack below the steady fraction ('limit' = 1e-6 preset)"),
-    "delta": ("float", "mean-field slack override"),
-    "kappa": ("float", "decoherence rate (pairs with --t-g)"),
-    "t_g": ("float", "duration of one correction batch"),
-    "capacity": ("str", "depolarizing capacity mode: hashing or hashing-cutoff"),
-    "n_traj": ("int", "number of trajectories"),
-    "t_max": ("int", "number of correction epochs"),
-    "burn_in": ("int", "epochs discarded before averaging"),
-    "master_seed": ("int", "seed for all randomness"),
-    "q_low": ("float", "static rate of the coupled low-noise memory"),
-    "q_high": ("float", "static rate of the coupled high-noise memory"),
-    "threads": ("int", "worker count hint (results do not depend on it)"),
-    "out": ("path", "output file path"),
-    "format": ("str", "csv or json"),
-}
-
-_COMMAND_FLAGS = {
-    "simulate": ("n", "p", "alpha", "q", "q_period", "noise", "beta", "n_traj",
-                 "t_max", "master_seed", "threads", "out", "format"),
-    "exact": ("n", "p", "alpha", "q", "q_period", "noise", "beta", "t_max", "out", "format"),
-    "meanfield": ("p", "alpha", "beta", "delta", "out", "format"),
-    "bounds": ("l", "p", "alpha", "theta", "q", "noise", "capacity", "kappa", "t_g", "out"),
-    "couple": ("n", "p", "alpha", "q_period", "q_low", "q_high", "n_traj",
-               "t_max", "master_seed", "out", "format"),
-    "sweep": ("l", "p", "alpha", "theta", "q", "noise", "capacity", "out", "format"),
-    "verify": ("master_seed",),
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qecbatch", description=__doc__.split("\n\n")[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -710,15 +583,12 @@ def _build_parser() -> _Parser:
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", type=str, default=None,
                          help="key = value config file; flags override it")
-        for key in _COMMAND_FLAGS[command]:
-            kind, help_text = _FLAG_HELP[key]
-            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=str,
-                             default=None, metavar=kind.upper(), help=help_text)
-        if command == "sweep":
-            sub.add_argument("--grid", dest="grid", action="append", default=None,
-                             metavar="NAME:START:STOP:STEPS",
-                             help="sweep axis, repeatable; names from "
-                                  + ", ".join(_SWEEPABLE))
+        for key, f in _KEYS.items():
+            if command in f.metadata["commands"]:
+                sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=str,
+                                 default=None, action=f.metadata.get("action", "store"),
+                                 metavar=f.metadata.get("metavar") or _type_name(key).upper(),
+                                 help=f.metadata["help"])
     return parser
 
 

@@ -13,6 +13,7 @@ master seed no matter how trajectories are scheduled across workers.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -44,7 +45,7 @@ __all__ = [
 Z_99 = 2.5758293035489004
 
 _PIT_BINS = 20
-_SEED_MASK = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 
 
 class RecordMode(Enum):
@@ -76,11 +77,16 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
 
     Keys a Philox counter generator with the 128-bit word
     (master_seed << 64) | index; distinct (seed, index) pairs give
-    independent streams regardless of worker layout.
+    independent streams regardless of worker layout. Both must lie in
+    [0, 2^64), so that no two pairs share a stream.
     """
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    key = ((master_seed & _SEED_MASK) << 64) | (index & _SEED_MASK)
+    # Python ints: a numpy integer would overflow in the shift below.
+    master_seed, index = operator.index(master_seed), operator.index(index)
+    if not 0 <= master_seed < _SEED_LIMIT:
+        raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
+    if not 0 <= index < _SEED_LIMIT:
+        raise ValueError(f"index must lie in [0, 2^64), got {index}")
+    key = (master_seed << 64) | index
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -348,7 +354,13 @@ def run_coupled(
 def _pit_batch(
     fresh: list[int], trials: list[int], prob: float, coins: list[float]
 ) -> np.ndarray:
-    """Vectorized counterpart of _randomized_pit over many injections."""
+    """Randomized probability integral transforms of binomial draws.
+
+    Each value is F(fresh - 1) + coin * f(fresh) for the Binomial(trials,
+    prob) cdf F and pmf f: exactly Uniform(0, 1) when fresh follows that
+    law, whatever trials is, which lets injections at different
+    occupancies pool into one test.
+    """
     if not fresh:
         return np.empty(0)
     values = np.asarray(fresh, dtype=np.int64)
@@ -384,19 +396,6 @@ def _correct_coupled(
     e_high[chosen_high] = False
     e_low[mandatory] = False
     e_low[extra] = False
-
-
-def _randomized_pit(
-    value: int, trials: int, prob: float, rng: np.random.Generator
-) -> float:
-    """Randomized probability integral transform of a binomial draw.
-
-    Exactly Uniform(0, 1) when value ~ Binomial(trials, prob), whatever
-    trials is, which lets injections at different occupancies pool into
-    one test.
-    """
-    lower = float(binom_dist.cdf(value - 1, trials, prob)) if value > 0 else 0.0
-    return lower + rng.random() * float(binom_dist.pmf(value, trials, prob))
 
 
 def _pit_chi2(values: np.ndarray) -> tuple[float | None, float | None]:

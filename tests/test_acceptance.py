@@ -7,13 +7,17 @@ is deterministic.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from qecbatch.bounds import hitting_prob_lb
 from qecbatch.chain import ModelParams
+from qecbatch.checks import (
+    closed_form_vs_recursion,
+    crossing_formula_vs_iteration,
+    exact_tail_dominates_bound,
+    oracle_vs_monte_carlo,
+)
 from qecbatch.cli import main
 from qecbatch.exact import (
     StateDistribution,
@@ -23,7 +27,7 @@ from qecbatch.exact import (
     hitting_time_distribution,
     tail_prob,
 )
-from qecbatch.meanfield import epochs_to_cross, iterate_recursion, mf_iterate
+from qecbatch.meanfield import epochs_to_cross
 from qecbatch.montecarlo import (
     RecordMode,
     TrajectoryBatch,
@@ -44,22 +48,11 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_exact_tail_dominates_bound():
     """The closed-form lower bound on P[X_T > n*beta] must never exceed the
     exact tail, across a 240-point parameter grid."""
-    violations = []
-    points = 0
-    for p in (0.1, 0.2, 0.3, 0.5):
-        for fa in (0.25, 0.5, 0.75):
-            alpha = fa * p
-            for n in (50, 100, 300, 1000):
-                kernel = build_kernel(ModelParams(n=n, p=p, alpha=alpha))
-                for fb in (0.2, 0.25, 0.5, 0.75, 0.9):
-                    beta = fb * (p - alpha) / p
-                    bound = hitting_prob_lb(n, p, alpha, beta)
-                    dist = evolve(kernel, StateDistribution.point_mass(n), bound.T)
-                    exact = tail_prob(dist, n * beta)
-                    points += 1
-                    if exact < bound.value - 1e-12:
-                        violations.append((n, p, alpha, beta, exact, bound.value))
-    report(1, not violations, f"{points} grid points, {len(violations)} violations")
+    ok, detail = exact_tail_dominates_bound(
+        ns=(50, 100, 300, 1000), ps=(0.1, 0.2, 0.3, 0.5), alpha_fracs=(0.25, 0.5, 0.75),
+        beta_fracs=(0.2, 0.25, 0.5, 0.75, 0.9), tol=1e-12,
+    )
+    report(1, ok, detail)
 
 
 def test_criterion_2_steady_fraction():
@@ -134,23 +127,11 @@ def test_criterion_4_monotonicity():
 def test_criterion_5_monte_carlo_tracks_exact_curve():
     """With 1e5 trajectories the empirical exceedance curve must sit within
     three exact standard errors of the exact curve at every epoch."""
-    n, p, alpha, beta, t_max, n_traj = 100, 0.2, 0.05, 0.5, 50, 100_000
-    params = ModelParams(n=n, p=p, alpha=alpha)
-    spec = TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max, master_seed=208)
-    est = run_batch(spec, n * beta)
-    kernel = build_kernel(params)
-    dist = StateDistribution.point_mass(n)
-    misses = 0
-    for t in range(t_max + 1):
-        truth = tail_prob(dist, n * beta)
-        se = math.sqrt(truth * (1.0 - truth) / n_traj)
-        if abs(est.p_hat_by_t[t] - truth) > 3.0 * se:
-            misses += 1
-        dist = evolve(kernel, dist, 1)
-    allowed = math.floor(0.01 * (t_max + 1))
-    report(5, misses <= allowed,
-           f"{misses}/{t_max + 1} epochs beyond 3 exact standard errors, "
-           f"{allowed} allowed")
+    ok, detail = oracle_vs_monte_carlo(
+        ModelParams(n=100, p=0.2, alpha=0.05), beta=0.5, t_max=50, n_traj=100_000,
+        seed=208, z=3.0, miss_frac=0.01,
+    )
+    report(5, ok, detail)
 
 
 def test_criterion_6_coupled_dominance():
@@ -175,37 +156,11 @@ def test_criterion_7_closed_form_vs_iteration():
     """The closed-form iterate must match explicit recursion to 1e-9 * n on
     1000 random parameter draws, and the crossing-epoch formula must equal
     step-by-step iteration over a 20^3 grid."""
-    rng = np.random.default_rng(207)
-    worst = 0.0
-    for _ in range(1000):
-        p = float(rng.uniform(0.02, 0.98))
-        alpha = float(rng.uniform(0.0, 0.9)) * p
-        delta = float(rng.uniform(0.0, 0.95)) * (p - alpha)
-        k = int(rng.integers(0, 500))
-        n = float(rng.choice([1.0, 10_000.0]))
-        gap = abs(mf_iterate(n, p, alpha, delta, k) - iterate_recursion(n, p, alpha, delta, k))
-        worst = max(worst, gap / n)
-    draws_ok = worst <= 1e-9
-
-    fractions = np.linspace(0.05, 0.95, 20)
-    mismatches = 0
-    for p in fractions:
-        for fa in fractions:
-            alpha = float(fa * p)
-            for fb in fractions:
-                beta = float(fb) * (p - alpha) / p
-                crossing = epochs_to_cross(float(p), alpha, beta)
-                x, iterated = 0.0, None
-                for k in range(1, 200_000):
-                    x = x + (1.0 - x) * (p - crossing.delta) - alpha
-                    if x > beta:
-                        iterated = k
-                        break
-                if iterated != crossing.T:
-                    mismatches += 1
-    ok = draws_ok and mismatches == 0
-    report(7, ok, f"max draw gap {worst:.2e} (of 1e-9), "
-                  f"{mismatches}/8000 crossing mismatches")
+    draws_ok, draws = closed_form_vs_recursion(seed=207, draws=1000, k_max=500, tol=1e-9)
+    grid_ok, grid = crossing_formula_vs_iteration(
+        np.linspace(0.05, 0.95, 20), max_epochs=200_000
+    )
+    report(7, draws_ok and grid_ok, f"{draws}; {grid}")
 
 
 def run_bounds_json(tmp_path, name, args):

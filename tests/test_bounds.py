@@ -10,7 +10,6 @@ from qecbatch.bounds import (
     CapacityFn,
     CapacityKind,
     Impossibility,
-    capacity,
     conc_bound,
     crossover_alpha,
     default_capacity,
@@ -78,7 +77,6 @@ def test_cutoff_capacity():
 def test_user_capacity():
     linear = user_capacity(lambda g: 1.0 - g)
     assert linear.eval(0.3) == pytest.approx(0.7)
-    assert capacity(linear, 0.3) == linear.eval(0.3)
     clamped = user_capacity(lambda g: -1.0)
     assert clamped.eval(0.1) == 0.0
     with pytest.raises(ValueError):

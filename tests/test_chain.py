@@ -7,7 +7,6 @@ from qecbatch.chain import (
     ChainState,
     ModelParams,
     Noise,
-    correction_budget,
     initial_state,
     inject_count,
     inject_static_noise,
@@ -22,6 +21,7 @@ def test_k_batch_floor():
     assert ModelParams(n=10, p=0.2, alpha=0.0).k_batch == 0
     assert ModelParams(n=50, p=0.2, alpha=0.09).k_batch == 4
     assert ModelParams(n=3, p=0.2, alpha=1.0).k_batch == 3
+    assert ModelParams(n=np.int64(10), p=0.2, alpha=0.3, q_period=np.uint8(2)).k_batch == 3
 
 
 def test_k_batch_decimal_products():
@@ -29,11 +29,6 @@ def test_k_batch_decimal_products():
     assert ModelParams(n=10, p=0.5, alpha=0.3).k_batch == 3
     assert ModelParams(n=3, p=0.4, alpha=1.0 / 3.0).k_batch == 1
     assert ModelParams(n=1000, p=0.2, alpha=0.07).k_batch == 70
-
-
-def test_correction_budget_matches_property():
-    params = ModelParams(n=77, p=0.3, alpha=0.21)
-    assert correction_budget(params) == params.k_batch
 
 
 @pytest.mark.parametrize(
@@ -47,6 +42,9 @@ def test_correction_budget_matches_property():
         dict(n=10, p=0.2, alpha=0.1, q=-0.2),
         dict(n=10, p=0.2, alpha=0.1, q_period=0),
         dict(n=10, p=0.2, alpha=0.1, noise="erasure"),
+        dict(n=10.5, p=0.2, alpha=0.1),
+        dict(n=True, p=0.2, alpha=0.1),
+        dict(n=10, p=0.2, alpha=0.1, q_period=2.5),
     ],
 )
 def test_params_validation(kwargs):

@@ -1,10 +1,14 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecbatch.cli import (
+    COMMANDS,
     ExperimentConfig,
     GridAxis,
     UsageError,
@@ -68,6 +72,42 @@ def test_config_round_trip():
     json_text = json.dumps(mapping)  # must be JSON-serializable as emitted
     rebuilt = config_from_mapping(json.loads(json_text))
     assert rebuilt == config
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = {  # by key name, else by annotated type
+    "int": st.integers(-(2**70), 2**70),
+    "float": _FLOATS,
+    "str": st.text(alphabet="abcXYZ019/._-", min_size=1, max_size=12),
+    "threads": st.integers(1, 64),
+    "grid": st.lists(st.builds(GridAxis, name=st.sampled_from(["l", "p", "alpha", "theta", "q"]),
+                               start=_FLOATS, stop=_FLOATS, steps=st.integers(2, 50)),
+                     max_size=3).map(tuple),
+}
+
+
+@st.composite
+def configs(draw):
+    keys = {}
+    for f in fields(ExperimentConfig)[1:]:
+        if "choices" in f.metadata:
+            values = st.sampled_from(f.metadata["choices"])
+        else:
+            values = _VALUES[f.name if f.name in _VALUES else f.type.removesuffix(" | None")]
+        keys[f.name] = draw(st.none() | values if f.default is None else values)
+    return ExperimentConfig(command=draw(st.sampled_from(COMMANDS)), **keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_every_key_round_trips(config):
+    """Every key survives to_mapping -> JSON -> config_from_mapping, and a
+    `key = value` config file."""
+    mapping = config.to_mapping()
+    assert config_from_mapping(json.loads(json.dumps(mapping))) == config
+    lines = [f"{key} = {' '.join(value) if key == 'grid' else value}"
+             for key, value in mapping.items() if key != "command"]
+    assert parse_config(config.command, "\n".join(lines)) == config
 
 
 def test_config_from_mapping_errors():
@@ -271,6 +311,26 @@ def test_verify_exit_codes(capsys):
     )
     assert _run_verify(config, checks=mixed) == 2
     assert "always broken: FAIL" in capsys.readouterr().out
+
+
+def test_verify_runs_the_shared_checks(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    for name in ("closed-form vs recursion", "crossing-epoch formula vs iteration",
+                 "exact tail dominates closed-form bound", "exact oracle vs Monte Carlo"):
+        assert f"[verify] {name}: ok" in out
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64 + 5)])
+@pytest.mark.parametrize("command", [
+    "couple --n 30 --p 0.2 --alpha 0.1 --q-low 0.01 --q-high 0.05 --n-traj 5 --t-max 3",
+    "simulate --n 20 --p 0.3 --alpha 0.1 --beta 0.3 --n-traj 5 --t-max 3",
+])
+def test_seeds_outside_64_bits_exit_1(tmp_path, capsys, command, seed):
+    out = tmp_path / "result.json"
+    assert main([*command.split(), "--master-seed", seed, "--out", str(out)]) == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_end_to_end(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecbatch.checks import crossing_formula_vs_iteration
 from qecbatch.meanfield import (
     CrossingTime,
     InfeasibleThresholdError,
@@ -78,20 +79,8 @@ def test_crossing_is_strict():
 
 
 def test_crossing_matches_explicit_iteration_on_grid():
-    fractions = [0.1, 0.3, 0.5, 0.7, 0.9]
-    for p in fractions:
-        for fa in fractions:
-            alpha = fa * p
-            for fb in fractions:
-                beta = fb * (p - alpha) / p
-                crossing = epochs_to_cross(p, alpha, beta)
-                x, T_iter = 0.0, None
-                for k in range(1, 100000):
-                    x = x + (1.0 - x) * (p - crossing.delta) - alpha
-                    if x > beta:
-                        T_iter = k
-                        break
-                assert T_iter == crossing.T, (p, alpha, beta)
+    ok, detail = crossing_formula_vs_iteration([0.1, 0.3, 0.5, 0.7, 0.9], max_epochs=100_000)
+    assert ok, detail
 
 
 def test_crossing_size_independent():

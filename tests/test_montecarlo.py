@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from qecbatch.chain import ModelParams
-from qecbatch.exact import StateDistribution, build_kernel, evolve, tail_prob
+from qecbatch.checks import oracle_vs_monte_carlo
 from qecbatch.montecarlo import (
     RecordMode,
     TrajectoryBatch,
@@ -16,7 +17,6 @@ from qecbatch.montecarlo import (
     trajectory_rng,
     uniformity_check,
     _pit_batch,
-    _randomized_pit,
 )
 
 PARAMS = ModelParams(n=30, p=0.3, alpha=0.1)
@@ -34,6 +34,9 @@ def test_trajectory_rng_streams_differ():
     assert trajectory_rng(1, 0).random() != trajectory_rng(2, 0).random()
     with pytest.raises(ValueError):
         trajectory_rng(1, -1)
+    for seed in (-3, 2**64, 2**64 + 5):  # these used to wrap modulo 2^64
+        with pytest.raises(ValueError, match="master_seed"):
+            trajectory_rng(seed, 0)
 
 
 def test_run_batch_worker_invariance():
@@ -87,17 +90,11 @@ def test_p_hat_curve_is_monotone_within_noise():
 
 
 def test_run_batch_agrees_with_exact_oracle():
-    params = ModelParams(n=20, p=0.5, alpha=0.1)
-    kernel = build_kernel(params)
-    threshold = 10.0
-    spec = TrajectoryBatch(params=params, n_traj=4000, t_max=8, master_seed=17)
-    est = run_batch(spec, threshold)
-    dist = StateDistribution.point_mass(20)
-    for t in range(9):
-        truth = tail_prob(dist, threshold)
-        se = math.sqrt(truth * (1.0 - truth) / spec.n_traj)
-        assert abs(est.p_hat_by_t[t] - truth) <= 4.0 * se + 1e-12, t
-        dist = evolve(kernel, dist, 1)
+    ok, detail = oracle_vs_monte_carlo(
+        ModelParams(n=20, p=0.5, alpha=0.1), beta=0.5, t_max=8, n_traj=4000, seed=17,
+        z=4.0, miss_frac=0.0,
+    )
+    assert ok, detail
 
 
 def test_steady_fraction_converges():
@@ -167,6 +164,9 @@ def test_coupled_validation():
         run_coupled(PARAMS, 0.01, 1.05, n_traj=10, t_max=5, master_seed=1)
     with pytest.raises(ValueError):
         run_coupled(PARAMS, 0.01, 0.05, n_traj=0, t_max=5, master_seed=1)
+    for seed in (-3, 2**64 + 5):
+        with pytest.raises(ValueError, match="master_seed"):
+            run_coupled(PARAMS, 0.01, 0.05, n_traj=10, t_max=5, master_seed=seed)
 
 
 def test_coupling_report_serializes():
@@ -176,6 +176,12 @@ def test_coupling_report_serializes():
     assert doc["n"] == 20
     assert doc["inclusion_fraction"] == 1.0
     assert set(doc) >= {"pit_chi2_stat", "pit_chi2_pvalue", "pairs_checked"}
+
+
+def _randomized_pit(value, trials, prob, rng):
+    """Scalar randomized PIT of one Binomial(trials, prob) draw."""
+    lower = float(binom.cdf(value - 1, trials, prob)) if value > 0 else 0.0
+    return lower + rng.random() * float(binom.pmf(value, trials, prob))
 
 
 def test_pit_batch_matches_scalar_reference():
@@ -256,3 +262,5 @@ def test_batch_spec_validation():
         TrajectoryBatch(params=PARAMS, n_traj=5, t_max=0, master_seed=1)
     with pytest.raises(ValueError):
         TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=-1)
+    with pytest.raises(ValueError, match="master_seed"):
+        run_batch(TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=2**64), 1.0)
