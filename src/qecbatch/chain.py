@@ -4,8 +4,10 @@ One chain epoch covers one correction batch: every healthy qubit may
 decohere first, then at most the batch gate budget of erroneous qubits
 is corrected, with no prioritization among them. Both supported noise
 kinds are absorbing on a single qubit (a second hit changes nothing),
-so the memory is fully described by how many, and optionally which,
-qubits currently carry an error.
+so the memory is fully described by how many, or which, qubits
+currently carry an error: count mode advances arrays of error counts,
+mask mode boolean error masks. `correct` is the one place the
+correction rule is written.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 __all__ = [
     "Noise",
     "ModelParams",
-    "ChainState",
-    "initial_state",
+    "correct",
     "step",
     "step_count",
     "inject_static_noise",
@@ -93,37 +94,6 @@ class ModelParams:
         return int(math.floor(product + _BUDGET_SLACK + _BUDGET_REL_SLACK * product))
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """Chain state after t correction epochs.
-
-    x is the number of uncorrected errors; error_set optionally records
-    which qubits carry them (len(error_set) == x when present).
-    """
-
-    t: int
-    x: int
-    error_set: frozenset[int] | None = None
-
-    def validate(self, params: ModelParams) -> None:
-        if not 0 <= self.x <= params.n:
-            raise ValueError(f"x={self.x} outside [0, n={params.n}]")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-        if self.error_set is not None:
-            if len(self.error_set) != self.x:
-                raise ValueError(
-                    f"error_set has {len(self.error_set)} entries but x={self.x}"
-                )
-            if self.error_set and not all(0 <= j < params.n for j in self.error_set):
-                raise ValueError("error_set contains indices outside range(n)")
-
-
-def initial_state(track_locations: bool = False) -> ChainState:
-    """Fresh memory: no errors at epoch zero."""
-    return ChainState(t=0, x=0, error_set=frozenset() if track_locations else None)
-
-
 def static_phase_due(epoch: int, params: ModelParams) -> bool:
     """Whether a static phase precedes correction epoch `epoch` (0-based).
 
@@ -133,87 +103,63 @@ def static_phase_due(epoch: int, params: ModelParams) -> bool:
     return params.q > 0.0 and epoch % params.q_period == 0
 
 
-def _draw_new_errors(
-    mask: np.ndarray, prob: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Mark a Binomial(#healthy, prob) uniform subset of healthy qubits bad."""
-    healthy = np.flatnonzero(~mask)
-    hits = int(rng.binomial(healthy.size, prob))
+def correct(mask: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarray:
+    """The correction rule: in each row of `mask` (qubits on the last axis,
+    True marks an error), clear the min(#errors, budget) erroneous qubits
+    with the smallest keys.
+
+    With i.i.d. uniform keys drawn independently of the mask, the cleared
+    qubits form a uniform subset of the errors. Keys broadcast against the
+    mask, so memories that share keys keep nested error sets nested: a
+    qubit cleared from the larger set ranks among the first `budget` of the
+    smaller one too.
+    """
+    budget = min(budget, mask.shape[-1])
+    if budget == 0:
+        return mask
+    ranked = np.where(mask, keys, np.inf)
+    chosen = np.argpartition(ranked, budget - 1, axis=-1)[..., :budget]
     out = mask.copy()
-    if hits:
-        out[rng.choice(healthy, size=hits, replace=False)] = True
+    np.put_along_axis(out, chosen, False, axis=-1)
     return out
 
 
-def _correct_batch(
-    mask: np.ndarray, budget: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Clear a uniform subset of erroneous qubits, at most `budget` of them."""
-    bad = np.flatnonzero(mask)
-    fixed = min(bad.size, budget)
-    out = mask.copy()
-    if fixed:
-        out[rng.choice(bad, size=fixed, replace=False)] = False
-    return out
+def step_count(x: np.ndarray, params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """Count-mode correction epoch for an array of error counts: each x gains
+    Binomial(n - x, p) fresh errors, then min(total, k_batch) are corrected."""
+    total = x + rng.binomial(params.n - x, params.p)
+    return np.maximum(total - params.k_batch, 0)
 
 
-def _mask_from_state(state: ChainState, params: ModelParams) -> np.ndarray:
-    mask = np.zeros(params.n, dtype=bool)
-    if state.error_set:
-        mask[np.fromiter(state.error_set, dtype=np.int64)] = True
-    return mask
-
-
-def step_count(x: int, params: ModelParams, rng: np.random.Generator) -> int:
-    """Count-only correction epoch: x plus Binomial(n - x, p) fresh errors,
-    minus the min(total, k_batch) that get corrected."""
-    fresh = int(rng.binomial(params.n - x, params.p))
-    total = x + fresh
-    return total - min(total, params.k_batch)
-
-
-def inject_count(x: int, params: ModelParams, rng: np.random.Generator) -> int:
-    """Count-only static phase: x plus Binomial(n - x, q) fresh errors."""
+def inject_count(x: np.ndarray, params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """Count-mode static phase: each x gains Binomial(n - x, q) fresh errors."""
     if params.q == 0.0:
         return x
-    return x + int(rng.binomial(params.n - x, params.q))
+    return x + rng.binomial(params.n - x, params.q)
 
 
-def step(state: ChainState, params: ModelParams, rng: np.random.Generator) -> ChainState:
-    """Advance one correction epoch.
+def step(mask: np.ndarray, params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """Advance error masks (one memory per row, qubits on the last axis) by
+    one correction epoch.
 
-    Draws Y ~ Binomial(n - x, p) fresh errors, then corrects
-    min(x + Y, k_batch) erroneous qubits chosen uniformly at random.
-    When error locations are tracked, new errors land on a uniform
-    random subset of the currently healthy qubits.
+    Every qubit is hit with probability p; a hit on an erroneous qubit
+    changes nothing, so the fresh errors are a uniform Binomial(#healthy, p)
+    subset of the healthy qubits. `correct` then clears min(#errors,
+    k_batch) errors by fresh uniform keys. Hits and keys are drawn over the
+    last two axes and shared by any axes in front of them, which advances
+    stacked memories under common randomness.
     """
-    state.validate(params)
-    if state.error_set is None:
-        return ChainState(t=state.t + 1, x=step_count(state.x, params, rng))
-    mask = _mask_from_state(state, params)
-    mask = _draw_new_errors(mask, params.p, rng)
-    mask = _correct_batch(mask, params.k_batch, rng)
-    remaining = np.flatnonzero(mask)
-    return ChainState(
-        t=state.t + 1, x=int(remaining.size), error_set=frozenset(remaining.tolist())
-    )
+    shape = mask.shape[-2:]
+    mask = mask | (rng.random(shape) < params.p)
+    return correct(mask, rng.random(shape), params.k_batch)
 
 
 def inject_static_noise(
-    state: ChainState, params: ModelParams, rng: np.random.Generator
-) -> ChainState:
-    """Apply one static phase: healthy qubits decohere with probability q.
-
-    Does not advance the epoch counter; with q == 0 the state is returned
-    unchanged and the generator is left untouched.
-    """
-    state.validate(params)
+    mask: np.ndarray, params: ModelParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Apply one static phase to error masks: healthy qubits decohere with
+    probability q. With q == 0 the mask is returned unchanged and the
+    generator is left untouched."""
     if params.q == 0.0:
-        return state
-    if state.error_set is None:
-        return ChainState(t=state.t, x=inject_count(state.x, params, rng))
-    mask = _draw_new_errors(_mask_from_state(state, params), params.q, rng)
-    bad = np.flatnonzero(mask)
-    return ChainState(
-        t=state.t, x=int(bad.size), error_set=frozenset(bad.tolist())
-    )
+        return mask
+    return mask | (rng.random(mask.shape[-2:]) < params.q)

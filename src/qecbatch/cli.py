@@ -192,6 +192,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be one of {', '.join(choices)}, got '{value}'")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
 
     def to_mapping(self) -> dict:
         out: dict = {}
@@ -517,7 +519,9 @@ def _run_sweep(config: ExperimentConfig) -> int:
     for point in points:
         kwargs = dict(base)
         for name, value in zip(names, point):
-            kwargs[name] = int(round(value)) if name == "l" else float(value)
+            if name == "l" and not value.is_integer():
+                raise UsageError(f"sweep grid point l={float(value)!r} is not an integer")
+            kwargs[name] = int(value) if name == "l" else float(value)
         try:
             report = bounds_mod.overhead_bound(
                 noise=config.noise_kind(),

@@ -5,9 +5,13 @@ curves, steady-state error fractions and hitting times, and runs two
 statistical self-checks: a shared-randomness coupling of two static
 noise rates and a uniformity test of accumulated error locations.
 
-Every trajectory owns a counter-based generator keyed by
-(master_seed, trajectory_index), so results are identical for the same
-master seed no matter how trajectories are scheduled across workers.
+All of them run on one block engine. A fleet is cut into blocks of a
+fixed size that depends only on the fleet size, n and the mode; a block
+advances together, as an array of error counts in count mode or as a
+(block x n) boolean error mask in mask mode, and draws from its own
+counter-based generator keyed by (master_seed, block_index). Results are
+therefore identical for the same master seed no matter how blocks are
+scheduled across workers.
 """
 
 from __future__ import annotations
@@ -15,15 +19,16 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.stats import binom as binom_dist
 from scipy.stats import chi2 as chi2_dist
 
 from . import chain
-from .chain import ChainState, ModelParams
+from .chain import ModelParams
 
 __all__ = [
     "RecordMode",
@@ -46,6 +51,11 @@ Z_99 = 2.5758293035489004
 
 _PIT_BINS = 20
 _SEED_LIMIT = 1 << 64
+
+# Trajectories per block: a fixed count in count mode, and about 64 KiB of
+# mask (one byte per qubit) in mask mode, so a block stays small for any n.
+_COUNT_BLOCK = 1 << 12
+_MASK_CELLS = 1 << 16
 
 
 class RecordMode(Enum):
@@ -73,7 +83,8 @@ class TrajectoryBatch:
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one trajectory.
+    """Independent stream for one block of trajectories; `index` is the
+    block index.
 
     Keys a Philox counter generator with the 128-bit word
     (master_seed << 64) | index; distinct (seed, index) pairs give
@@ -90,17 +101,32 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _count_path(params: ModelParams, t_max: int, rng: np.random.Generator) -> np.ndarray:
-    """One trajectory of error counts X_0..X_t_max (X_0 = 0)."""
-    path = np.empty(t_max + 1, dtype=np.int64)
-    path[0] = 0
-    x = 0
+def _block_sizes(n_traj: int, n: int, masks: bool) -> list[int]:
+    """Trajectories in each block of a fleet; block b draws from
+    trajectory_rng(master_seed, b)."""
+    size = max(1, _MASK_CELLS // n) if masks else _COUNT_BLOCK
+    return [min(size, n_traj - lo) for lo in range(0, n_traj, size)]
+
+
+def _epochs(params: ModelParams, state: np.ndarray, t_max: int,
+            rng: np.random.Generator, inject=None) -> Iterator[np.ndarray]:
+    """Yield one block's state at epochs 0..t_max.
+
+    `state` starts as the block's error counts (int) or error masks
+    (bool, qubits on the last axis), which picks the chain primitives.
+    `inject` replaces the block's static phase, which runs whenever
+    chain.static_phase_due says so.
+    """
+    masks = state.dtype == bool
+    step = chain.step if masks else chain.step_count
+    if inject is None:
+        inject = chain.inject_static_noise if masks else chain.inject_count
+    yield state
     for t in range(t_max):
         if chain.static_phase_due(t, params):
-            x = chain.inject_count(x, params, rng)
-        x = chain.step_count(x, params, rng)
-        path[t + 1] = x
-    return path
+            state = inject(state, params, rng)
+        state = step(state, params, rng)
+        yield state
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +152,19 @@ class HittingEstimate:
 
 
 def _exceed_worker(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    params, t_max, first_exceed, master_seed, lo, hi = args
-    counts = np.zeros(t_max + 1, dtype=np.int64)
-    taus = np.empty(hi - lo, dtype=np.int64)
-    for i in range(lo, hi):
-        path = _count_path(params, t_max, trajectory_rng(master_seed, i))
-        above = path >= first_exceed
-        counts += above
-        taus[i - lo] = int(np.argmax(above)) if above.any() else -1
-    return counts, taus
+    spec, first_exceed, blocks = args
+    counts = np.zeros(spec.t_max + 1, dtype=np.int64)
+    taus = []
+    for b, size in blocks:
+        rng = trajectory_rng(spec.master_seed, b)
+        tau = np.full(size, -1, dtype=np.int64)
+        start = np.zeros(size, dtype=np.int64)
+        for t, x in enumerate(_epochs(spec.params, start, spec.t_max, rng)):
+            above = x >= first_exceed
+            counts[t] += np.count_nonzero(above)
+            tau[above & (tau < 0)] = t
+        taus.append(tau)
+    return counts, np.concatenate(taus)
 
 
 def run_batch(
@@ -143,26 +173,22 @@ def run_batch(
     """Estimate P[X_t > threshold] for t = 0..t_max across the fleet.
 
     Exceedance only depends on counts, so trajectories always run in
-    count mode. Aggregation is a sum of integer counters, hence the
-    result is invariant to n_workers.
+    count mode. Each worker gets whole blocks and aggregation is a sum of
+    integer counters, hence the result is invariant to n_workers.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     first_exceed = int(math.floor(threshold)) + 1
-    jobs = _split_ranges(spec.n_traj, n_workers)
-    args = [
-        (spec.params, spec.t_max, first_exceed, spec.master_seed, lo, hi)
-        for lo, hi in jobs
-    ]
+    blocks = list(enumerate(_block_sizes(spec.n_traj, spec.params.n, masks=False)))
+    args = [(spec, first_exceed, blocks[lo:hi])
+            for lo, hi in _split_ranges(len(blocks), n_workers)]
     if len(args) == 1:
         results = [_exceed_worker(args[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_exceed_worker, args))
-    counts = np.zeros(spec.t_max + 1, dtype=np.int64)
+    counts = sum(r[0] for r in results)
     taus = np.concatenate([r[1] for r in results])
-    for r in results:
-        counts += r[0]
     p_hat = counts / spec.n_traj
     half = Z_99 * np.sqrt(p_hat * (1.0 - p_hat) / spec.n_traj)
     return HittingEstimate(
@@ -209,11 +235,16 @@ def steady_fraction(spec: TrajectoryBatch, burn_in: int | None = None) -> Steady
         burn_in = spec.t_max // 2
     if not 0 <= burn_in < spec.t_max:
         raise ValueError(f"burn_in must lie in [0, t_max), got {burn_in}")
-    n = spec.params.n
-    per_traj = np.empty(spec.n_traj)
-    for i in range(spec.n_traj):
-        path = _count_path(spec.params, spec.t_max, trajectory_rng(spec.master_seed, i))
-        per_traj[i] = path[burn_in + 1 :].mean() / n
+    parts = []
+    for b, size in enumerate(_block_sizes(spec.n_traj, spec.params.n, masks=False)):
+        start = np.zeros(size, dtype=np.int64)
+        total = np.zeros(size)
+        rng = trajectory_rng(spec.master_seed, b)
+        for t, x in enumerate(_epochs(spec.params, start, spec.t_max, rng)):
+            if t > burn_in:
+                total += x
+        parts.append(total / ((spec.t_max - burn_in) * spec.params.n))
+    per_traj = np.concatenate(parts)
     stderr = (
         float(per_traj.std(ddof=1) / math.sqrt(spec.n_traj)) if spec.n_traj > 1 else 0.0
     )
@@ -284,16 +315,14 @@ def run_coupled(
 ) -> CouplingReport:
     """Run two memories per path under shared randomness and compare them.
 
-    Correction-phase noise arrives as one shared hit mask over all n
-    qubits (hits on already-bad qubits change nothing), so both memories
-    see the same fresh errors. Each static-phase hit of the high-rate
-    memory is copied to the low-rate memory with probability
-    q_low / q_high, which reproduces the Binomial(n - x, q_low) marginal
-    exactly. Correction batches are coupled so that whatever the
-    high-rate memory corrects inside the low-rate memory's error set is
-    corrected there too, topped up uniformly to the low memory's own
-    budget use; by symmetry the low memory still corrects a uniform
-    subset, and set inclusion survives every epoch by construction.
+    The pair advances as one stacked (2 x block x n) mask, high-rate memory
+    first, through chain.step: both memories see the same fresh errors and
+    are corrected with the same keys, so each corrects a uniform subset of
+    its own errors and set inclusion survives every epoch by construction.
+    A static phase draws one uniform per qubit: below q_high it hits the
+    high-rate memory, below q_low the low-rate one too. Each high hit is
+    thus copied with probability q_low / q_high, which reproduces the
+    Binomial(n - x, q_low) marginal exactly.
     """
     if not 0.0 <= q_low <= q_high <= 1.0:
         raise ValueError(
@@ -301,39 +330,36 @@ def run_coupled(
         )
     if n_traj < 1 or t_max < 1:
         raise ValueError("n_traj and t_max must be >= 1")
-    n, k, p = params.n, params.k_batch, params.p
-    ratio = q_low / q_high if q_high > 0.0 else 0.0
+    n = params.n
     inclusion_violations = 0
     count_violations = 0
-    pairs = 0
-    # PIT inputs are collected and transformed in one vectorized pass at
-    # the end; per-injection scipy calls would dominate the runtime.
-    pit_fresh: list[int] = []
-    pit_trials: list[int] = []
-    pit_coins: list[float] = []
-    for i in range(n_traj):
-        rng = trajectory_rng(master_seed, i)
-        e_low = np.zeros(n, dtype=bool)
-        e_high = np.zeros(n, dtype=bool)
-        for t in range(t_max):
-            if q_high > 0.0 and t % params.q_period == 0:
-                hits = rng.random(n) < q_high
-                copied = hits & (rng.random(n) < ratio)
-                pit_fresh.append(int((copied & ~e_low).sum()))
-                pit_trials.append(int(n - e_low.sum()))
-                pit_coins.append(float(rng.random()))
-                e_high |= hits
-                e_low |= copied
-            shared = rng.random(n) < p
-            e_high |= shared
-            e_low |= shared
-            _correct_coupled(e_low, e_high, k, rng)
-            pairs += 1
-            if np.any(e_low & ~e_high):
-                inclusion_violations += 1
-            if e_low.sum() > e_high.sum():
-                count_violations += 1
-    pit_values = _pit_batch(pit_fresh, pit_trials, q_low, pit_coins)
+    # PIT inputs, one array per block and static phase: fresh low-memory
+    # errors, its healthy qubits and a coin. They are transformed in one
+    # vectorized pass at the end.
+    pit_fresh: list[np.ndarray] = []
+    pit_trials: list[np.ndarray] = []
+    pit_coins: list[np.ndarray] = []
+
+    def inject(pair, _params, rng):
+        draws = rng.random(pair.shape[1:])
+        hits, copied = draws < q_high, draws < q_low
+        low = pair[1]
+        pit_fresh.append((copied & ~low).sum(axis=1))
+        pit_trials.append(n - low.sum(axis=1))
+        pit_coins.append(rng.random(len(hits)))
+        return pair | np.stack([hits, copied])
+
+    static = replace(params, q=q_high)
+    for b, size in enumerate(_block_sizes(n_traj, n, masks=True)):
+        start = np.zeros((2, size, n), dtype=bool)
+        pairs = _epochs(static, start, t_max, trajectory_rng(master_seed, b), inject)
+        next(pairs)  # epoch 0: both memories are empty
+        for high, low in pairs:
+            inclusion_violations += int(np.any(low & ~high, axis=1).sum())
+            count_violations += int((low.sum(axis=1) > high.sum(axis=1)).sum())
+    fresh, trials, coins = (np.concatenate(part or [np.empty(0)])
+                            for part in (pit_fresh, pit_trials, pit_coins))
+    pit_values = _pit_batch(fresh, trials, q_low, coins)
     stat, pvalue = _pit_chi2(pit_values)
     return CouplingReport(
         n=n,
@@ -341,7 +367,7 @@ def run_coupled(
         q_high=q_high,
         n_traj=n_traj,
         t_max=t_max,
-        pairs_checked=pairs,
+        pairs_checked=n_traj * t_max,
         inclusion_violations=inclusion_violations,
         count_violations=count_violations,
         injection_events=len(pit_values),
@@ -352,7 +378,7 @@ def run_coupled(
 
 
 def _pit_batch(
-    fresh: list[int], trials: list[int], prob: float, coins: list[float]
+    fresh: Sequence[int], trials: Sequence[int], prob: float, coins: Sequence[float]
 ) -> np.ndarray:
     """Randomized probability integral transforms of binomial draws.
 
@@ -361,41 +387,12 @@ def _pit_batch(
     law, whatever trials is, which lets injections at different
     occupancies pool into one test.
     """
-    if not fresh:
-        return np.empty(0)
     values = np.asarray(fresh, dtype=np.int64)
+    if values.size == 0:
+        return np.empty(0)
     m = np.asarray(trials, dtype=np.int64)
     lower = binom_dist.cdf(values - 1, m, prob)
     return lower + np.asarray(coins) * binom_dist.pmf(values, m, prob)
-
-
-def _correct_coupled(
-    e_low: np.ndarray, e_high: np.ndarray, budget: int, rng: np.random.Generator
-) -> None:
-    """Correct both memories in place, preserving e_low <= e_high."""
-    bad_high = np.flatnonzero(e_high)
-    f_high = min(bad_high.size, budget)
-    chosen_high = (
-        rng.choice(bad_high, size=f_high, replace=False)
-        if f_high
-        else np.empty(0, dtype=np.int64)
-    )
-    mandatory = chosen_high[e_low[chosen_high]]
-    f_low = min(int(e_low.sum()), budget)
-    short = f_low - mandatory.size
-    # structurally short >= 0: either the low memory clears everything, or
-    # both budgets saturate at `budget`
-    chosen_mask = np.zeros(e_low.size, dtype=bool)
-    chosen_mask[chosen_high] = True
-    pool = np.flatnonzero(e_low & ~chosen_mask)
-    extra = (
-        rng.choice(pool, size=short, replace=False)
-        if short
-        else np.empty(0, dtype=np.int64)
-    )
-    e_high[chosen_high] = False
-    e_low[mandatory] = False
-    e_low[extra] = False
 
 
 def _pit_chi2(values: np.ndarray) -> tuple[float | None, float | None]:
@@ -419,46 +416,55 @@ class UniformityResult:
     n_traj: int
 
 
-def location_counts(spec: TrajectoryBatch, t_probe: int) -> np.ndarray:
-    """Per-qubit error counts at epoch t_probe, summed over trajectories."""
+def location_counts(spec: TrajectoryBatch, t_probe: int) -> tuple[np.ndarray, np.ndarray]:
+    """Error locations at epoch t_probe: per-qubit error counts summed over
+    the fleet, and each trajectory's number of errors."""
     if spec.record is not RecordMode.LOCATIONS:
         raise ValueError("location_counts needs a batch with record=LOCATIONS")
     if not 0 <= t_probe <= spec.t_max:
         raise ValueError(f"t_probe must lie in [0, t_max], got {t_probe}")
-    counts = np.zeros(spec.params.n, dtype=np.int64)
-    for i in range(spec.n_traj):
-        rng = trajectory_rng(spec.master_seed, i)
-        state = chain.initial_state(track_locations=True)
-        for t in range(t_probe):
-            if chain.static_phase_due(t, spec.params):
-                state = chain.inject_static_noise(state, spec.params, rng)
-            state = chain.step(state, spec.params, rng)
-        if state.error_set:
-            counts[np.fromiter(state.error_set, dtype=np.int64)] += 1
-    return counts
+    n = spec.params.n
+    counts = np.zeros(n, dtype=np.int64)
+    errors = []
+    for b, size in enumerate(_block_sizes(spec.n_traj, n, masks=True)):
+        start = np.zeros((size, n), dtype=bool)
+        for mask in _epochs(spec.params, start, t_probe, trajectory_rng(spec.master_seed, b)):
+            pass
+        counts += mask.sum(axis=0)
+        errors.append(mask.sum(axis=1))
+    return counts, np.concatenate(errors)
 
 
-def chi_square_uniformity(counts: np.ndarray, n_traj: int) -> UniformityResult:
-    """Equal-frequency chi-square over per-qubit error counts.
+def chi_square_uniformity(counts: np.ndarray, errors: np.ndarray) -> UniformityResult:
+    """Chi-square over per-qubit error counts, given each trajectory's
+    number of errors.
 
-    dof = n - 1. Degenerate when no errors were seen at all or every
-    qubit was erroneous in every trajectory; the test then carries no
+    A trajectory with x errors on a uniform subset of the n qubits adds
+    x (n - x) / n to the expected sum of squared deviations
+    sum_i (c_i - mean c)^2. Dividing that sum by
+    sum_j x_j (n - x_j) / (n (n - 1)) gives a statistic that is
+    approximately chi-square with dof = n - 1. Degenerate when every
+    trajectory holds no error or only errors, where the test carries no
     information and reports p-value 1.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    errors = np.asarray(errors, dtype=np.int64)
     n = counts.size
-    total = int(counts.sum())
-    if total == 0 or total == n * n_traj:
+    if errors.sum() != counts.sum():
+        raise ValueError(
+            f"trajectories hold {errors.sum()} errors but qubits {counts.sum()}"
+        )
+    spread = int((errors * (n - errors)).sum())
+    if spread == 0:
         return UniformityResult(
             statistic=0.0, pvalue=1.0, dof=n - 1, degenerate=True,
-            counts=counts, n_traj=n_traj,
+            counts=counts, n_traj=errors.size,
         )
-    expected = total / n
-    stat = float(((counts - expected) ** 2 / expected).sum())
+    stat = float(((counts - counts.mean()) ** 2).sum() * n * (n - 1) / spread)
     pvalue = float(chi2_dist.sf(stat, n - 1))
     return UniformityResult(
         statistic=stat, pvalue=pvalue, dof=n - 1, degenerate=False,
-        counts=counts, n_traj=n_traj,
+        counts=counts, n_traj=errors.size,
     )
 
 
@@ -466,9 +472,8 @@ def uniformity_check(spec: TrajectoryBatch, t_probe: int) -> UniformityResult:
     """Test that accumulated error locations are exchangeable across qubits.
 
     Pools the error indicator of every qubit at epoch t_probe over the
-    fleet and applies the equal-frequency chi-square. The uniform
-    correction rule makes the null hold by symmetry, so rejections point
-    at index bias in the decision rule or the location bookkeeping.
+    fleet and applies the chi-square of `chi_square_uniformity`. The
+    uniform correction rule makes the null hold by symmetry, so rejections
+    point at index bias in the decision rule or the location bookkeeping.
     """
-    counts = location_counts(spec, t_probe)
-    return chi_square_uniformity(counts, spec.n_traj)
+    return chi_square_uniformity(*location_counts(spec, t_probe))

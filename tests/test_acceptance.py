@@ -235,6 +235,7 @@ def test_criterion_9_uniform_error_locations():
     # deliberately biased correction: always repair the lowest indices
     n, k, n_traj = params.n, params.k_batch, 2000
     counts = np.zeros(n, dtype=np.int64)
+    errors = np.zeros(n_traj, dtype=np.int64)
     for i in range(n_traj):
         rng = trajectory_rng(209, i)
         mask = np.zeros(n, dtype=bool)
@@ -246,7 +247,8 @@ def test_criterion_9_uniform_error_locations():
             bad = np.flatnonzero(mask)
             mask[bad[:k]] = False
         counts += mask
-    biased = chi_square_uniformity(counts, n_traj)
+        errors[i] = mask.sum()
+    biased = chi_square_uniformity(counts, errors)
 
     ok = (
         not fair.degenerate

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qecbatch.chain import (
-    ChainState,
     ModelParams,
     Noise,
-    initial_state,
+    correct,
     inject_count,
     inject_static_noise,
     static_phase_due,
@@ -50,26 +50,6 @@ def test_k_batch_decimal_products():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
-
-
-def test_initial_state():
-    state = initial_state()
-    assert (state.t, state.x, state.error_set) == (0, 0, None)
-    tracked = initial_state(track_locations=True)
-    assert tracked.error_set == frozenset()
-
-
-def test_state_validation():
-    params = ModelParams(n=5, p=0.2, alpha=0.2)
-    ChainState(t=0, x=3, error_set=frozenset({0, 2, 4})).validate(params)
-    with pytest.raises(ValueError):
-        ChainState(t=0, x=6).validate(params)
-    with pytest.raises(ValueError):
-        ChainState(t=-1, x=0).validate(params)
-    with pytest.raises(ValueError):
-        ChainState(t=0, x=2, error_set=frozenset({1})).validate(params)
-    with pytest.raises(ValueError):
-        ChainState(t=0, x=1, error_set=frozenset({5})).validate(params)
 
 
 def test_static_phase_schedule():
@@ -121,57 +101,81 @@ def test_step_count_stays_in_range(n, p, alpha, x_frac, seed):
 def test_step_counts_mode():
     params = ModelParams(n=20, p=0.3, alpha=0.1)
     rng = np.random.default_rng(1)
-    state = initial_state()
+    x = np.zeros(50, dtype=np.int64)
     for _ in range(15):
-        state = step(state, params, rng)
-        assert 0 <= state.x <= params.n
-        assert state.error_set is None
-    assert state.t == 15
+        x = step_count(x, params, rng)
+        assert x.shape == (50,)
+        assert np.all((0 <= x) & (x <= params.n))
 
 
 def test_step_locations_mode_invariants():
     params = ModelParams(n=20, p=0.3, alpha=0.1)
     rng = np.random.default_rng(2)
-    state = initial_state(track_locations=True)
+    mask = np.zeros((50, params.n), dtype=bool)
     for _ in range(25):
-        state = step(state, params, rng)
-        assert len(state.error_set) == state.x
-        assert all(0 <= j < params.n for j in state.error_set)
+        before = mask.sum(axis=1)
+        mask = step(mask, params, rng)
+        assert mask.shape == (50, params.n) and mask.dtype == bool
+        assert np.all(mask.sum(axis=1) >= before - params.k_batch)
 
 
 def test_step_locations_deterministic_edges():
     rng = np.random.default_rng(3)
     # p = 0 with budget 2: exactly two of the tracked errors disappear
     params = ModelParams(n=10, p=0.0, alpha=0.2)
-    state = ChainState(t=0, x=4, error_set=frozenset({1, 3, 5, 7}))
-    after = step(state, params, rng)
-    assert after.x == 2
-    assert after.error_set < state.error_set
-    # p = 1: every qubit is hit, k_batch corrected
+    mask = np.zeros(10, dtype=bool)
+    mask[[1, 3, 5, 7]] = True
+    after = step(mask, params, rng)
+    assert after.sum() == 2
+    assert not np.any(after & ~mask)
+    # p = 1: every qubit is hit, k_batch corrected, in every row
     flood = ModelParams(n=10, p=1.0, alpha=0.2)
-    after = step(initial_state(track_locations=True), flood, rng)
-    assert after.x == 8
-    assert len(after.error_set) == 8
+    after = step(np.zeros((4, 10), dtype=bool), flood, rng)
+    np.testing.assert_array_equal(after.sum(axis=1), 8)
 
 
 def test_inject_static_noise():
     rng = np.random.default_rng(4)
     quiet = ModelParams(n=10, p=0.2, alpha=0.1, q=0.0)
-    state = ChainState(t=3, x=2, error_set=frozenset({0, 9}))
-    assert inject_static_noise(state, quiet, rng) is state
+    mask = np.zeros((3, 10), dtype=bool)
+    mask[:, [0, 9]] = True
+    assert inject_static_noise(mask, quiet, rng) is mask
 
     flood = ModelParams(n=10, p=0.2, alpha=0.1, q=1.0)
-    after = inject_static_noise(state, flood, rng)
-    assert after.t == 3  # static phases do not advance the epoch counter
-    assert after.x == 10
-    assert after.error_set == frozenset(range(10))
+    after = inject_static_noise(mask, flood, rng)
+    assert after.all()  # q = 1 saturates the mask
+    assert mask.sum() == 6  # the input is left as it was
 
 
 def test_errors_are_absorbing():
-    """A hit on an already-bad qubit changes nothing: with q = 1 the error
-    set is all of range(n) no matter what it was before."""
+    """A hit on an already-bad qubit changes nothing: with q = 1 every qubit
+    is erroneous afterwards no matter what the mask was before."""
     rng = np.random.default_rng(5)
     params = ModelParams(n=6, p=0.2, alpha=0.1, q=1.0)
-    for pre in [frozenset(), frozenset({2}), frozenset(range(6))]:
-        state = ChainState(t=0, x=len(pre), error_set=pre)
-        assert inject_static_noise(state, params, rng).x == 6
+    masks = np.zeros((3, 6), dtype=bool)
+    masks[1, 2] = True
+    masks[2] = True
+    np.testing.assert_array_equal(inject_static_noise(masks, params, rng).sum(axis=1), 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), n=st.integers(1, 12))
+def test_correct_clears_the_smallest_keys(data, rows, n):
+    """For any masks, keys and budget, `correct` clears exactly min(x, k)
+    erroneous qubits per row, those with the smallest keys; with shared keys
+    a nested pair of error sets stays nested."""
+    high = data.draw(arrays(bool, (rows, n)))
+    low = high & data.draw(arrays(bool, (rows, n)))
+    keys = np.reshape(data.draw(st.permutations(range(rows * n))), (rows, n)) / (rows * n)
+    budget = data.draw(st.integers(0, n + 2))
+    for before in (high, low):
+        after = correct(before, keys, budget)
+        cleared = before & ~after
+        assert not np.any(after & ~before)
+        np.testing.assert_array_equal(
+            cleared.sum(axis=1), np.minimum(before.sum(axis=1), budget)
+        )
+        for r in range(rows):
+            if cleared[r].any() and after[r].any():
+                assert keys[r, cleared[r]].max() < keys[r, after[r]].min()
+    assert not np.any(correct(low, keys, budget) & ~correct(high, keys, budget))

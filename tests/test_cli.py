@@ -80,6 +80,7 @@ _VALUES = {  # by key name, else by annotated type
     "float": _FLOATS,
     "str": st.text(alphabet="abcXYZ019/._-", min_size=1, max_size=12),
     "threads": st.integers(1, 64),
+    "master_seed": st.integers(0, 2**64 - 1),
     "grid": st.lists(st.builds(GridAxis, name=st.sampled_from(["l", "p", "alpha", "theta", "q"]),
                                start=_FLOATS, stop=_FLOATS, steps=st.integers(2, 50)),
                      max_size=3).map(tuple),
@@ -134,6 +135,9 @@ def test_experiment_config_validation():
         ExperimentConfig(command="discombobulate")
     with pytest.raises(ValueError, match="threads"):
         ExperimentConfig(command="bounds", threads=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig(command="verify", master_seed=seed)
 
 
 def test_main_usage_errors(capsys):
@@ -300,6 +304,17 @@ def test_sweep_json_and_axis_errors(tmp_path):
                  "--grid", "p:0.3:0.4:2"]) == 1
 
 
+def test_sweep_rejects_non_integer_l(tmp_path, capsys):
+    base = ["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12", "--theta", "0.1",
+            "--format", "json"]
+    out = tmp_path / "sweep.json"
+    assert main([*base, "--grid", "l:1:4:3", "--out", str(out)]) == 1
+    assert "l=2.5" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*base, "--grid", "l:1:4:4", "--out", str(out)]) == 0
+    assert [row["l"] for row in json.loads(out.read_text())["rows"]] == [1, 2, 3, 4]
+
+
 def test_verify_exit_codes(capsys):
     config = parse_config("verify")
     ok = (("always fine", lambda seed: (True, "all good")),)
@@ -319,6 +334,14 @@ def test_verify_runs_the_shared_checks(capsys):
     for name in ("closed-form vs recursion", "crossing-epoch formula vs iteration",
                  "exact tail dominates closed-form bound", "exact oracle vs Monte Carlo"):
         assert f"[verify] {name}: ok" in out
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_verify_rejects_seeds_outside_64_bits(capsys, seed):
+    assert main(["verify", "--master-seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert "master_seed" in captured.err
+    assert "[verify]" not in captured.out
 
 
 @pytest.mark.parametrize("seed", ["-3", str(2**64 + 5)])

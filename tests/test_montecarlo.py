@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, chi2, kstest
 
-from qecbatch.chain import ModelParams
+from qecbatch.chain import ModelParams, correct
 from qecbatch.checks import oracle_vs_monte_carlo
+from qecbatch.exact import StateDistribution, build_kernel, evolve
 from qecbatch.montecarlo import (
     RecordMode,
     TrajectoryBatch,
@@ -47,6 +48,17 @@ def test_run_batch_worker_invariance():
     pooled = run_batch(spec, 5.0, n_workers=3)
     np.testing.assert_array_equal(serial.p_hat_by_t, pooled.p_hat_by_t)
     np.testing.assert_array_equal(serial.tau_samples, pooled.tau_samples)
+
+
+def test_run_batch_worker_invariance_across_blocks():
+    """A fleet of several blocks, split unevenly across workers, gives the
+    same answer as one serial pass."""
+    spec = TrajectoryBatch(params=PARAMS, n_traj=3 * 4096 + 17, t_max=6, master_seed=8)
+    serial = run_batch(spec, 3.0, n_workers=1)
+    for workers in (2, 3):
+        pooled = run_batch(spec, 3.0, n_workers=workers)
+        np.testing.assert_array_equal(serial.p_hat_by_t, pooled.p_hat_by_t)
+        np.testing.assert_array_equal(serial.tau_samples, pooled.tau_samples)
 
 
 def test_run_batch_basics():
@@ -222,9 +234,29 @@ def test_location_counts_requires_location_mode():
     )
     with pytest.raises(ValueError):
         location_counts(tracked, 6)
-    counts = location_counts(tracked, 3)
-    assert counts.shape == (PARAMS.n,)
+    counts, errors = location_counts(tracked, 3)
+    assert counts.shape == (PARAMS.n,) and errors.shape == (5,)
     assert counts.min() >= 0 and counts.max() <= 5
+    assert counts.sum() == errors.sum()
+    counts, errors = location_counts(tracked, 0)
+    assert counts.sum() == 0 and errors.sum() == 0
+
+
+def test_location_counts_track_the_exact_mean():
+    """The mean error count of the mask engine matches the exact chain at
+    the probe epoch within four standard errors, static phases included;
+    a rule that corrected the wrong number of errors would miss it."""
+    params = ModelParams(n=30, p=0.3, alpha=0.1, q=0.05, q_period=3)
+    n_traj, t_probe = 4000, 10
+    spec = TrajectoryBatch(
+        params=params, n_traj=n_traj, t_max=t_probe, master_seed=13,
+        record=RecordMode.LOCATIONS,
+    )
+    counts, errors = location_counts(spec, t_probe)
+    dist = evolve(build_kernel(params), StateDistribution.point_mass(params.n), t_probe)
+    states = np.arange(params.n + 1)
+    var = float(dist.mass @ states**2) - dist.mean() ** 2
+    assert abs(counts.sum() / n_traj - dist.mean()) <= 4.0 * np.sqrt(var / n_traj)
 
 
 def test_uniformity_check_healthy():
@@ -239,20 +271,57 @@ def test_uniformity_check_healthy():
     assert result.pvalue > 1e-3
 
 
+def test_uniformity_pvalues_are_calibrated():
+    """Under the uniform rule the p-values are close to Uniform(0, 1); the
+    Poisson statistic without the occupancy correction puts them all near 1."""
+    params = ModelParams(n=50, p=0.2, alpha=0.05)
+    pvalues = [
+        uniformity_check(TrajectoryBatch(
+            params=params, n_traj=200, t_max=30, master_seed=seed,
+            record=RecordMode.LOCATIONS,
+        ), 30).pvalue
+        for seed in range(1000, 1040)
+    ]
+    assert kstest(pvalues, "uniform").pvalue > 1e-3
+
+
+def test_uniformity_detects_mild_index_bias():
+    """Correction keys weighted +-10% linearly in the qubit index favour low
+    indices; 10^4 trajectories must reject uniformity."""
+    params = ModelParams(n=50, p=0.2, alpha=0.05)
+    weights = np.linspace(0.9, 1.1, params.n)
+    rng = trajectory_rng(19, 0)
+    mask = np.zeros((10_000, params.n), dtype=bool)
+    for _ in range(30):
+        mask |= rng.random(mask.shape) < params.p
+        mask = correct(mask, rng.random(mask.shape) * weights, params.k_batch)
+    result = chi_square_uniformity(mask.sum(axis=0), mask.sum(axis=1))
+    assert result.pvalue < 1e-3
+
+
 def test_chi_square_degenerate_cases():
-    empty = chi_square_uniformity(np.zeros(8, dtype=np.int64), 10)
-    assert empty.degenerate and empty.pvalue == 1.0
-    full = chi_square_uniformity(np.full(8, 10, dtype=np.int64), 10)
+    empty = chi_square_uniformity(np.zeros(8, dtype=np.int64), np.zeros(10, dtype=np.int64))
+    assert empty.degenerate and empty.pvalue == 1.0 and empty.n_traj == 10
+    full = chi_square_uniformity(np.full(8, 10), np.full(10, 8))
     assert full.degenerate and full.pvalue == 1.0
+    # every trajectory all-clear or all-bad: still no information on location
+    mixed = chi_square_uniformity(np.full(8, 4), np.array([8, 0, 8, 0, 8, 8, 0, 0, 0, 0]))
+    assert mixed.degenerate
+    with pytest.raises(ValueError):
+        chi_square_uniformity(np.array([1, 2]), np.array([1, 1]))
 
 
 def test_chi_square_hand_statistic():
-    flat = chi_square_uniformity(np.array([5, 5, 5, 5]), 10)
+    # ten trajectories with two errors each on four qubits: the spread is
+    # 10 * 2 * 2 = 40, so the statistic is sum (c - 5)^2 * 4 * 3 / 40
+    pairs = np.full(10, 2)
+    flat = chi_square_uniformity(np.array([5, 5, 5, 5]), pairs)
     assert not flat.degenerate
     assert flat.statistic == 0.0 and flat.pvalue == 1.0
-    skewed = chi_square_uniformity(np.array([20, 0, 0, 0]), 10)
-    assert skewed.statistic == pytest.approx(60.0)
-    assert skewed.pvalue < 1e-8
+    skewed = chi_square_uniformity(np.array([10, 10, 0, 0]), pairs)
+    assert skewed.statistic == pytest.approx(30.0)
+    assert skewed.pvalue == pytest.approx(chi2.sf(30.0, 3))
+    assert skewed.pvalue < 1e-5
 
 
 def test_batch_spec_validation():
