@@ -1,6 +1,6 @@
 """Command line front end.
 
-Commands: simulate (Monte Carlo exceedance curve), exact (dense kernel
+Commands: simulate (Monte Carlo exceedance curve), exact (banded kernel
 evolution), meanfield (crossing epochs and iterates), bounds (overhead
 report), couple (two-rate dominance check), sweep (bounds over a
 parameter grid) and verify (the cross-checks of `qecbatch.checks` on
@@ -374,6 +374,7 @@ def _run_exact(config: ExperimentConfig) -> int:
                 "t": list(range(config.t_max + 1)),
                 "tail_prob": curve,
                 "mean_final": dist.mean(),
+                "error_bound": dist.err,
             })
         print(f"exact: P[X > {threshold:g}] at t={config.t_max} is {curve[-1]:.6g}; wrote {path}")
     else:
@@ -388,6 +389,7 @@ def _run_exact(config: ExperimentConfig) -> int:
                 "t": dist.t,
                 "mass": dist.mass.tolist(),
                 "mean": dist.mean(),
+                "error_bound": dist.err,
             })
         print(f"exact: mean error count at t={config.t_max} is {dist.mean():.4f}; wrote {path}")
     return 0
@@ -507,11 +509,11 @@ def _sweep_row(report: bounds_mod.BoundReport) -> tuple:
 def _run_sweep(config: ExperimentConfig) -> int:
     if not config.grid:
         raise UsageError("sweep needs at least one --grid axis (name:start:stop:steps)")
-    _require(config, "l", "p", "alpha", "theta")
     axes = config.grid
     names = [axis.name for axis in axes]
     if len(set(names)) != len(names):
         raise UsageError("sweep grid axes must have distinct names")
+    _require(config, *(name for name in ("l", "p", "alpha", "theta") if name not in names))
     rows: list[tuple] = []
     meshes = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
     points = np.stack([mesh.ravel() for mesh in meshes], axis=-1)

@@ -1,11 +1,16 @@
 """Exact distribution evolution for the error-accumulation chain.
 
-Builds the full (n+1) x (n+1) transition kernel of the error-count
-chain and pushes state distributions through it, with no sampling
-involved. This is the brute-force reference that the Monte Carlo
-engine, the mean-field iteration and the closed-form bounds are
-checked against. Dense only, so memory is quadratic in n; the default
-size cap keeps it near 200 MB.
+Builds the one-epoch transition kernel of the error-count chain and
+pushes state distributions through it, with no sampling involved. This
+is the reference that the Monte Carlo engine, the mean-field iteration
+and the closed-form bounds are checked against.
+
+Each kernel row is stored as a band: row x keeps the Binomial(n - x, prob)
+pmf of the fresh errors only between its two _TAIL_EPS / 2 tail quantiles,
+so a kernel holds (n+1) x w numbers with w of order sqrt(n) rather than
+(n+1)^2. The largest mass any row leaves out is carried as a certified
+total-variation bound: every phase a distribution is pushed through adds
+it to the distribution's `err`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.sparse import csc_array
+from scipy.special import bdtr, bdtrc, gammaln
+from scipy.stats import binom
 
 from .chain import ModelParams
 
@@ -34,121 +41,153 @@ __all__ = [
     "dump_distribution_csv",
 ]
 
-# Default ceiling on n for materializing the dense kernel: (n+1)^2 float64
-# entries at n = 5000 are ~200 MB. Raise explicitly via n_cap if you have
-# the memory for it.
-EXACT_N_CAP = 5000
+# Default ceiling on n for building a kernel. Band rows are w ~ 8.3 sqrt(n)
+# entries wide at p = 1/2, the widest case: at n = 2 * 10^4 one phase's
+# band is 20001 x 1176 float64 entries, 188 MB, plus 94 MB of int32 landing
+# states. Raise explicitly via n_cap if you have the memory for it.
+EXACT_N_CAP = 20_000
 
-# Probabilities below this are flushed to exact zero when exponentiating
-# log pmf values; they are beyond double-precision resolution anyway.
-_PMF_FLOOR = 1e-300
+# Two-sided tail mass a band row may leave out before renormalization;
+# each row drops below _TAIL_EPS / 2 on either side of its band.
+_TAIL_EPS = 1e-16
 
-# Raw log-gamma row sums drift from 1 by a few 1e-12 at the size cap, so
-# each row is renormalized after this sanity bound is checked.
+# The band's raw log-space mass must match 1 minus the dropped tails to
+# this tolerance before each row is renormalized.
 _RAW_ROW_TOL = 1e-9
 
 _ROW_SUM_TOL = 1e-12
 _MASS_TOL = 1e-12
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """Table lf[i] = ln(i!) for i = 0..n."""
-    return gammaln(np.arange(1, n + 2, dtype=np.float64))
+def _band(n: int, prob: float, budget: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """One phase of the chain as a band: (probs, offset, dropped).
 
-
-def _binom_pmf(m: int, prob: float, lf: np.ndarray) -> np.ndarray:
-    """Binomial(m, prob) pmf over y = 0..m, computed in log space."""
-    if m == 0:
-        return np.ones(1)
-    if prob == 0.0:
-        out = np.zeros(m + 1)
-        out[0] = 1.0
-        return out
-    if prob == 1.0:
-        out = np.zeros(m + 1)
-        out[m] = 1.0
-        return out
-    y = np.arange(m + 1)
-    logpmf = (
-        lf[m]
-        - lf[y]
-        - lf[m - y]
-        + y * math.log(prob)
-        + (m - y) * math.log1p(-prob)
-    )
-    pmf = np.exp(logpmf)
-    pmf[pmf < _PMF_FLOOR] = 0.0
-    raw = pmf.sum()
-    if abs(raw - 1.0) > _RAW_ROW_TOL:
-        raise ValueError(f"binomial pmf row sums to {raw}, construction is off")
-    return pmf / raw
-
-
-def _scatter_epoch_row(out: np.ndarray, x: int, pmf: np.ndarray, budget: int) -> None:
-    """Add the one-epoch transition row from state x into `out`.
-
-    With y fresh errors the epoch lands on max(x + y - budget, 0); the
-    destinations are a collapsed head plus one contiguous slice.
+    Row x draws y ~ Binomial(m = n - x, prob) fresh errors and lands on
+    max(x + y - budget, 0). Only y in [lo, hi], between the two tail
+    quantiles, is kept: entry j of row x is the renormalized pmf of
+    y = lo + j and lands on clip(offset[x] + j, 0, n), with
+    offset[x] = x + lo - budget. Entries past a row's own width are zero.
+    `dropped` is the largest tail mass any row left out.
     """
-    m = pmf.size - 1
-    if x >= budget:
-        out[x - budget : x - budget + m + 1] += pmf
-        return
-    head = budget - x
-    if head >= m:
-        out[0] += pmf.sum()
-        return
-    out[0] += pmf[: head + 1].sum()
-    out[1 : m - head + 1] += pmf[head + 1 :]
+    x = np.arange(n + 1)
+    m = n - x
+    if prob in (0.0, 1.0):
+        lo = m if prob == 1.0 else np.zeros_like(m)
+        return np.ones((n + 1, 1)), x + lo - budget, 0.0
+    lo = binom.ppf(_TAIL_EPS / 2, m, prob).astype(np.int64)
+    # binom.isf saturates at m for tails this small; count down from m instead
+    hi = m - binom.ppf(_TAIL_EPS / 2, m, 1.0 - prob).astype(np.int64)
+    width = hi - lo + 1
+    w = int(width.max())
+    # band[x, j] = ln pmf(lo + j) - ln pmf(lo), summed from the ratios
+    # pmf(y + 1) / pmf(y) = (m - y) / (y + 1) * prob / (1 - prob)
+    band = np.zeros((n + 1, w))
+    ratios = band[:, 1:]
+    y1 = lo[:, None] + np.arange(1.0, w)  # y + 1 for y = lo .. lo + w - 2
+    np.subtract(m[:, None] + 1.0, y1, out=ratios)
+    np.maximum(ratios, 1.0, out=ratios)  # padding past m, masked below
+    np.log(ratios, out=ratios)
+    ratios -= np.log(y1, out=y1)
+    del y1
+    ratios += math.log(prob) - math.log1p(-prob)
+    np.cumsum(ratios, axis=1, out=ratios)
+    band[np.arange(w) >= width[:, None]] = -np.inf
+    peak = band.max(axis=1)
+    band -= peak[:, None]
+    np.exp(band, out=band)
+    total = band.sum(axis=1)
+    lf = gammaln(np.arange(1, n + 2, dtype=np.float64))  # lf[i] = ln(i!)
+    log_first = lf[m] - lf[lo] - lf[m - lo] + lo * math.log(prob) + (m - lo) * math.log1p(-prob)
+    dropped = np.where(lo > 0, bdtr(np.maximum(lo - 1, 0), m, prob), 0.0) + bdtrc(hi, m, prob)
+    drift = np.abs(total * np.exp(log_first + peak) - (1.0 - dropped)).max()
+    if drift > _RAW_ROW_TOL:
+        raise ValueError(f"binomial band misses its mass by {drift}, construction is off")
+    band /= total[:, None]
+    return band, x + lo - budget, float(dropped.max())
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """Dense one-epoch kernel, plus the static-phase kernel when q > 0.
+    """Banded one-epoch kernel, plus the static-phase kernel when q > 0.
 
-    probs[x, x'] is the probability that one correction epoch maps x
-    uncorrected errors to x'. static_probs, present only for q > 0, is
-    the same for one static phase; evolve interleaves it every q_period
-    correction epochs.
+    probs[x, j] is the probability that one correction epoch maps x
+    uncorrected errors to clip(offset[x] + j, 0, n); offset defaults to 0,
+    which makes an (n+1) x (n+1) probs a plain dense kernel. static_probs
+    and static_offset, present only for q > 0, are the same for one static
+    phase; evolve interleaves it every q_period correction epochs.
+    truncation is the largest total-variation distance between a stored
+    row and the true row, added once per phase a distribution goes through.
     """
 
     n: int
     k_batch: int
     probs: np.ndarray
+    offset: np.ndarray | None = None
     static_probs: np.ndarray | None = None
+    static_offset: np.ndarray | None = None
     q_period: int = 1
+    truncation: float = 0.0
+    _push: csc_array = field(init=False, repr=False)
+    _static_push: csc_array | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        expected = (self.n + 1, self.n + 1)
-        if self.probs.shape != expected:
-            raise ValueError(f"probs must have shape {expected}, got {self.probs.shape}")
-        self._check_stochastic(self.probs, "probs")
-        if self.static_probs is not None:
-            if self.static_probs.shape != expected:
-                raise ValueError(
-                    f"static_probs must have shape {expected}, got {self.static_probs.shape}"
-                )
-            self._check_stochastic(self.static_probs, "static_probs")
         if self.q_period < 1:
             raise ValueError(f"q_period must be >= 1, got {self.q_period}")
+        if not self.truncation >= 0.0:
+            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
+        object.__setattr__(self, "_push", self._operator("probs", "offset"))
+        object.__setattr__(
+            self, "_static_push",
+            None if self.static_probs is None else self._operator("static_probs", "static_offset"),
+        )
 
-    @staticmethod
-    def _check_stochastic(matrix: np.ndarray, name: str) -> None:
-        if np.any(matrix < 0.0):
+    def _operator(self, name: str, offset_name: str) -> csc_array:
+        """Sparse P with P @ mass the push-forward of mass through band `name`.
+
+        Column x holds row x's entries at their landing states; entries
+        that clip onto the same state are summed by the product. P shares
+        the band's data.
+        """
+        band, offset = getattr(self, name), getattr(self, offset_name)
+        rows = self.n + 1
+        if band.ndim != 2 or band.shape[0] != rows or band.shape[1] < 1:
+            raise ValueError(f"{name} must have shape ({rows}, w), got {band.shape}")
+        if offset is None:
+            offset = np.zeros(rows, dtype=np.int64)
+            object.__setattr__(self, offset_name, offset)
+        if offset.shape != (rows,):
+            raise ValueError(f"{offset_name} must have shape ({rows},), got {offset.shape}")
+        if np.any(band < 0.0):
             raise ValueError(f"{name} has negative entries")
-        drift = np.abs(matrix.sum(axis=1) - 1.0).max()
+        drift = np.abs(band.sum(axis=1) - 1.0).max()
         if drift > _ROW_SUM_TOL:
             raise ValueError(f"{name} rows sum to 1 +/- {drift}, beyond tolerance")
+        w = band.shape[1]
+        itype = np.int32 if band.size < 2**31 else np.int64
+        dest = offset.astype(itype)[:, None] + np.arange(w, dtype=itype)
+        np.clip(dest, 0, self.n, out=dest)
+        indptr = np.arange(0, band.size + 1, w, dtype=itype)
+        return csc_array((band.reshape(-1), dest.reshape(-1), indptr), shape=(rows, rows))
+
+    def dense(self, static: bool = False) -> np.ndarray:
+        """The correction-epoch (or static-phase) kernel as an (n+1) x (n+1) matrix."""
+        push = self._static_push if static else self._push
+        if push is None:
+            raise ValueError("kernel has no static phase")
+        return push.T.toarray()
+
+    def push(self, mass: np.ndarray, static: bool = False) -> np.ndarray:
+        """mass pushed through one correction epoch (or one static phase)."""
+        return (self._static_push if static else self._push) @ mass
 
 
 def build_kernel(params: ModelParams, n_cap: int = EXACT_N_CAP) -> TransitionKernel:
-    """Materialize the exact one-epoch kernel for these parameters.
+    """Build the banded one-epoch kernel for these parameters.
 
-    Row x aggregates Binomial(n - x, p) over the fresh-error count y into
-    the landing state max(x + y - k_batch, 0). Entries come from log-gamma
-    pmf evaluations; each row is renormalized to cancel the accumulated
-    rounding. Refuses n beyond n_cap, since the dense matrix grows as
-    (n+1)^2.
+    Row x spreads Binomial(n - x, p) fresh errors y over the landing
+    states max(x + y - k_batch, 0), keeping y between the row's two tail
+    quantiles; the static phase does the same with q and no correction.
+    Refuses n beyond n_cap.
     """
     if params.n > n_cap:
         raise ValueError(
@@ -156,27 +195,28 @@ def build_kernel(params: ModelParams, n_cap: int = EXACT_N_CAP) -> TransitionKer
             "pass a larger n_cap explicitly if the memory budget allows it"
         )
     n, k = params.n, params.k_batch
-    lf = _log_factorials(n)
-    probs = np.zeros((n + 1, n + 1))
-    for x in range(n + 1):
-        _scatter_epoch_row(probs[x], x, _binom_pmf(n - x, params.p, lf), k)
-    static = None
+    probs, offset, truncation = _band(n, params.p, k)
+    static = static_offset = None
     if params.q > 0.0:
-        static = np.zeros((n + 1, n + 1))
-        for x in range(n + 1):
-            pmf = _binom_pmf(n - x, params.q, lf)
-            static[x, x : n + 1] += pmf
+        static, static_offset, dropped = _band(n, params.q, 0)
+        truncation = max(truncation, dropped)
     return TransitionKernel(
-        n=n, k_batch=k, probs=probs, static_probs=static, q_period=params.q_period
+        n=n, k_batch=k, probs=probs, offset=offset, static_probs=static,
+        static_offset=static_offset, q_period=params.q_period, truncation=truncation,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class StateDistribution:
-    """Distribution over error counts after t correction epochs."""
+    """Distribution over error counts after t correction epochs.
+
+    err bounds the total-variation distance to the true law; evolve adds
+    the kernel's truncation once per phase it applies.
+    """
 
     t: int
     mass: np.ndarray
+    err: float = 0.0
 
     def __post_init__(self) -> None:
         if self.t < 0:
@@ -188,6 +228,8 @@ class StateDistribution:
         total = float(self.mass.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"mass sums to {total}, not 1")
+        if not self.err >= 0.0:
+            raise ValueError(f"err must be >= 0, got {self.err}")
 
     @property
     def n(self) -> int:
@@ -217,12 +259,20 @@ def evolve(kernel: TransitionKernel, dist0: StateDistribution, steps: int) -> St
     if dist0.n != kernel.n:
         raise ValueError(f"distribution is over {dist0.n + 1} states, kernel over {kernel.n + 1}")
     mass = dist0.mass.copy()
+    phases = steps
     for j in range(steps):
-        epoch = dist0.t + j
-        if kernel.static_probs is not None and epoch % kernel.q_period == 0:
-            mass = mass @ kernel.static_probs
-        mass = mass @ kernel.probs
-    return StateDistribution(t=dist0.t + steps, mass=mass)
+        if _static_due(kernel, dist0.t + j):
+            mass = kernel.push(mass, static=True)
+            phases += 1
+        mass = kernel.push(mass)
+    return StateDistribution(
+        t=dist0.t + steps, mass=mass, err=dist0.err + phases * kernel.truncation
+    )
+
+
+def _static_due(kernel: TransitionKernel, epoch: int) -> bool:
+    """Whether a static phase precedes correction epoch `epoch` (0-based)."""
+    return kernel.static_probs is not None and epoch % kernel.q_period == 0
 
 
 def tail_prob(dist: StateDistribution, threshold: float) -> float:
@@ -259,7 +309,7 @@ def check_h_monotone(kernel: TransitionKernel, m: int, tol: float = 1e-10) -> Mo
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    power = np.linalg.matrix_power(kernel.probs, m)
+    power = np.linalg.matrix_power(kernel.dense(), m)
     # tails[x, k] = P[X_{t+m} >= k | X_t = x]
     tails = np.cumsum(power[:, ::-1], axis=1)[:, ::-1]
     drops = tails[:-1, :] - tails[1:, :]
@@ -274,12 +324,14 @@ class HittingTimeDistribution:
     """Law of the first epoch at which the error count exceeds a threshold.
 
     pmf[t] = P[tau = t] for t = 0..t_max, survival = P[tau > t_max];
-    together they account for all probability mass.
+    together they account for all probability mass. err bounds the
+    total-variation distance of (pmf, survival) to the true law.
     """
 
     threshold: float
     pmf: np.ndarray
     survival: float
+    err: float = 0.0
 
     def median(self) -> float:
         """Smallest t with P[tau <= t] >= 1/2, or inf if beyond t_max."""
@@ -302,68 +354,40 @@ def hitting_time_distribution(
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    n = kernel.n
-    keep = np.arange(n + 1) <= threshold
+    first = int(math.floor(threshold)) + 1
     pmf = np.zeros(t_max + 1)
-    if not keep[0]:
+    if first <= 0:
         # threshold below zero: the fresh memory already exceeds it
         pmf[0] = 1.0
         return HittingTimeDistribution(threshold=threshold, pmf=pmf, survival=0.0)
-    inner = kernel.probs[np.ix_(keep, keep)]
-    inner_with_static = (
-        (kernel.static_probs @ kernel.probs)[np.ix_(keep, keep)]
-        if kernel.static_probs is not None
-        else None
-    )
-    alive = np.zeros(int(keep.sum()))
+    alive = np.zeros(kernel.n + 1)
     alive[0] = 1.0
+    phases = t_max
     for t in range(1, t_max + 1):
         before = alive.sum()
-        if inner_with_static is not None and (t - 1) % kernel.q_period == 0:
-            alive = alive @ inner_with_static
-        else:
-            alive = alive @ inner
+        if _static_due(kernel, t - 1):
+            alive = kernel.push(alive, static=True)
+            phases += 1
+        alive = kernel.push(alive)
+        alive[first:] = 0.0
         pmf[t] = before - alive.sum()
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=float(alive.sum())
+        threshold=threshold, pmf=pmf, survival=float(alive.sum()),
+        err=phases * kernel.truncation,
     )
 
 
 def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
-    """Exact E[X_t] for t = 0..t_max without materializing the kernel.
-
-    Streams the push-forward row by row, so memory stays linear in n and
-    sizes beyond the dense cap are reachable. Time is O(t_max * n^2).
-    """
+    """Exact E[X_t] for t = 0..t_max, starting from zero errors."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    n, k = params.n, params.k_batch
-    lf = _log_factorials(n)
-    states = np.arange(n + 1)
-    mass = np.zeros(n + 1)
-    mass[0] = 1.0
-    means = np.empty(t_max + 1)
-    means[0] = 0.0
-    for t in range(1, t_max + 1):
-        if params.q > 0.0 and (t - 1) % params.q_period == 0:
-            mass = _stream_phase(mass, n, params.q, None, lf)
-        mass = _stream_phase(mass, n, params.p, k, lf)
-        means[t] = float(mass @ states)
-    return means
-
-
-def _stream_phase(
-    mass: np.ndarray, n: int, prob: float, budget: int | None, lf: np.ndarray
-) -> np.ndarray:
-    """One phase of the streaming push-forward (budget None = no correction)."""
-    out = np.zeros(n + 1)
-    for x in np.flatnonzero(mass > 0.0):
-        pmf = _binom_pmf(n - x, prob, lf)
-        if budget is None:
-            out[x : n + 1] += mass[x] * pmf
-        else:
-            _scatter_epoch_row(out, int(x), mass[x] * pmf, budget)
-    return out
+    kernel = build_kernel(params)
+    dist = StateDistribution.point_mass(params.n)
+    means = [dist.mean()]
+    for _ in range(t_max):
+        dist = evolve(kernel, dist, 1)
+        means.append(dist.mean())
+    return np.array(means)
 
 
 def dump_kernel_csv(kernel: TransitionKernel, path: str) -> None:
@@ -372,9 +396,10 @@ def dump_kernel_csv(kernel: TransitionKernel, path: str) -> None:
         fh.write("# schema=qecbatch.kernel.v1\n")
         fh.write(f"# n={kernel.n} k_batch={kernel.k_batch} q_period={kernel.q_period}\n")
         fh.write("from_state,to_state,probability\n")
-        rows, cols = np.nonzero(kernel.probs)
+        dense = kernel.dense()
+        rows, cols = np.nonzero(dense)
         for x, x1 in zip(rows, cols):
-            fh.write(f"{x},{x1},{float(kernel.probs[x, x1])!r}\n")
+            fh.write(f"{x},{x1},{float(dense[x, x1])!r}\n")
 
 
 def dump_distribution_csv(dist: StateDistribution, path: str) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecbatch.chain import ModelParams
 from qecbatch.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from qecbatch.cli import (
     parse_config,
     _run_verify,
 )
+from qecbatch.exact import build_kernel
 
 CONFIG_TEXT = """
 # memory under test
@@ -224,6 +226,20 @@ def test_exact_distribution_csv(tmp_path):
     assert sum(mass) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exact_json_reports_error_bound(tmp_path):
+    truncation = build_kernel(ModelParams(n=30, p=0.2, alpha=0.1)).truncation
+    assert 0.0 < truncation <= 1e-16
+    base = ["exact", "--n", "30", "--p", "0.2", "--alpha", "0.1", "--t-max", "15",
+            "--format", "json"]
+    tail, dist = tmp_path / "tail.json", tmp_path / "dist.json"
+    assert main([*base, "--beta", "0.3", "--out", str(tail)]) == 0
+    assert main([*base, "--out", str(dist)]) == 0
+    for path, schema in ((tail, "qecbatch.exact-tail.v1"), (dist, "qecbatch.exact-dist.v1")):
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == schema
+        assert doc["error_bound"] == pytest.approx(15 * truncation, rel=1e-12)
+
+
 def test_simulate_csv_deterministic(tmp_path):
     out = tmp_path / "sim.csv"
     args = ["simulate", "--n", "20", "--p", "0.3", "--alpha", "0.1",
@@ -313,6 +329,17 @@ def test_sweep_rejects_non_integer_l(tmp_path, capsys):
     assert not out.exists()
     assert main([*base, "--grid", "l:1:4:4", "--out", str(out)]) == 0
     assert [row["l"] for row in json.loads(out.read_text())["rows"]] == [1, 2, 3, 4]
+
+
+def test_sweep_takes_swept_keys_from_the_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--p", "0.2", "--alpha", "0.12", "--theta", "0.1",
+                 "--grid", "l:1:4:4", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[3:]] == [1, 2, 3, 4]
+    assert main(["sweep", "--alpha", "0.12", "--theta", "0.1",
+                 "--grid", "l:1:4:4", "--out", str(out)]) == 1
+    assert "needs --p" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(capsys):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
+from qecbatch.bounds import hitting_prob_lb
 from qecbatch.chain import ModelParams
 from qecbatch.exact import (
     EXACT_N_CAP,
@@ -37,12 +41,12 @@ def kernel_n2():
 def test_kernel_hand_rows_n2():
     kernel = kernel_n2()
     assert kernel.k_batch == 1
-    np.testing.assert_allclose(kernel.probs, HAND_ROWS_N2, atol=1e-15)
+    np.testing.assert_allclose(kernel.dense(), HAND_ROWS_N2, atol=1e-15)
 
 
 def test_kernel_hand_rows_no_budget():
     kernel = build_kernel(ModelParams(n=1, p=0.3, alpha=0.0))
-    np.testing.assert_allclose(kernel.probs, [[0.7, 0.3], [0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(kernel.dense(), [[0.7, 0.3], [0.0, 1.0]], atol=1e-15)
 
 
 def test_evolve_matches_bruteforce_enumeration():
@@ -63,42 +67,44 @@ def test_evolve_two_epochs_n2():
 
 def test_rows_stochastic_across_sizes():
     for n, p, alpha in [(1, 0.5, 0.0), (17, 0.05, 0.1), (240, 0.35, 0.12), (500, 0.9, 0.5)]:
-        kernel = build_kernel(ModelParams(n=n, p=p, alpha=alpha))
-        sums = kernel.probs.sum(axis=1)
+        dense = build_kernel(ModelParams(n=n, p=p, alpha=alpha)).dense()
+        sums = dense.sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-12
-        assert kernel.probs.min() >= 0.0
+        assert dense.min() >= 0.0
 
 
 def test_kernel_cannot_drop_below_budget_floor():
     # one batch removes at most k errors, so P[x -> x'] = 0 for x' < x - k
     for n, p, alpha in [(12, 0.3, 0.25), (40, 0.7, 0.1), (7, 0.5, 0.0)]:
         kernel = build_kernel(ModelParams(n=n, p=p, alpha=alpha))
+        dense = kernel.dense()
         for x in range(n + 1):
             floor = max(0, x - kernel.k_batch)
-            assert not kernel.probs[x, :floor].any()
+            assert not dense[x, :floor].any()
 
 
 def test_kernel_full_budget_resets_every_state():
-    kernel = build_kernel(ModelParams(n=6, p=0.8, alpha=1.0))
-    np.testing.assert_array_equal(kernel.probs[:, 0], np.ones(7))
-    assert not kernel.probs[:, 1:].any()
+    dense = build_kernel(ModelParams(n=6, p=0.8, alpha=1.0)).dense()
+    np.testing.assert_array_equal(dense[:, 0], np.ones(7))
+    assert not dense[:, 1:].any()
 
 
 def test_size_cap():
     with pytest.raises(ValueError, match="exceeds the exact-mode cap"):
         build_kernel(ModelParams(n=101, p=0.2, alpha=0.1), n_cap=100)
     build_kernel(ModelParams(n=101, p=0.2, alpha=0.1), n_cap=101)
-    assert EXACT_N_CAP == 5000
+    assert EXACT_N_CAP == 20_000
 
 
 def test_static_kernel_only_adds_errors():
     kernel = build_kernel(ModelParams(n=6, p=0.2, alpha=0.3, q=0.15))
-    static = kernel.static_probs
-    assert static is not None
+    static = kernel.dense(static=True)
     assert np.abs(static.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.allclose(np.tril(static, -1), 0.0)  # the count never drops
     no_static = build_kernel(ModelParams(n=6, p=0.2, alpha=0.3))
     assert no_static.static_probs is None
+    with pytest.raises(ValueError, match="no static phase"):
+        no_static.dense(static=True)
 
 
 def test_evolve_interleaves_static_phases():
@@ -106,11 +112,12 @@ def test_evolve_interleaves_static_phases():
     kernel applied before epochs 0 and 2 (q_period 2)."""
     params = ModelParams(n=3, p=0.4, alpha=1.0 / 3.0, q=0.3, q_period=2)
     kernel = build_kernel(params)
+    static, probs = kernel.dense(static=True), kernel.dense()
     mass = StateDistribution.point_mass(3).mass
-    mass = mass @ kernel.static_probs @ kernel.probs          # epoch 0
-    mass = mass @ kernel.probs                                # epoch 1
-    mass = mass @ kernel.static_probs @ kernel.probs          # epoch 2
-    mass = mass @ kernel.probs                                # epoch 3
+    mass = mass @ static @ probs                              # epoch 0
+    mass = mass @ probs                                       # epoch 1
+    mass = mass @ static @ probs                              # epoch 2
+    mass = mass @ probs                                       # epoch 3
     dist = evolve(kernel, StateDistribution.point_mass(3), 4)
     np.testing.assert_allclose(dist.mass, mass, atol=1e-14)
 
@@ -230,7 +237,7 @@ def test_hitting_time_first_epoch_matches_direct_calc():
     params = ModelParams(n=5, p=0.3, alpha=0.2, q=0.1)
     kernel = build_kernel(params)
     law = hitting_time_distribution(kernel, 1, t_max=3)
-    mass = StateDistribution.point_mass(5).mass @ kernel.static_probs @ kernel.probs
+    mass = StateDistribution.point_mass(5).mass @ kernel.dense(static=True) @ kernel.dense()
     assert law.pmf[1] == pytest.approx(mass[2:].sum(), abs=1e-14)
 
 
@@ -277,7 +284,7 @@ def test_dump_kernel_csv_roundtrip(tmp_path):
     for line in lines[3:]:
         x, x1, prob = line.split(",")
         rebuilt[int(x), int(x1)] = float(prob)
-    np.testing.assert_array_equal(rebuilt, kernel.probs)
+    np.testing.assert_array_equal(rebuilt, kernel.dense())
 
 
 def test_dump_distribution_csv(tmp_path):
@@ -289,3 +296,113 @@ def test_dump_distribution_csv(tmp_path):
     assert lines[1] == "# t=2"
     values = [float(line.split(",")[1]) for line in lines[3:]]
     np.testing.assert_array_equal(values, dist.mass)
+
+
+# ---------------------------------------------------------------- banded
+# engine against a dense reference built from scipy.stats.binom.pmf
+
+# Reference rows holding less mass than this are left out; the mass they
+# held is added to every comparison's tolerance.
+REF_SKIP = 1e-20
+# Floating-point slack on top of the certified bounds.
+ROUNDING = 1e-12
+
+
+class DenseReference:
+    """Pushes mass through full Binomial rows, (n+1) landing states each.
+
+    A row is evaluated with scipy.stats.binom.pmf the first time it
+    carries mass and is kept for later epochs.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        size = params.n + 1
+        self.rows = {phase: np.zeros((size, size)) for phase in (False, True)}
+        self.filled = {phase: np.zeros(size, dtype=bool) for phase in (False, True)}
+        self.skipped = 0.0
+
+    def push(self, mass, static):
+        n = self.params.n
+        prob, budget = (self.params.q, 0) if static else (self.params.p, self.params.k_batch)
+        live = mass >= REF_SKIP
+        self.skipped += float(mass[~live].sum())
+        rows = self.rows[static]
+        new = np.flatnonzero(live & ~self.filled[static])
+        for start in range(0, new.size, 256):
+            chunk = new[start : start + 256]
+            x, y = chunk[:, None], np.arange(n - chunk[0] + 1)
+            pmf = binom.pmf(y, n - x, prob)  # zero for y > n - x
+            dest = np.clip(x + y - budget, 0, n) + np.arange(chunk.size)[:, None] * (n + 1)
+            flat = np.bincount(dest.ravel(), pmf.ravel(), minlength=chunk.size * (n + 1))
+            rows[chunk] = flat.reshape(chunk.size, n + 1)
+        self.filled[static][new] = True
+        return mass[live] @ rows[live]
+
+    def run(self, steps, threshold):
+        """Mass after `steps` epochs from zero errors, and the hitting law
+        of `threshold` over those epochs as (pmf, survival)."""
+        first = math.floor(threshold) + 1
+        mass = StateDistribution.point_mass(self.params.n).mass
+        alive = mass.copy()
+        pmf = np.zeros(steps + 1)
+        for t in range(steps):
+            if self.params.q > 0.0 and t % self.params.q_period == 0:
+                mass, alive = self.push(mass, True), self.push(alive, True)
+            mass, alive = self.push(mass, False), self.push(alive, False)
+            pmf[t + 1] = alive[first:].sum()
+            alive[first:] = 0.0
+        return mass, pmf, float(alive.sum())
+
+
+def check_band_against_reference(params, steps, beta):
+    n = params.n
+    kernel = build_kernel(params)
+    for band in (kernel.probs, kernel.static_probs):
+        if band is not None:
+            assert np.abs(band.sum(axis=1) - 1.0).max() <= 1e-12
+    reference = DenseReference(params)
+    ref_mass, ref_pmf, ref_survival = reference.run(steps, n * beta)
+    dist = evolve(kernel, StateDistribution.point_mass(n), steps)
+    law = hitting_time_distribution(kernel, n * beta, steps)
+    tol = dist.err + reference.skipped + ROUNDING
+    first = math.floor(n * beta) + 1
+    assert abs(tail_prob(dist, n * beta) - ref_mass[first:].sum()) <= tol
+    # a mean over states 0..n moves by at most n times the distance
+    assert abs(dist.mean() - ref_mass @ np.arange(n + 1)) <= n * tol
+    law_tol = law.err + reference.skipped + ROUNDING
+    assert law.err == dist.err
+    assert np.abs(law.pmf - ref_pmf).max() <= law_tol
+    assert abs(law.survival - ref_survival) <= law_tol
+
+
+def check_tail_dominates_bound(params, beta_frac):
+    alpha = params.alpha
+    beta = beta_frac * (params.p - alpha) / params.p
+    bound = hitting_prob_lb(params.n, params.p, alpha, beta)
+    dist = evolve(build_kernel(params), StateDistribution.point_mass(params.n), bound.T)
+    assert tail_prob(dist, params.n * beta) >= bound.value - dist.err - ROUNDING
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.floats(0.01, 0.99),
+    alpha_frac=st.floats(0.0, 0.95),
+    q=st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+    q_period=st.integers(1, 5),
+    steps=st.integers(1, 30),
+    beta_frac=st.floats(0.05, 0.95),
+)
+def test_band_matches_dense_reference(n, p, alpha_frac, q, q_period, steps, beta_frac):
+    params = ModelParams(n=n, p=p, alpha=alpha_frac * p, q=q, q_period=q_period)
+    check_band_against_reference(params, steps, beta_frac * (1.0 - alpha_frac))
+    check_tail_dominates_bound(params, beta_frac)
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_band_matches_dense_reference_at_scale(n):
+    params = ModelParams(n=n, p=0.2, alpha=0.05, q=0.02, q_period=5)
+    steps = hitting_prob_lb(n, 0.2, 0.05, 0.5).T
+    check_band_against_reference(params, steps, 0.5)
+    check_tail_dominates_bound(params, 0.5 / 0.75)
