@@ -14,8 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .chain import Noise
-from .meanfield import epochs_to_cross
+from .meanfield import (
+    Rule, _broken, _crossings, _points, _raise_first, _rate_rules, epochs_to_cross,
+)
 
 __all__ = [
     "conc_bound",
@@ -32,6 +36,8 @@ __all__ = [
     "Impossibility",
     "BoundReport",
     "overhead_bound",
+    "BoundColumns",
+    "overhead_columns",
     "full_parallel_baseline",
     "crossover_alpha",
     "KappaSurface",
@@ -86,18 +92,18 @@ class CapacityKind(Enum):
     USER_SUPPLIED = "user"
 
 
-def _entropy2(x: float) -> float:
+def _entropy2(x: np.ndarray) -> np.ndarray:
     """Binary entropy in bits; 0 log 0 = 0."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    inner = (x > 0.0) & (x < 1.0)
+    y = np.where(inner, x, 0.5)
+    return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
 
 
-def _hashing_rate(gamma: float) -> float:
+def _hashing_rate(gamma: np.ndarray) -> np.ndarray:
     # Depolarizing convention: the state is replaced by I/2 with
     # probability gamma, i.e. X, Y, Z each hit with probability gamma/4.
     u = 0.75 * gamma
-    return max(0.0, 1.0 - _entropy2(u) - u * _LOG2_3)
+    return np.maximum(0.0, 1.0 - _entropy2(u) - u * _LOG2_3)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class CapacityFn:
     Kinds: the exact erasure capacity 1 - 2*gamma, the depolarizing
     hashing rate, the hashing rate with a hard zero from gamma = 1/3 on
     (where the depolarizing capacity is known to vanish), or any
-    user-supplied callable. Values are clamped at zero.
+    user-supplied callable of one float. Values are clamped at zero.
     """
 
     kind: CapacityKind
@@ -117,16 +123,26 @@ class CapacityFn:
         if (self.kind is CapacityKind.USER_SUPPLIED) != (self.user_eval is not None):
             raise ValueError("user_eval is required exactly for USER_SUPPLIED kind")
 
-    def eval(self, gamma: float) -> float:
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    def eval(self, gamma: float | np.ndarray) -> float | np.ndarray:
+        """Capacity at gamma: a float for a float, an array for an array.
+
+        A float is a one-point array evaluation, so it equals the same
+        point evaluated inside an array. A user callable is called once
+        per element.
+        """
+        g = np.atleast_1d(np.asarray(gamma, dtype=float))
+        outside = ~((0.0 <= g) & (g <= 1.0))
+        if outside.any():
+            raise ValueError(f"gamma must lie in [0, 1], got {g[outside][0]}")
         if self.kind is CapacityKind.ERASURE_EXACT:
-            return max(0.0, 1.0 - 2.0 * gamma)
-        if self.kind is CapacityKind.DEPOLARIZING_HASHING:
-            return _hashing_rate(gamma)
-        if self.kind is CapacityKind.DEPOLARIZING_HASHING_CUTOFF:
-            return 0.0 if gamma >= 1.0 / 3.0 else _hashing_rate(gamma)
-        return max(0.0, float(self.user_eval(gamma)))
+            rate = np.maximum(0.0, 1.0 - 2.0 * g)
+        elif self.kind is CapacityKind.DEPOLARIZING_HASHING:
+            rate = _hashing_rate(g)
+        elif self.kind is CapacityKind.DEPOLARIZING_HASHING_CUTOFF:
+            rate = np.where(g >= 1.0 / 3.0, 0.0, _hashing_rate(g))
+        else:
+            rate = np.array([max(0.0, float(self.user_eval(x))) for x in g.ravel().tolist()])
+        return float(rate[0]) if np.ndim(gamma) == 0 else rate.reshape(np.shape(gamma))
 
 
 ERASURE_EXACT = CapacityFn(CapacityKind.ERASURE_EXACT)
@@ -221,25 +237,33 @@ class BoundReport:
         }
 
 
-def _alpha_threshold(p: float, noise: Noise) -> float:
+def _alpha_threshold(p, noise: Noise):
     return p / 2.0 if noise is Noise.ERASURE else 2.0 * p / 3.0
 
 
-def _noise_threshold(alpha: float, noise: Noise) -> float:
+def _noise_threshold(alpha, noise: Noise):
     return 2.0 * alpha if noise is Noise.ERASURE else 1.5 * alpha
 
 
-def _baseline(l: int, p: float, q: float, cap_fn: CapacityFn) -> float | Impossibility:
-    effective = 1.0 - (1.0 - p) * (1.0 - q)
-    rate = cap_fn.eval(effective)
-    if rate <= 0.0:
-        return Impossibility(
-            reason="capacity vanishes at the effective idle error rate",
-            threshold_name="effective_error_rate",
-            threshold_value=_capacity_zero_hint(cap_fn),
-            actual=effective,
-        )
-    return l / rate
+def _crossover(p, q):
+    return p * (1.0 - p) * (1.0 - q)
+
+
+def _effective_rate(p, q):
+    """Combined idle error rate 1 - (1-p)(1-q) of the fully parallel memory."""
+    return 1.0 - (1.0 - p) * (1.0 - q)
+
+
+def _baseline_capacity(noise: Noise, capacity_fn: CapacityFn) -> CapacityFn:
+    """The reference memory is erasure-coded under erasure noise."""
+    return capacity_fn if noise is Noise.DEPOLARIZING else ERASURE_EXACT
+
+
+def _capacity_where(cap_fn: CapacityFn, gamma: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """cap_fn at the points `where` selects, zero elsewhere."""
+    rate = np.zeros_like(gamma)
+    rate[where] = cap_fn.eval(gamma[where])
+    return rate
 
 
 def _capacity_zero_hint(cap_fn: CapacityFn) -> float:
@@ -258,6 +282,15 @@ def _capacity_zero_hint(cap_fn: CapacityFn) -> float:
     return hi
 
 
+def _baseline_verdict(cap_fn: CapacityFn, effective: float) -> Impossibility:
+    return Impossibility(
+        reason="capacity vanishes at the effective idle error rate",
+        threshold_name="effective_error_rate",
+        threshold_value=_capacity_zero_hint(cap_fn),
+        actual=effective,
+    )
+
+
 def full_parallel_baseline(l: int, p: float, q: float = 0.0) -> float | Impossibility:
     """Qubit count of the fully parallel erasure-coded reference memory.
 
@@ -271,7 +304,11 @@ def full_parallel_baseline(l: int, p: float, q: float = 0.0) -> float | Impossib
     for name, value in (("p", p), ("q", q)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return _baseline(l, p, q, ERASURE_EXACT)
+    effective = _effective_rate(p, q)
+    rate = ERASURE_EXACT.eval(effective)
+    if rate <= 0.0:
+        return _baseline_verdict(ERASURE_EXACT, effective)
+    return l / rate
 
 
 def crossover_alpha(p: float, q: float = 0.0) -> float:
@@ -280,7 +317,82 @@ def crossover_alpha(p: float, q: float = 0.0) -> float:
     for name, value in (("p", p), ("q", q)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return p * (1.0 - p) * (1.0 - q)
+    return _crossover(p, q)
+
+
+def _domain_rules(l, p, alpha, theta, q) -> tuple[Rule, ...]:
+    """What overhead_bound requires of its arguments, in the order it checks."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual_cap = (p - alpha) / p
+    return (
+        ((l < 1), lambda i: ValueError(f"l must be >= 1, got {l[i]:g}")),
+        *_rate_rules(p, alpha),
+        (~((0.0 <= q) & (q <= 1.0)), lambda i: ValueError(f"q must lie in [0, 1], got {q[i]}")),
+        (~((0.0 < theta) & (theta < residual_cap)), lambda i: ValueError(
+            f"theta must lie in (0, (p - alpha)/p = {residual_cap[i]}), got {theta[i]}")),
+    )
+
+
+@dataclass(frozen=True)
+class BoundColumns:
+    """overhead_bound at every point of equal-length 1-d arrays.
+
+    out_of_domain marks the points where overhead_bound raises, feasible
+    those with a finite bound; the rest of the domain holds impossibility
+    verdicts. Values that do not apply to a point are nan, or 0 for
+    crossing_epochs. capacity_fn is the capacity actually used.
+    """
+
+    capacity_fn: CapacityFn
+    out_of_domain: np.ndarray
+    feasible: np.ndarray
+    alpha_threshold: np.ndarray
+    noise_threshold: np.ndarray
+    residual_rate: np.ndarray
+    crossover_alpha: np.ndarray
+    baseline_full_parallel: np.ndarray
+    n_min: np.ndarray
+    overhead_lb: np.ndarray
+    crossing_epochs: np.ndarray
+
+
+def overhead_columns(
+    l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0,
+    capacity_fn: CapacityFn | None = None,
+) -> BoundColumns:
+    """overhead_bound over scalars or arrays, broadcast to one 1-d length.
+
+    Points where overhead_bound would raise come back marked
+    out_of_domain instead. Each capacity is evaluated only at the points
+    where overhead_bound evaluates it.
+    """
+    l, p, alpha, theta, q = _points(l, p, alpha, theta, q)
+    if capacity_fn is None:
+        capacity_fn = default_capacity(noise)
+    out_of_domain = _broken(_domain_rules(l, p, alpha, theta, q))
+    inside = ~out_of_domain
+    alpha_thr = _alpha_threshold(p, noise)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = (p - alpha) / p - theta
+    base_rate = _capacity_where(_baseline_capacity(noise, capacity_fn), _effective_rate(p, q),
+                                inside)
+    rated = inside & (alpha >= alpha_thr)
+    rate = _capacity_where(capacity_fn, residual, rated)
+    live = (rated & (rate > 0.0)).nonzero()[0]
+    crossing_epochs = np.zeros(p.shape, dtype=np.int64)
+    crossing_epochs[live], unreachable = _crossings(p[live], alpha[live], residual[live])
+    out_of_domain[live[unreachable]] = True
+    feasible = np.zeros(p.shape, dtype=bool)
+    feasible[live[~unreachable]] = True
+    n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=feasible)
+    return BoundColumns(
+        capacity_fn=capacity_fn, out_of_domain=out_of_domain, feasible=feasible,
+        alpha_threshold=alpha_thr, noise_threshold=_noise_threshold(alpha, noise),
+        residual_rate=residual, crossover_alpha=_crossover(p, q),
+        baseline_full_parallel=np.divide(l, base_rate, out=np.full(p.shape, np.nan),
+                                         where=base_rate > 0.0),
+        n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
+    )
 
 
 def overhead_bound(
@@ -302,69 +414,42 @@ def overhead_bound(
     erasure, two thirds for depolarizing) admit no finite bound and
     yield an impossibility verdict. The bound is evaluated at q = 0 and
     only tightens for q > 0; q enters the reported baseline and
-    crossover directly.
+    crossover directly. This is the one-point case of overhead_columns.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not 0.0 <= alpha < p:
-        raise ValueError(f"alpha must lie in [0, p), got alpha={alpha}, p={p}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    residual_cap = (p - alpha) / p
-    if not 0.0 < theta < residual_cap:
-        raise ValueError(
-            f"theta must lie in (0, (p - alpha)/p = {residual_cap}), got {theta}"
-        )
-    if capacity_fn is None:
-        capacity_fn = default_capacity(noise)
-    alpha_thr = _alpha_threshold(p, noise)
-    noise_thr = _noise_threshold(alpha, noise)
-    residual = residual_cap - theta
-    base = _baseline(l, p, q, capacity_fn if noise is Noise.DEPOLARIZING else ERASURE_EXACT)
-    common = {
-        "l": l,
-        "p": p,
-        "alpha": alpha,
-        "theta": theta,
-        "q": q,
-        "noise": noise,
-        "capacity_mode": capacity_fn.kind.value,
-        "alpha_threshold": alpha_thr,
-        "noise_threshold": noise_thr,
-        "residual_rate": residual,
-        "crossover_alpha": crossover_alpha(p, q),
-        "baseline_full_parallel": base,
-    }
-    if alpha < alpha_thr:
+    columns = overhead_columns(l, p, alpha, theta, noise, q, capacity_fn)
+    values = {name: float(getattr(columns, name)[0]) for name in (
+        "alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha",
+        "baseline_full_parallel", "n_min", "overhead_lb")}
+    if columns.out_of_domain[0]:
+        _raise_first(_domain_rules(*_points(l, p, alpha, theta, q)))
+        # inside the domain, only the crossing epoch can be missing
+        epochs_to_cross(p, alpha, values["residual_rate"])
+    capacity_fn = columns.capacity_fn
+    if math.isnan(values["baseline_full_parallel"]):
+        values["baseline_full_parallel"] = _baseline_verdict(
+            _baseline_capacity(noise, capacity_fn), _effective_rate(p, q))
+    feasible = bool(columns.feasible[0])
+    verdict = None
+    if alpha < values["alpha_threshold"]:
         verdict = Impossibility(
             reason="correction budget below the fraction of p where any finite memory survives",
             threshold_name="alpha_threshold",
-            threshold_value=alpha_thr,
+            threshold_value=values["alpha_threshold"],
             actual=alpha,
         )
-        return BoundReport(
-            feasible=False, verdict=verdict,
-            n_min=None, overhead_lb=None, crossing_epochs=None, **common,
-        )
-    rate = capacity_fn.eval(residual)
-    if rate <= 0.0:
+    elif not feasible:
         verdict = Impossibility(
             reason=f"capacity mode '{capacity_fn.kind.value}' vanishes at the residual error rate",
             threshold_name="capacity_zero",
             threshold_value=_capacity_zero_hint(capacity_fn),
-            actual=residual,
+            actual=values["residual_rate"],
         )
-        return BoundReport(
-            feasible=False, verdict=verdict,
-            n_min=None, overhead_lb=None, crossing_epochs=None, **common,
-        )
-    crossing = epochs_to_cross(p, alpha, residual)
-    n_min = l / rate
+    if not feasible:
+        values.update(n_min=None, overhead_lb=None)
     return BoundReport(
-        feasible=True, verdict=None,
-        n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing.T, **common,
+        l=l, p=p, alpha=alpha, theta=theta, q=q, noise=noise,
+        capacity_mode=capacity_fn.kind.value, feasible=feasible, verdict=verdict,
+        crossing_epochs=int(columns.crossing_epochs[0]) if feasible else None, **values,
     )
 
 

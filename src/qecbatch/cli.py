@@ -21,13 +21,14 @@ error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +46,10 @@ OUT_DIR_ENV = "QECBATCH_OUT_DIR"
 COMMANDS = ("simulate", "exact", "meanfield", "bounds", "couple", "sweep", "verify")
 
 _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
+
+# Largest grid `sweep` evaluates. Peak memory grows by about 0.75 kB per
+# point (75 MiB for a 10^5-point CSV sweep), so the cap is near 0.8 GB.
+SWEEP_POINT_CAP = 10**6
 
 _CAPACITY_CHOICES = {
     "hashing": bounds_mod.DEPOLARIZING_HASHING,
@@ -84,7 +89,15 @@ class GridAxis:
                 f"grid axis '{token}' must look like name:start:stop:steps"
             )
         name, start, stop, steps = parts
-        return cls(name=name, start=float(start), stop=float(stop), steps=int(steps))
+        try:
+            ends = float(start), float(stop)
+        except ValueError:
+            raise ValueError(f"grid axis '{token}' needs numeric start and stop") from None
+        try:
+            count = int(steps)
+        except ValueError:
+            raise ValueError(f"grid axis '{token}' needs an integer step count") from None
+        return cls(name=name, start=ends[0], stop=ends[1], steps=count)
 
     def token(self) -> str:
         return f"{self.name}:{self.start!r}:{self.stop!r}:{self.steps}"
@@ -307,14 +320,18 @@ def _write_json(path: Path, config: ExperimentConfig, schema: str, payload: dict
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _csv_lines(rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """CSV lines from rows of cells; None is an empty cell, anything else is str(cell)."""
+    for row in rows:
+        yield ",".join("" if cell is None else str(cell) for cell in row)
+
+
 def _write_csv(
     path: Path, config: ExperimentConfig, schema: str, header: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    lines: Iterable[str],
 ) -> None:
-    lines = [f"# schema={schema}", f"# config={_config_json(config)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if cell is None else str(cell) for cell in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    head = [f"# schema={schema}", f"# config={_config_json(config)}", ",".join(header)]
+    _write_atomic(path, "\n".join([*head, *lines]) + "\n")
 
 
 def _fmt(config: ExperimentConfig, default: str) -> str:
@@ -337,7 +354,8 @@ def _run_simulate(config: ExperimentConfig) -> int:
             (t, repr(float(est.p_hat_by_t[t])), repr(float(est.ci_halfwidth_by_t[t])))
             for t in range(config.t_max + 1)
         ]
-        _write_csv(path, config, "qecbatch.simulate.v1", ("t", "p_hat", "ci_halfwidth"), rows)
+        _write_csv(path, config, "qecbatch.simulate.v1", ("t", "p_hat", "ci_halfwidth"),
+                   _csv_lines(rows))
     else:
         _write_json(path, config, "qecbatch.simulate.v1", {
             "threshold": threshold,
@@ -367,7 +385,8 @@ def _run_exact(config: ExperimentConfig) -> int:
             curve.append(exact_mod.tail_prob(dist, threshold))
         if fmt == "csv":
             rows = [(t, repr(v)) for t, v in enumerate(curve)]
-            _write_csv(path, config, "qecbatch.exact-tail.v1", ("t", "tail_prob"), rows)
+            _write_csv(path, config, "qecbatch.exact-tail.v1", ("t", "tail_prob"),
+                       _csv_lines(rows))
         else:
             _write_json(path, config, "qecbatch.exact-tail.v1", {
                 "threshold": threshold,
@@ -383,7 +402,8 @@ def _run_exact(config: ExperimentConfig) -> int:
         )
         if fmt == "csv":
             rows = [(x, repr(float(dist.mass[x]))) for x in range(dist.n + 1)]
-            _write_csv(path, config, "qecbatch.exact-dist.v1", ("state", "probability"), rows)
+            _write_csv(path, config, "qecbatch.exact-dist.v1", ("state", "probability"),
+                       _csv_lines(rows))
         else:
             _write_json(path, config, "qecbatch.exact-dist.v1", {
                 "t": dist.t,
@@ -405,7 +425,7 @@ def _run_meanfield(config: ExperimentConfig) -> int:
     path = _out_path(config, f"meanfield.{fmt}")
     if fmt == "csv":
         rows = [(k, repr(seq.x(k))) for k in range(crossing.T + 1)]
-        _write_csv(path, config, "qecbatch.meanfield.v1", ("k", "x_k"), rows)
+        _write_csv(path, config, "qecbatch.meanfield.v1", ("k", "x_k"), _csv_lines(rows))
     else:
         _write_json(path, config, "qecbatch.meanfield.v1", {
             "T": crossing.T,
@@ -442,19 +462,16 @@ def _run_kappa_surface(config: ExperimentConfig) -> int:
     _require(config, "kappa", "t_g", "alpha")
     surface = bounds_mod.kappa_surface(config.kappa, config.t_g, config.noise_kind())
     overhead = surface.overhead(config.alpha)
-    payload: dict = {
+    try:
+        check = asdict(surface.small_budget_check(config.alpha))
+    except ValueError:  # the kappa*t_g << 1 form does not apply at this point
+        check = None
+    payload = {
         "p": surface.p,
         "alpha_min": surface.alpha_min,
         "overhead": bounds_mod._serialize(overhead),
+        "small_budget_check": check,
     }
-    if config.noise == "erasure" and not isinstance(overhead, bounds_mod.Impossibility):
-        check = surface.small_budget_check(config.alpha)
-        payload["small_budget_check"] = {
-            "exact": check.exact,
-            "approx": check.approx,
-            "displayed_ratio": check.displayed_ratio,
-            "rel_error": check.rel_error,
-        }
     path = _out_path(config, "bounds.json")
     _write_json(path, config, "qecbatch.kappa-surface.v1", payload)
     if isinstance(overhead, bounds_mod.Impossibility):
@@ -477,7 +494,7 @@ def _run_couple(config: ExperimentConfig) -> int:
     summary = report.to_dict()
     if fmt == "csv":
         row = tuple(repr(v) if isinstance(v, float) else v for v in summary.values())
-        _write_csv(path, config, "qecbatch.couple.v1", tuple(summary), [row])
+        _write_csv(path, config, "qecbatch.couple.v1", tuple(summary), _csv_lines([row]))
     else:
         _write_json(path, config, "qecbatch.couple.v1", {"report": summary})
     print(f"couple: inclusion holds on {report.inclusion_fraction:.4%} of "
@@ -493,17 +510,24 @@ _SWEEP_COLUMNS = _SWEEPABLE + (
 )
 
 
-def _sweep_row(report: bounds_mod.BoundReport) -> tuple:
-    baseline = report.baseline_full_parallel
-    return (
-        report.l, report.p, report.alpha, report.theta, report.q,
-        report.noise.value, report.capacity_mode,
-        "ok" if report.feasible else "impossible",
-        report.n_min, report.overhead_lb, report.crossing_epochs,
-        report.alpha_threshold, report.noise_threshold, report.residual_rate,
-        report.crossover_alpha,
-        None if isinstance(baseline, bounds_mod.Impossibility) else baseline,
-    )
+def _cells(
+    values: object, shown: np.ndarray, convert: Callable[[object], object], missing: object,
+) -> np.ndarray:
+    """One sweep column: convert(v) in the rows `shown` selects, `missing` elsewhere.
+
+    `values` is one scalar for the whole column or an array with a value
+    per point. convert runs once per distinct value (distinct as bits, so
+    -0.0 and 0.0 stay apart), on the value as a Python scalar.
+    """
+    cells = np.full(shown.shape, missing, dtype=object)
+    if np.ndim(values) == 0:
+        cells[shown] = convert(values)
+        return cells
+    picked = values[shown]
+    keys = picked.view(np.uint64) if picked.dtype == np.float64 else picked
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    cells[shown] = np.array([convert(v) for v in picked[first].tolist()], dtype=object)[inverse]
+    return cells
 
 
 def _run_sweep(config: ExperimentConfig) -> int:
@@ -514,36 +538,58 @@ def _run_sweep(config: ExperimentConfig) -> int:
     if len(set(names)) != len(names):
         raise UsageError("sweep grid axes must have distinct names")
     _require(config, *(name for name in ("l", "p", "alpha", "theta") if name not in names))
-    rows: list[tuple] = []
+    count = math.prod(axis.steps for axis in axes)
+    if count > SWEEP_POINT_CAP:
+        raise UsageError(
+            f"sweep grid has {count} points, more than the {SWEEP_POINT_CAP} allowed"
+        )
+    point: dict[str, object] = {name: getattr(config, name) for name in _SWEEPABLE}
     meshes = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
-    points = np.stack([mesh.ravel() for mesh in meshes], axis=-1)
-    base = {name: getattr(config, name) for name in _SWEEPABLE}
-    for point in points:
-        kwargs = dict(base)
-        for name, value in zip(names, point):
-            if name == "l" and not value.is_integer():
-                raise UsageError(f"sweep grid point l={float(value)!r} is not an integer")
-            kwargs[name] = int(value) if name == "l" else float(value)
-        try:
-            report = bounds_mod.overhead_bound(
-                noise=config.noise_kind(),
-                capacity_fn=None if config.noise == "erasure" else config.capacity_fn(),
-                **kwargs,
+    point.update((name, mesh.ravel()) for name, mesh in zip(names, meshes))
+    if "l" in names:
+        fractional = np.flatnonzero(np.mod(point["l"], 1.0) != 0.0)
+        if fractional.size:
+            raise UsageError(
+                f"sweep grid point l={float(point['l'][fractional[0]])!r} is not an integer"
             )
-        except ValueError:
-            rows.append((*kwargs.values(), config.noise, "", "out-of-domain") + (None,) * 8)
-            continue
-        rows.append(_sweep_row(report))
+    columns = bounds_mod.overhead_columns(
+        **{name: point[name] for name in _SWEEPABLE}, noise=config.noise_kind(),
+        capacity_fn=None if config.noise == "erasure" else config.capacity_fn(),
+    )
+    inside = ~columns.out_of_domain
+    everywhere = np.ones(count, dtype=bool)
+    # each column's values and the rows that show them; the other rows are empty
+    table = {name: (point[name], everywhere) for name in _SWEEPABLE}
+    table.update(
+        noise=(config.noise, everywhere),
+        capacity_mode=(np.where(inside, columns.capacity_fn.kind.value, ""), everywhere),
+        status=(np.where(columns.out_of_domain, "out-of-domain",
+                         np.where(columns.feasible, "ok", "impossible")), everywhere),
+        baseline_full_parallel=(columns.baseline_full_parallel,
+                                inside & ~np.isnan(columns.baseline_full_parallel)),
+    )
+    for name in ("n_min", "overhead_lb", "crossing_epochs"):
+        table[name] = (getattr(columns, name), columns.feasible)
+    for name in ("alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha"):
+        table[name] = (getattr(columns, name), inside)
     fmt = _fmt(config, "csv")
+    # CSV cells are text, JSON cells Python values; l is an integer in both
+    if fmt == "csv":
+        convert, convert_l, missing = str, (lambda v: str(int(v))), ""
+    else:
+        convert, convert_l, missing = (lambda v: v), int, None
+    cells = [_cells(*table[name], convert_l if name == "l" else convert, missing)
+             for name in _SWEEP_COLUMNS]
     path = _out_path(config, f"sweep.{fmt}")
     if fmt == "csv":
-        _write_csv(path, config, "qecbatch.sweep.v1", _SWEEP_COLUMNS, rows)
+        _write_csv(path, config, "qecbatch.sweep.v1", _SWEEP_COLUMNS,
+                   map(",".join, zip(*cells)))
     else:
         _write_json(path, config, "qecbatch.sweep.v1", {
-            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
+            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in zip(*cells)],
         })
-    feasible = sum(1 for row in rows if row[7] == "ok")
-    print(f"sweep: {len(rows)} grid points, {feasible} with finite bounds; wrote {path}")
+    feasible = int(np.count_nonzero(columns.feasible))
+    print(f"sweep: {count} grid points, {feasible} with finite bounds; wrote {path}")
     return 0
 
 
@@ -582,7 +628,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="qecbatch", description=__doc__.split("\n\n")[0])
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command in COMMANDS:

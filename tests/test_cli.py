@@ -1,15 +1,19 @@
+import csv
 import json
+import math
 import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qecbatch.chain import ModelParams
+from qecbatch.bounds import DEPOLARIZING_HASHING_CUTOFF, overhead_bound
+from qecbatch.chain import ModelParams, Noise
 from qecbatch.cli import (
     COMMANDS,
+    SWEEP_POINT_CAP,
     ExperimentConfig,
     GridAxis,
     UsageError,
@@ -19,6 +23,7 @@ from qecbatch.cli import (
     _run_verify,
 )
 from qecbatch.exact import build_kernel
+from qecbatch.meanfield import iterate_recursion
 
 CONFIG_TEXT = """
 # memory under test
@@ -191,6 +196,20 @@ def test_bounds_kappa_surface(tmp_path):
     assert doc["small_budget_check"]["rel_error"] < 0.01
 
 
+@pytest.mark.parametrize("kappa, t_g, alpha, overhead", [
+    # kappa*t_g = 1: alpha = 0.45 clears alpha_min = 0.316 but not 2*alpha > kappa*t_g
+    ("1000", "1e-3", "0.45", -math.expm1(-1.0) / (0.9 + math.expm1(-1.0))),
+    ("0", "1", "0.1", 0.0),  # no decoherence, no overhead
+])
+def test_bounds_kappa_surface_outside_small_budget_form(tmp_path, kappa, t_g, alpha, overhead):
+    out = tmp_path / "surface.json"
+    assert main(["bounds", "--kappa", kappa, "--t-g", t_g, "--alpha", alpha,
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["overhead"] == pytest.approx(overhead, rel=1e-12)
+    assert doc["small_budget_check"] is None
+
+
 def test_meanfield_json(tmp_path, monkeypatch):
     monkeypatch.setenv("QECBATCH_OUT_DIR", str(tmp_path))
     assert main(["meanfield", "--p", "0.2", "--alpha", "0.05", "--beta", "0.5"]) == 0
@@ -308,7 +327,7 @@ def test_sweep_csv(tmp_path):
     assert kinds == {"ok", "impossible", "out-of-domain"}
 
 
-def test_sweep_json_and_axis_errors(tmp_path):
+def test_sweep_json_and_axis_errors(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12",
                  "--theta", "0.1", "--grid", "l:50:100:2",
@@ -318,6 +337,146 @@ def test_sweep_json_and_axis_errors(tmp_path):
     assert main(["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12",
                  "--theta", "0.1", "--grid", "p:0.1:0.2:2",
                  "--grid", "p:0.3:0.4:2"]) == 1
+    for token, complaint in (("p:0.1:0.3:3.0", "needs an integer step count"),
+                             ("p:0.1:high:3", "needs numeric start and stop")):
+        assert main(["sweep", "--l", "100", "--alpha", "0.12", "--theta", "0.1",
+                     "--grid", token, "--out", str(out)]) == 1
+        assert f"grid axis '{token}' {complaint}" in capsys.readouterr().err
+
+
+def test_sweep_rejects_grids_above_the_point_cap(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    steps = math.isqrt(SWEEP_POINT_CAP) + 1
+    assert main(["sweep", "--l", "100", "--theta", "0.1", "--grid", f"p:0.1:0.3:{steps}",
+                 "--grid", f"alpha:0:0.2:{steps}", "--out", str(out)]) == 1
+    assert f"sweep grid has {steps * steps} points" in capsys.readouterr().err
+    assert not out.exists()
+    # the count is checked before any axis is built
+    assert main(["sweep", "--l", "100", "--theta", "0.1", "--grid", "p:0.1:0.3:2000000",
+                 "--grid", "alpha:0:0.2:2000000", "--out", str(out)]) == 1
+    assert "4000000000000 points" in capsys.readouterr().err
+
+
+def _hashing(gamma: float) -> float:
+    """1 - H2(3 gamma / 4) - (3 gamma / 4) log2 3, written out with math."""
+    u = 0.75 * gamma
+    entropy = 0.0 if u <= 0.0 or u >= 1.0 else -u * math.log2(u) - (1 - u) * math.log2(1 - u)
+    return 1.0 - entropy - u * math.log2(3.0)
+
+
+def _read_sweep(path) -> list[dict]:
+    lines = path.read_text().splitlines()
+    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
+
+
+@pytest.mark.parametrize("noise, capacity", [
+    ("erasure", "hashing"), ("depolarizing", "hashing"), ("depolarizing", "hashing-cutoff"),
+])
+def test_sweep_rows_match_an_independent_oracle(tmp_path, noise, capacity):
+    """Every row of a grid over all five axes against the model's rules and
+    closed forms, evaluated here one point at a time."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--noise", noise, "--capacity", capacity,
+                 "--grid", "l:0:30:4", "--grid", "p:0:0.9:7", "--grid", "alpha:0:0.6:7",
+                 "--grid", "theta:0:0.5:6", "--grid", "q:0:1.2:5", "--out", str(out)]) == 0
+    rows = _read_sweep(out)
+    assert len(rows) == 4 * 7 * 7 * 6 * 5
+    kinds = set()
+    for row in rows:
+        l, p, alpha, theta, q = (float(row[name]) for name in ("l", "p", "alpha", "theta", "q"))
+        in_domain = (l >= 1 and 0 < p <= 1 and 0 <= alpha < p and 0 <= q <= 1
+                     and 0 < theta < (p - alpha) / p)
+        if not in_domain:
+            assert row["status"] == "out-of-domain", row
+            kinds.add(row["status"])
+            continue
+        residual = (p - alpha) / p - theta
+        if noise == "erasure":
+            rate, alpha_min = 1.0 - 2.0 * residual, p / 2.0
+        else:
+            cut = capacity == "hashing-cutoff" and residual >= 1.0 / 3.0
+            rate, alpha_min = (0.0 if cut else _hashing(residual)), 2.0 * p / 3.0
+        want = "impossible" if alpha < alpha_min or rate <= 0.0 else "ok"
+        assert row["status"] == want, row
+        kinds.add(want)
+        assert float(row["residual_rate"]) == pytest.approx(residual, rel=1e-12)
+        if want == "impossible":
+            assert row["n_min"] == row["crossing_epochs"] == "", row
+            continue
+        n_min = float(row["n_min"])
+        if noise == "erasure":
+            assert n_min == pytest.approx(l * p / (2 * alpha - p + 2 * p * theta), rel=1e-12)
+        else:
+            # a few ulps of the entropy, amplified where the rate nears zero
+            assert n_min == pytest.approx(l / rate, rel=1e-12 + 1e-14 / rate)
+        delta = 0.5 * (p - alpha / (1.0 - residual))
+        k = 1
+        while iterate_recursion(1.0, p, alpha, delta, k) <= residual:
+            k += 1
+        assert int(row["crossing_epochs"]) == k, row
+    assert kinds == {"ok", "impossible", "out-of-domain"}
+
+
+def test_sweep_keeps_values_apart_to_the_last_bit(tmp_path):
+    """Cells are formatted once per distinct value, and values that differ
+    in the last bits, or only in the sign of zero, stay distinct."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12",
+                 "--grid", "q:0:-0.0:2", "--grid", "theta:0.1:0.1000000000001:3",
+                 "--out", str(out)]) == 0
+    rows = _read_sweep(out)
+    thetas = np.linspace(0.1, 0.1000000000001, 3).tolist()
+    assert [row["q"] for row in rows] == ["0.0"] * 3 + ["-0.0"] * 3
+    for row, theta in zip(rows, thetas * 2):
+        residual = (0.2 - 0.12) / 0.2 - theta
+        assert (row["theta"], row["residual_rate"], row["n_min"]) == (
+            repr(theta), repr(residual), repr(100 / (1.0 - 2.0 * residual)))
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def bound_points(draw):
+    p = draw(st.sampled_from([1.0, 1e-9, 0.0]) | st.floats(0.0, 1.0))
+    alpha = draw(st.sampled_from([0.5, 2.0 / 3.0, 1.0]) | st.floats(-0.1, 1.2)) * p
+    cap = (p - alpha) / p if p > 0 else 1.0
+    theta = draw(st.sampled_from([1e-17, 0.5, 1.0 - 1e-16]) | st.floats(-0.1, 1.1)) * cap
+    q = draw(st.sampled_from([0.0, 1.0, 1.1]) | _UNIT)
+    return draw(st.sampled_from([0, 1, 100])), p, alpha, theta, q
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(point=bound_points(), noise=st.sampled_from(["erasure", "depolarizing"]),
+       cutoff=st.booleans())
+def test_one_point_sweep_matches_bounds(tmp_path, point, noise, cutoff):
+    """A sweep row prints the strings of overhead_bound's report for the same
+    point, and is out-of-domain exactly where overhead_bound raises."""
+    l, p, alpha, theta, q = point
+    capacity = "hashing-cutoff" if cutoff else "hashing"
+    out = tmp_path / "point.csv"
+    # `--key=value` keeps argparse from reading a value like -1e-9 as a flag
+    assert main(["sweep", f"--l={l}", f"--p={p!r}", f"--alpha={alpha!r}",
+                 f"--theta={theta!r}", f"--noise={noise}", f"--capacity={capacity}",
+                 f"--grid=q:{q!r}:{q!r}:2", f"--out={out}"]) == 0
+    row, twin = _read_sweep(out)
+    assert row == twin
+    try:
+        report = overhead_bound(
+            l, p, alpha, theta, noise=Noise(noise), q=q,
+            capacity_fn=DEPOLARIZING_HASHING_CUTOFF if noise == "depolarizing" and cutoff else None,
+        ).to_dict()
+    except ValueError:
+        assert row["status"] == "out-of-domain"
+        return
+    assert row["status"] == ("ok" if report["feasible"] else "impossible")
+    if isinstance(report["baseline_full_parallel"], dict):
+        report["baseline_full_parallel"] = None
+    for name in ("l", "p", "alpha", "theta", "q", "noise", "capacity_mode", "n_min",
+                 "overhead_lb", "crossing_epochs", "alpha_threshold", "noise_threshold",
+                 "residual_rate", "crossover_alpha", "baseline_full_parallel"):
+        assert row[name] == ("" if report[name] is None else str(report[name])), name
 
 
 def test_sweep_rejects_non_integer_l(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from qecbatch.meanfield import (
     CrossingTime,
     InfeasibleThresholdError,
     MeanFieldSequence,
+    _crossing_epoch,
+    _crossings,
     epochs_to_cross,
     iterate_recursion,
     mf_iterate,
@@ -81,6 +84,48 @@ def test_crossing_is_strict():
 def test_crossing_matches_explicit_iteration_on_grid():
     ok, detail = crossing_formula_vs_iteration([0.1, 0.3, 0.5, 0.7, 0.9], max_epochs=100_000)
     assert ok, detail
+
+
+def test_crossing_epochs_on_arrays_equal_pointwise():
+    """The array crossing epoch equals MeanFieldSequence.crossing_epoch at
+    every point, for given slacks and at the default one, where the mask
+    marks exactly the points epochs_to_cross rejects."""
+    fractions = np.linspace(0.02, 0.98, 10)
+    p, fa, fb, fd = (g.ravel() for g in np.meshgrid(fractions, fractions, fractions,
+                                                     [0.1, 0.5, 0.9], indexing="ij"))
+    alpha = fa * p
+    beta = fb * (p - alpha) / p
+    delta = fd * (p - alpha / (1.0 - beta))
+    n = np.where(np.arange(p.size) % 2 == 0, 1.0, 1e4)
+    epochs, unreachable = _crossing_epoch(p, alpha, beta, delta, n)
+    assert not unreachable.any()
+    assert epochs.tolist() == [
+        MeanFieldSequence(p=a, alpha=b, beta=c, delta=d, n=e).crossing_epoch
+        for a, b, c, d, e in zip(p.tolist(), alpha.tolist(), beta.tolist(),
+                                 delta.tolist(), n.tolist())
+    ]
+
+    # beta past the steady fraction, alpha past p and p = 0 are rejected
+    beta = np.concatenate([beta, [0.8, 0.1, 0.1]])
+    alpha = np.concatenate([alpha, [0.05, 0.3, 0.0]])
+    p = np.concatenate([p, [0.2, 0.2, 0.0]])
+    T, broken = _crossings(p, alpha, beta)
+    assert broken[-3:].all() and not broken[:-3].any()
+    for a, b, c, t, bad in zip(p.tolist(), alpha.tolist(), beta.tolist(), T.tolist(), broken):
+        if bad:
+            with pytest.raises(ValueError):
+                epochs_to_cross(a, b, c)
+        else:
+            assert epochs_to_cross(a, b, c).T == t
+
+
+def test_crossing_without_a_representable_epoch_raises():
+    # the fixed point rounds onto the target, so the iterates never pass it
+    p, alpha, theta = 0.1, 0.05, 1.6667500000000002e-16
+    beta = (p - alpha) / p - theta
+    with pytest.raises(ValueError, match="no crossing epoch is representable"):
+        epochs_to_cross(p, alpha, beta)
+    assert _crossings(*np.array([[p], [alpha], [beta]]))[1].tolist() == [True]
 
 
 def test_crossing_size_independent():
