@@ -1,130 +1,23 @@
 """Batch-limited quantum memory: chain model, exact kernel, Monte Carlo,
 mean-field crossing times and resource bounds."""
 
-from .bounds import (
-    DEPOLARIZING_HASHING,
-    DEPOLARIZING_HASHING_CUTOFF,
-    ERASURE_EXACT,
-    BoundReport,
-    CapacityFn,
-    CapacityKind,
-    HittingBound,
-    Impossibility,
-    KappaSurface,
-    SmallBudgetCheck,
-    conc_bound,
-    crossover_alpha,
-    default_capacity,
-    full_parallel_baseline,
-    hitting_prob_lb,
-    kappa_surface,
-    overhead_bound,
-    user_capacity,
-)
-from .chain import (
-    ModelParams,
-    Noise,
-    inject_static_noise,
-    static_phase_due,
-    step,
-)
-from .exact import (
-    EXACT_N_CAP,
-    HittingTimeDistribution,
-    MonotonicityReport,
-    StateDistribution,
-    TransitionKernel,
-    build_kernel,
-    check_h_monotone,
-    dump_distribution_csv,
-    dump_kernel_csv,
-    evolve,
-    hitting_time_distribution,
-    mean_curve,
-    tail_prob,
-)
-from .meanfield import (
-    CrossingTime,
-    InfeasibleThresholdError,
-    MeanFieldSequence,
-    epochs_to_cross,
-    iterate_recursion,
-    mf_iterate,
-    sketch_phase_bound,
-)
-from .montecarlo import (
-    CouplingReport,
-    HittingEstimate,
-    RecordMode,
-    SteadyFraction,
-    TrajectoryBatch,
-    UniformityResult,
-    chi_square_uniformity,
-    location_counts,
-    run_batch,
-    run_coupled,
-    steady_fraction,
-    trajectory_rng,
-    uniformity_check,
-)
+from .bounds import overhead_bound
+from .chain import ModelParams, Noise
+from .exact import StateDistribution, build_kernel, evolve, tail_prob
+from .meanfield import epochs_to_cross
+from .montecarlo import TrajectoryBatch, run_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
-    "CapacityFn",
-    "CapacityKind",
-    "CouplingReport",
-    "CrossingTime",
-    "DEPOLARIZING_HASHING",
-    "DEPOLARIZING_HASHING_CUTOFF",
-    "ERASURE_EXACT",
-    "EXACT_N_CAP",
-    "HittingBound",
-    "HittingEstimate",
-    "HittingTimeDistribution",
-    "Impossibility",
-    "InfeasibleThresholdError",
-    "KappaSurface",
-    "MeanFieldSequence",
     "ModelParams",
-    "MonotonicityReport",
     "Noise",
-    "RecordMode",
-    "SmallBudgetCheck",
     "StateDistribution",
-    "SteadyFraction",
     "TrajectoryBatch",
-    "TransitionKernel",
-    "UniformityResult",
     "build_kernel",
-    "check_h_monotone",
-    "chi_square_uniformity",
-    "conc_bound",
-    "crossover_alpha",
-    "default_capacity",
-    "dump_distribution_csv",
-    "dump_kernel_csv",
     "epochs_to_cross",
     "evolve",
-    "full_parallel_baseline",
-    "hitting_prob_lb",
-    "hitting_time_distribution",
-    "inject_static_noise",
-    "iterate_recursion",
-    "kappa_surface",
-    "location_counts",
-    "mean_curve",
-    "mf_iterate",
     "overhead_bound",
     "run_batch",
-    "run_coupled",
-    "sketch_phase_bound",
-    "static_phase_due",
-    "steady_fraction",
-    "step",
     "tail_prob",
-    "trajectory_rng",
-    "uniformity_check",
-    "user_capacity",
 ]

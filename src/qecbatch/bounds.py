@@ -22,7 +22,6 @@ from .meanfield import (
 )
 
 __all__ = [
-    "conc_bound",
     "HittingBound",
     "hitting_prob_lb",
     "CapacityKind",
@@ -32,33 +31,17 @@ __all__ = [
     "DEPOLARIZING_HASHING_CUTOFF",
     "user_capacity",
     "default_capacity",
-    "capacity",
     "Impossibility",
     "BoundReport",
     "overhead_bound",
     "BoundColumns",
     "overhead_columns",
-    "full_parallel_baseline",
-    "crossover_alpha",
     "KappaSurface",
     "SmallBudgetCheck",
     "kappa_surface",
 ]
 
 _LOG2_3 = math.log2(3.0)
-
-
-def conc_bound(n: int, epsilon: float) -> float:
-    """Two-sided binomial concentration envelope exp(-2 n epsilon^2).
-
-    Upper-bounds P[X >= m(p + eps)] for X ~ Binomial(m, p) with m <= n,
-    and is vacuous (1.0) at epsilon = 0.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return math.exp(-2.0 * n * epsilon * epsilon)
 
 
 @dataclass(frozen=True)
@@ -245,10 +228,6 @@ def _noise_threshold(alpha, noise: Noise):
     return 2.0 * alpha if noise is Noise.ERASURE else 1.5 * alpha
 
 
-def _crossover(p, q):
-    return p * (1.0 - p) * (1.0 - q)
-
-
 def _effective_rate(p, q):
     """Combined idle error rate 1 - (1-p)(1-q) of the fully parallel memory."""
     return 1.0 - (1.0 - p) * (1.0 - q)
@@ -280,44 +259,6 @@ def _capacity_zero_hint(cap_fn: CapacityFn) -> float:
         else:
             hi = mid
     return hi
-
-
-def _baseline_verdict(cap_fn: CapacityFn, effective: float) -> Impossibility:
-    return Impossibility(
-        reason="capacity vanishes at the effective idle error rate",
-        threshold_name="effective_error_rate",
-        threshold_value=_capacity_zero_hint(cap_fn),
-        actual=effective,
-    )
-
-
-def full_parallel_baseline(l: int, p: float, q: float = 0.0) -> float | Impossibility:
-    """Qubit count of the fully parallel erasure-coded reference memory.
-
-    Every qubit is touched each cycle, so only the combined idle rate
-    matters: l / (1 - 2 * (1 - (1-p)(1-q))). Once that effective rate
-    reaches one half there is no finite memory at all, which comes back
-    as an impossibility verdict.
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    for name, value in (("p", p), ("q", q)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    effective = _effective_rate(p, q)
-    rate = ERASURE_EXACT.eval(effective)
-    if rate <= 0.0:
-        return _baseline_verdict(ERASURE_EXACT, effective)
-    return l / rate
-
-
-def crossover_alpha(p: float, q: float = 0.0) -> float:
-    """Budget fraction p(1-p)(1-q) where batch-limited correction starts
-    needing more qubits than the fully parallel reference."""
-    for name, value in (("p", p), ("q", q)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return _crossover(p, q)
 
 
 def _domain_rules(l, p, alpha, theta, q) -> tuple[Rule, ...]:
@@ -380,7 +321,7 @@ def overhead_columns(
     rate = _capacity_where(capacity_fn, residual, rated)
     live = (rated & (rate > 0.0)).nonzero()[0]
     crossing_epochs = np.zeros(p.shape, dtype=np.int64)
-    crossing_epochs[live], unreachable = _crossings(p[live], alpha[live], residual[live])
+    crossing_epochs[live], _, unreachable = _crossings(p[live], alpha[live], residual[live])
     out_of_domain[live[unreachable]] = True
     feasible = np.zeros(p.shape, dtype=bool)
     feasible[live[~unreachable]] = True
@@ -388,7 +329,7 @@ def overhead_columns(
     return BoundColumns(
         capacity_fn=capacity_fn, out_of_domain=out_of_domain, feasible=feasible,
         alpha_threshold=alpha_thr, noise_threshold=_noise_threshold(alpha, noise),
-        residual_rate=residual, crossover_alpha=_crossover(p, q),
+        residual_rate=residual, crossover_alpha=p * (1.0 - p) * (1.0 - q),
         baseline_full_parallel=np.divide(l, base_rate, out=np.full(p.shape, np.nan),
                                          where=base_rate > 0.0),
         n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
@@ -426,8 +367,12 @@ def overhead_bound(
         epochs_to_cross(p, alpha, values["residual_rate"])
     capacity_fn = columns.capacity_fn
     if math.isnan(values["baseline_full_parallel"]):
-        values["baseline_full_parallel"] = _baseline_verdict(
-            _baseline_capacity(noise, capacity_fn), _effective_rate(p, q))
+        values["baseline_full_parallel"] = Impossibility(
+            reason="capacity vanishes at the effective idle error rate",
+            threshold_name="effective_error_rate",
+            threshold_value=_capacity_zero_hint(_baseline_capacity(noise, capacity_fn)),
+            actual=_effective_rate(p, q),
+        )
     feasible = bool(columns.feasible[0])
     verdict = None
     if alpha < values["alpha_threshold"]:
@@ -545,6 +490,9 @@ def kappa_surface(kappa: float, t_g: float, noise: Noise = Noise.ERASURE) -> Kap
     the minimum survivable budget fraction is p/2 for erasure and p/1.5
     for depolarizing noise.
     """
+    for name, value in (("kappa", kappa), ("t_g", t_g), ("kappa * t_g", kappa * t_g)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if kappa < 0.0 or t_g < 0.0:
         raise ValueError("kappa and t_g must be >= 0")
     p = -math.expm1(-kappa * t_g)

@@ -28,15 +28,18 @@ def closed_form_vs_recursion(seed: int, draws: int, k_max: int, tol: float) -> t
     delta <= 0.95 (p - alpha), k < k_max and n in {1, 10^4}: the largest gap
     over n must be at most tol."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    points = []
     for _ in range(draws):
         p = float(rng.uniform(0.02, 0.98))
         alpha = float(rng.uniform(0.0, 0.9)) * p
         delta = float(rng.uniform(0.0, 0.95)) * (p - alpha)
         k = int(rng.integers(0, k_max))
         n = float(rng.choice([1.0, 10_000.0]))
-        gap = abs(mf_iterate(n, p, alpha, delta, k) - iterate_recursion(n, p, alpha, delta, k))
-        worst = max(worst, gap / n)
+        points.append((n, p, alpha, delta, k))
+    n, p, alpha, delta, k = np.array(points, dtype=float).reshape(draws, 5).T
+    looped = np.array([iterate_recursion(*point) for point in points])
+    gaps = np.abs(mf_iterate(n, p, alpha, delta, k) - looped) / n
+    worst = float(gaps.max(initial=0.0))
     return worst <= tol, f"max |closed - recursion| / n = {worst:.3g} over {draws} draws"
 
 
@@ -45,24 +48,25 @@ def crossing_formula_vs_iteration(
 ) -> tuple[bool, str]:
     """Crossing-epoch formula against explicit iteration (up to max_epochs)
     on the grid p, alpha / p, beta p / (p - alpha) each over `fractions`."""
-    mismatches = 0
-    checked = 0
-    for p in fractions:
-        for fa in fractions:
-            alpha = float(fa * p)
-            for fb in fractions:
-                beta = float(fb) * (p - alpha) / p
-                crossing = epochs_to_cross(float(p), alpha, beta)
-                x, iterated = 0.0, None
-                for k in range(1, max_epochs):
-                    x = x + (1.0 - x) * (p - crossing.delta) - alpha
-                    if x > beta:
-                        iterated = k
-                        break
-                checked += 1
-                if iterated != crossing.T:
-                    mismatches += 1
-    return mismatches == 0, f"{checked} grid points, {mismatches} mismatches"
+    p, fa, fb = (g.ravel() for g in np.meshgrid(fractions, fractions, fractions, indexing="ij"))
+    alpha = fa * p
+    beta = fb * (p - alpha) / p
+    crossing = epochs_to_cross(p, alpha, beta)
+    iterated = [_iterated_crossing(*point, max_epochs) for point in zip(
+        p.tolist(), alpha.tolist(), beta.tolist(), crossing.delta.tolist())]
+    mismatches = sum(k != T for k, T in zip(iterated, crossing.T.tolist()))
+    return mismatches == 0, f"{p.size} grid points, {mismatches} mismatches"
+
+
+def _iterated_crossing(p: float, alpha: float, beta: float, delta: float,
+                       max_epochs: int) -> int | None:
+    """First k < max_epochs where k steps of g (n = 1) exceed beta, if any."""
+    x = 0.0
+    for k in range(1, max_epochs):
+        x = x + (1.0 - x) * (p - delta) - alpha
+        if x > beta:
+            return k
+    return None
 
 
 def exact_tail_dominates_bound(

@@ -418,19 +418,19 @@ def _run_exact(config: ExperimentConfig) -> int:
 def _run_meanfield(config: ExperimentConfig) -> int:
     _require(config, "p", "alpha", "beta")
     crossing = mf_mod.epochs_to_cross(config.p, config.alpha, config.beta, config.delta)
-    seq = mf_mod.MeanFieldSequence(
-        p=config.p, alpha=config.alpha, beta=config.beta, delta=crossing.delta
-    )
     fmt = _fmt(config, "json")
     path = _out_path(config, f"meanfield.{fmt}")
     if fmt == "csv":
-        rows = [(k, repr(seq.x(k))) for k in range(crossing.T + 1)]
+        iterates = mf_mod.mf_iterate(1.0, config.p, config.alpha, crossing.delta,
+                                     np.arange(crossing.T + 1))
+        rows = [(k, repr(x)) for k, x in enumerate(iterates.tolist())]
         _write_csv(path, config, "qecbatch.meanfield.v1", ("k", "x_k"), _csv_lines(rows))
     else:
         _write_json(path, config, "qecbatch.meanfield.v1", {
             "T": crossing.T,
             "delta": crossing.delta,
-            "fixed_point_fraction": seq.fixed_point,
+            "fixed_point_fraction": mf_mod._fixed_point(1.0, config.p - crossing.delta,
+                                                         config.alpha),
             "steady_fraction": (config.p - config.alpha) / config.p,
         })
     print(f"meanfield: crossing epoch T={crossing.T} at delta={crossing.delta:.6g}; wrote {path}")
@@ -626,6 +626,15 @@ def run(config: ExperimentConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string: str):
+        """argparse hook: a token that parses as a float (-1e-9 and -inf
+        included) is a value, never a flag."""
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 @functools.cache

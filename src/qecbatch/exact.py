@@ -37,8 +37,6 @@ __all__ = [
     "HittingTimeDistribution",
     "hitting_time_distribution",
     "mean_curve",
-    "dump_kernel_csv",
-    "dump_distribution_csv",
 ]
 
 # Default ceiling on n for building a kernel. Band rows are w ~ 8.3 sqrt(n)
@@ -389,24 +387,3 @@ def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
         means.append(dist.mean())
     return np.array(means)
 
-
-def dump_kernel_csv(kernel: TransitionKernel, path: str) -> None:
-    """Write the nonzero kernel entries as from_state,to_state,probability rows."""
-    with open(path, "w") as fh:
-        fh.write("# schema=qecbatch.kernel.v1\n")
-        fh.write(f"# n={kernel.n} k_batch={kernel.k_batch} q_period={kernel.q_period}\n")
-        fh.write("from_state,to_state,probability\n")
-        dense = kernel.dense()
-        rows, cols = np.nonzero(dense)
-        for x, x1 in zip(rows, cols):
-            fh.write(f"{x},{x1},{float(dense[x, x1])!r}\n")
-
-
-def dump_distribution_csv(dist: StateDistribution, path: str) -> None:
-    """Write a distribution as state,probability rows."""
-    with open(path, "w") as fh:
-        fh.write("# schema=qecbatch.distribution.v1\n")
-        fh.write(f"# t={dist.t}\n")
-        fh.write("state,probability\n")
-        for x in range(dist.n + 1):
-            fh.write(f"{x},{float(dist.mass[x])!r}\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,25 +12,13 @@ from qecbatch.bounds import (
     CapacityFn,
     CapacityKind,
     Impossibility,
-    conc_bound,
-    crossover_alpha,
     default_capacity,
-    full_parallel_baseline,
     hitting_prob_lb,
     kappa_surface,
     overhead_bound,
     user_capacity,
 )
 from qecbatch.chain import Noise
-
-
-def test_conc_bound_frozen_value():
-    assert conc_bound(100, 0.1) == pytest.approx(0.1353352832366127, rel=1e-14)
-    assert conc_bound(500, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        conc_bound(0, 0.1)
-    with pytest.raises(ValueError):
-        conc_bound(100, -0.1)
 
 
 def test_hitting_prob_lb_frozen_case():
@@ -118,38 +107,41 @@ def test_default_capacity():
 
 
 def test_baseline_frozen_values():
-    assert full_parallel_baseline(100, 0.1, 0.05) == pytest.approx(
+    assert overhead_bound(100, 0.1, 0.06, 0.1, q=0.05).baseline_full_parallel == pytest.approx(
         140.84507042253523, rel=1e-12
     )
-    assert full_parallel_baseline(1000, 0.2) == pytest.approx(
+    assert overhead_bound(1000, 0.2, 0.15, 0.1).baseline_full_parallel == pytest.approx(
         1666.6666666666667, rel=1e-12
     )
 
 
 def test_baseline_impossible():
-    verdict = full_parallel_baseline(100, 0.5)
+    verdict = overhead_bound(100, 0.5, 0.3, 0.1).baseline_full_parallel
     assert isinstance(verdict, Impossibility)
     assert verdict.threshold_name == "effective_error_rate"
     assert verdict.threshold_value == pytest.approx(0.5)
     assert verdict.to_dict()["impossible"] is True
     # combined idle rate 1 - 0.7*0.6 = 0.58 also sits past one half
-    assert isinstance(full_parallel_baseline(100, 0.3, 0.4), Impossibility)
+    assert isinstance(overhead_bound(100, 0.3, 0.2, 0.1, q=0.4).baseline_full_parallel,
+                      Impossibility)
 
 
 def test_crossover_alpha_frozen_values():
-    assert crossover_alpha(0.2) == pytest.approx(0.16, rel=1e-12)
-    assert crossover_alpha(0.1, 0.1) == pytest.approx(0.081, rel=1e-12)
-    assert crossover_alpha(0.3, 0.05) == pytest.approx(0.1995, rel=1e-12)
+    assert overhead_bound(100, 0.2, 0.15, 0.1).crossover_alpha == pytest.approx(0.16, rel=1e-12)
+    assert overhead_bound(100, 0.1, 0.06, 0.1, q=0.1).crossover_alpha == pytest.approx(
+        0.081, rel=1e-12)
+    assert overhead_bound(100, 0.3, 0.2, 0.1, q=0.05).crossover_alpha == pytest.approx(
+        0.1995, rel=1e-12)
 
 
 def test_crossover_is_where_bound_meets_baseline():
     """At alpha = p(1-p) the overhead bound (theta -> 0) equals the
     full-parallel baseline; above it the batch memory is cheaper."""
     l, p = 1000, 0.2
-    cross = crossover_alpha(p)
-    baseline = full_parallel_baseline(l, p)
-    at_cross = overhead_bound(l, p, cross, theta=1e-12).n_min
-    assert at_cross == pytest.approx(baseline, rel=1e-6)
+    cross = overhead_bound(l, p, 0.15, theta=1e-12).crossover_alpha
+    at_cross = overhead_bound(l, p, cross, theta=1e-12)
+    baseline = at_cross.baseline_full_parallel
+    assert at_cross.n_min == pytest.approx(baseline, rel=1e-6)
     cheaper = overhead_bound(l, p, cross + 0.01, theta=1e-12).n_min
     dearer = overhead_bound(l, p, cross - 0.01, theta=1e-12).n_min
     assert cheaper < baseline < dearer
@@ -292,3 +284,9 @@ def test_kappa_surface_validation():
         kappa_surface(-1.0, 0.1)
     with pytest.raises(ValueError):
         kappa_surface(1.0, -0.1)
+    # nan gets past a sign check, and inf * 0 is nan
+    for kappa, t_g, key in [(math.nan, 1.0, "kappa"), (0.001, math.nan, "t_g"),
+                            (math.inf, 0.0, "kappa"), (1.0, math.inf, "t_g"),
+                            (1e200, 1e200, "kappa * t_g")]:
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be finite")):
+            kappa_surface(kappa, t_g)

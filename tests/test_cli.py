@@ -210,6 +210,30 @@ def test_bounds_kappa_surface_outside_small_budget_form(tmp_path, kappa, t_g, al
     assert doc["small_budget_check"] is None
 
 
+@pytest.mark.parametrize("kappa, t_g, key", [
+    ("nan", "1", "kappa"), ("0.001", "nan", "t_g"), ("inf", "0", "kappa"),
+])
+def test_bounds_kappa_surface_rejects_non_finite_inputs(tmp_path, capsys, kappa, t_g, key):
+    out = tmp_path / "surface.json"
+    assert main(["bounds", "--kappa", kappa, "--t-g", t_g, "--alpha", "0.1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.12", "--theta"], "-1e-9"),
+    (["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.12", "--theta"], "-inf"),
+    (["meanfield", "--p", "0.2", "--alpha", "0.05", "--beta", "0.5", "--delta"], "-1e-3"),
+])
+def test_negative_numbers_are_values_not_flags(tmp_path, capsys, argv, value):
+    out = ["--out", str(tmp_path / "out.json")]
+    apart = main([*argv, value, *out]), capsys.readouterr().err
+    joined = main([*argv[:-1], f"{argv[-1]}={value}", *out]), capsys.readouterr().err
+    assert apart == joined
+    assert apart[0] == 1 and apart[1].startswith("error: ") and "must lie in" in apart[1]
+
+
 def test_meanfield_json(tmp_path, monkeypatch):
     monkeypatch.setenv("QECBATCH_OUT_DIR", str(tmp_path))
     assert main(["meanfield", "--p", "0.2", "--alpha", "0.05", "--beta", "0.5"]) == 0

@@ -15,8 +15,6 @@ from qecbatch.exact import (
     TransitionKernel,
     build_kernel,
     check_h_monotone,
-    dump_distribution_csv,
-    dump_kernel_csv,
     evolve,
     hitting_time_distribution,
     mean_curve,
@@ -270,32 +268,6 @@ def test_mean_curve_with_static_phases():
     for t in range(13):
         assert means[t] == pytest.approx(dist.mean(), abs=1e-10)
         dist = evolve(kernel, dist, 1)
-
-
-def test_dump_kernel_csv_roundtrip(tmp_path):
-    kernel = kernel_n2()
-    path = tmp_path / "kernel.csv"
-    dump_kernel_csv(kernel, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=qecbatch.kernel.v1"
-    assert lines[1] == "# n=2 k_batch=1 q_period=1"
-    assert lines[2] == "from_state,to_state,probability"
-    rebuilt = np.zeros((3, 3))
-    for line in lines[3:]:
-        x, x1, prob = line.split(",")
-        rebuilt[int(x), int(x1)] = float(prob)
-    np.testing.assert_array_equal(rebuilt, kernel.dense())
-
-
-def test_dump_distribution_csv(tmp_path):
-    dist = evolve(kernel_n2(), StateDistribution.point_mass(2), 2)
-    path = tmp_path / "dist.csv"
-    dump_distribution_csv(dist, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=qecbatch.distribution.v1"
-    assert lines[1] == "# t=2"
-    values = [float(line.split(",")[1]) for line in lines[3:]]
-    np.testing.assert_array_equal(values, dist.mass)
 
 
 # ---------------------------------------------------------------- banded

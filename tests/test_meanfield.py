@@ -9,13 +9,11 @@ from qecbatch.checks import crossing_formula_vs_iteration
 from qecbatch.meanfield import (
     CrossingTime,
     InfeasibleThresholdError,
-    MeanFieldSequence,
-    _crossing_epoch,
     _crossings,
+    _fixed_point,
     epochs_to_cross,
     iterate_recursion,
     mf_iterate,
-    sketch_phase_bound,
 )
 
 
@@ -32,10 +30,11 @@ def test_iterates_start_at_zero_and_grow():
 
 
 def test_iterates_converge_to_fixed_point():
-    seq = MeanFieldSequence(p=0.3, alpha=0.1, beta=0.3, delta=0.02, n=50.0)
-    assert seq.x(4000) == pytest.approx(seq.fixed_point, rel=1e-12)
+    n, p, alpha, delta = 50.0, 0.3, 0.1, 0.02
+    fixed_point = _fixed_point(n, p - delta, alpha)
+    assert mf_iterate(n, p, alpha, delta, 4000) == pytest.approx(fixed_point, rel=1e-12)
     # the fixed point sits strictly below the steady fraction
-    assert seq.fixed_point / seq.n < (seq.p - seq.alpha) / seq.p
+    assert fixed_point / n < (p - alpha) / p
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,6 +51,11 @@ def test_closed_form_equals_recursion(p, alpha_frac, delta_frac, k, n):
     closed = mf_iterate(n, p, alpha, delta, k)
     looped = iterate_recursion(n, p, alpha, delta, k)
     assert abs(closed - looped) <= 1e-9 * n
+    # an array call gives each point's one-point value bit for bit
+    ks = np.arange(0, k + 1, max(1, k // 8))
+    on_array = mf_iterate(n, p, alpha, delta, ks)
+    one_point = np.array([mf_iterate(n, p, alpha, delta, j) for j in ks.tolist()])
+    assert on_array.view(np.int64).tolist() == one_point.view(np.int64).tolist()
 
 
 def test_validation():
@@ -75,10 +79,9 @@ def test_crossing_frozen_case():
 def test_crossing_is_strict():
     for p, alpha, beta in [(0.2, 0.05, 0.5), (0.4, 0.1, 0.6), (0.85, 0.2, 0.5)]:
         crossing = epochs_to_cross(p, alpha, beta)
-        seq = MeanFieldSequence(p=p, alpha=alpha, beta=beta, delta=crossing.delta)
-        assert seq.x(crossing.T) > beta
-        assert seq.x(crossing.T - 1) <= beta
-        assert seq.crossing_epoch == crossing.T
+        assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T) > beta
+        assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T - 1) <= beta
+        assert epochs_to_cross(p, alpha, beta, crossing.delta).T == crossing.T
 
 
 def test_crossing_matches_explicit_iteration_on_grid():
@@ -87,36 +90,42 @@ def test_crossing_matches_explicit_iteration_on_grid():
 
 
 def test_crossing_epochs_on_arrays_equal_pointwise():
-    """The array crossing epoch equals MeanFieldSequence.crossing_epoch at
-    every point, for given slacks and at the default one, where the mask
-    marks exactly the points epochs_to_cross rejects."""
+    """An array epochs_to_cross call equals its one-point calls, for given
+    slacks and at the default one, where the mask of _crossings marks
+    exactly the points epochs_to_cross rejects."""
     fractions = np.linspace(0.02, 0.98, 10)
     p, fa, fb, fd = (g.ravel() for g in np.meshgrid(fractions, fractions, fractions,
                                                      [0.1, 0.5, 0.9], indexing="ij"))
     alpha = fa * p
     beta = fb * (p - alpha) / p
     delta = fd * (p - alpha / (1.0 - beta))
-    n = np.where(np.arange(p.size) % 2 == 0, 1.0, 1e4)
-    epochs, unreachable = _crossing_epoch(p, alpha, beta, delta, n)
-    assert not unreachable.any()
-    assert epochs.tolist() == [
-        MeanFieldSequence(p=a, alpha=b, beta=c, delta=d, n=e).crossing_epoch
-        for a, b, c, d, e in zip(p.tolist(), alpha.tolist(), beta.tolist(),
-                                 delta.tolist(), n.tolist())
+    crossing = epochs_to_cross(p, alpha, beta, delta)
+    assert crossing.delta.tolist() == delta.tolist()
+    assert crossing.T.tolist() == [
+        epochs_to_cross(a, b, c, d).T
+        for a, b, c, d in zip(p.tolist(), alpha.tolist(), beta.tolist(), delta.tolist())
     ]
 
-    # beta past the steady fraction, alpha past p and p = 0 are rejected
+    # the default slack, where beta past the steady fraction, alpha past p
+    # and p = 0 are rejected
+    default = epochs_to_cross(p, alpha, beta)
     beta = np.concatenate([beta, [0.8, 0.1, 0.1]])
     alpha = np.concatenate([alpha, [0.05, 0.3, 0.0]])
     p = np.concatenate([p, [0.2, 0.2, 0.0]])
-    T, broken = _crossings(p, alpha, beta)
+    T, delta, broken = _crossings(p, alpha, beta)
     assert broken[-3:].all() and not broken[:-3].any()
-    for a, b, c, t, bad in zip(p.tolist(), alpha.tolist(), beta.tolist(), T.tolist(), broken):
+    assert T[:-3].tolist() == default.T.tolist()
+    assert delta[:-3].tolist() == default.delta.tolist()
+    for a, b, c, t, d, bad in zip(p.tolist(), alpha.tolist(), beta.tolist(), T.tolist(),
+                                  delta.tolist(), broken):
         if bad:
             with pytest.raises(ValueError):
                 epochs_to_cross(a, b, c)
         else:
-            assert epochs_to_cross(a, b, c).T == t
+            assert epochs_to_cross(a, b, c) == CrossingTime(T=t, delta=d)
+    # an array call raises the error of its first rejected point
+    with pytest.raises(InfeasibleThresholdError, match="beta must lie in"):
+        epochs_to_cross(p, alpha, beta)
 
 
 def test_crossing_without_a_representable_epoch_raises():
@@ -125,13 +134,15 @@ def test_crossing_without_a_representable_epoch_raises():
     beta = (p - alpha) / p - theta
     with pytest.raises(ValueError, match="no crossing epoch is representable"):
         epochs_to_cross(p, alpha, beta)
-    assert _crossings(*np.array([[p], [alpha], [beta]]))[1].tolist() == [True]
+    assert _crossings(*np.array([[p], [alpha], [beta]]))[2].tolist() == [True]
 
 
 def test_crossing_size_independent():
-    big = MeanFieldSequence(p=0.2, alpha=0.05, beta=0.5, delta=0.05, n=1e6)
-    small = MeanFieldSequence(p=0.2, alpha=0.05, beta=0.5, delta=0.05, n=1.0)
-    assert big.crossing_epoch == small.crossing_epoch
+    k = np.arange(50)
+    big = mf_iterate(1e6, 0.2, 0.05, 0.05, k)
+    small = mf_iterate(1.0, 0.2, 0.05, 0.05, k)
+    T = epochs_to_cross(0.2, 0.05, 0.5, 0.05).T
+    assert np.argmax(big > 1e6 * 0.5) == np.argmax(small > 0.5) == T
 
 
 def test_infeasible_targets():
@@ -147,10 +158,10 @@ def test_infeasible_targets():
 def test_delta_room_validation():
     # room is p - alpha/(1-beta) = 0.1; delta must stay inside it
     with pytest.raises(ValueError):
-        MeanFieldSequence(p=0.2, alpha=0.05, beta=0.5, delta=0.1)
-    MeanFieldSequence(p=0.2, alpha=0.05, beta=0.5, delta=0.0999)
+        epochs_to_cross(0.2, 0.05, 0.5, 0.1)
+    epochs_to_cross(0.2, 0.05, 0.5, 0.0999)
     with pytest.raises(ValueError):
-        MeanFieldSequence(p=0.2, alpha=0.05, beta=0.5, delta=0.0)
+        epochs_to_cross(0.2, 0.05, 0.5, 0.0)
 
 
 def test_recursion_tracks_exact_chain_mean():
@@ -166,36 +177,6 @@ def test_recursion_tracks_exact_chain_mean():
     for t in range(crossing.T + 1):
         assert abs(means[t] - x) <= 0.05 * n
         x = x + (n - x) * p - n * alpha
-
-
-def test_sketch_phase_bound_frozen_value():
-    assert sketch_phase_bound(0.2, 0.1, 0.1) == pytest.approx(25.0, rel=1e-12)
-
-
-def test_sketch_phase_bound_validation():
-    with pytest.raises(ValueError):
-        sketch_phase_bound(0.2, 0.1, 0.5)  # epsilon at (p - alpha)/p
-    with pytest.raises(ValueError):
-        sketch_phase_bound(0.2, 0.1, 0.0)
-
-
-def test_sketch_phase_bound_dominates_iteration():
-    """The coarse bound must cover the number of zero-slack iterations it
-    takes to climb within epsilon of the steady fraction."""
-    for p in (0.2, 0.5, 0.8):
-        for fa in (0.1, 0.4):
-            alpha = fa * p
-            limit = (p - alpha) / p
-            for fe in (0.1, 0.3):
-                epsilon = fe * limit
-                bound = sketch_phase_bound(p, alpha, epsilon)
-                target = limit - epsilon
-                x, steps = 0.0, 0
-                while x <= target:
-                    x = x + (1.0 - x) * p - alpha
-                    steps += 1
-                    assert steps < 10_000_000
-                assert steps <= bound, (p, alpha, epsilon, steps, bound)
 
 
 def test_default_delta_is_half_the_room():
