@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "ERASURE_EXACT",
     "DEPOLARIZING_HASHING",
     "DEPOLARIZING_HASHING_CUTOFF",
-    "user_capacity",
     "default_capacity",
     "Impossibility",
     "BoundReport",
@@ -72,7 +70,6 @@ class CapacityKind(Enum):
     ERASURE_EXACT = "erasure-exact"
     DEPOLARIZING_HASHING = "hashing"
     DEPOLARIZING_HASHING_CUTOFF = "hashing-cutoff"
-    USER_SUPPLIED = "user"
 
 
 def _entropy2(x: np.ndarray) -> np.ndarray:
@@ -94,24 +91,18 @@ class CapacityFn:
     """Quantum capacity per channel use as a function of the error rate.
 
     Kinds: the exact erasure capacity 1 - 2*gamma, the depolarizing
-    hashing rate, the hashing rate with a hard zero from gamma = 1/3 on
-    (where the depolarizing capacity is known to vanish), or any
-    user-supplied callable of one float. Values are clamped at zero.
+    hashing rate, or the hashing rate with a hard zero from gamma = 1/3 on
+    (where the depolarizing capacity is known to vanish). Values are
+    clamped at zero.
     """
 
     kind: CapacityKind
-    user_eval: Callable[[float], float] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind is CapacityKind.USER_SUPPLIED) != (self.user_eval is not None):
-            raise ValueError("user_eval is required exactly for USER_SUPPLIED kind")
 
     def eval(self, gamma: float | np.ndarray) -> float | np.ndarray:
         """Capacity at gamma: a float for a float, an array for an array.
 
         A float is a one-point array evaluation, so it equals the same
-        point evaluated inside an array. A user callable is called once
-        per element.
+        point evaluated inside an array.
         """
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
         outside = ~((0.0 <= g) & (g <= 1.0))
@@ -121,20 +112,14 @@ class CapacityFn:
             rate = np.maximum(0.0, 1.0 - 2.0 * g)
         elif self.kind is CapacityKind.DEPOLARIZING_HASHING:
             rate = _hashing_rate(g)
-        elif self.kind is CapacityKind.DEPOLARIZING_HASHING_CUTOFF:
-            rate = np.where(g >= 1.0 / 3.0, 0.0, _hashing_rate(g))
         else:
-            rate = np.array([max(0.0, float(self.user_eval(x))) for x in g.ravel().tolist()])
+            rate = np.where(g >= 1.0 / 3.0, 0.0, _hashing_rate(g))
         return float(rate[0]) if np.ndim(gamma) == 0 else rate.reshape(np.shape(gamma))
 
 
 ERASURE_EXACT = CapacityFn(CapacityKind.ERASURE_EXACT)
 DEPOLARIZING_HASHING = CapacityFn(CapacityKind.DEPOLARIZING_HASHING)
 DEPOLARIZING_HASHING_CUTOFF = CapacityFn(CapacityKind.DEPOLARIZING_HASHING_CUTOFF)
-
-
-def user_capacity(fn: Callable[[float], float]) -> CapacityFn:
-    return CapacityFn(kind=CapacityKind.USER_SUPPLIED, user_eval=fn)
 
 
 def default_capacity(noise: Noise) -> CapacityFn:
@@ -487,7 +472,7 @@ def kappa_surface(kappa: float, t_g: float, noise: Noise = Noise.ERASURE) -> Kap
     duration t_g.
 
     The per-batch idle error probability is p = 1 - exp(-kappa * t_g);
-    the minimum survivable budget fraction is p/2 for erasure and p/1.5
+    the minimum survivable budget fraction is p/2 for erasure and 2p/3
     for depolarizing noise.
     """
     for name, value in (("kappa", kappa), ("t_g", t_g), ("kappa * t_g", kappa * t_g)):
@@ -496,5 +481,5 @@ def kappa_surface(kappa: float, t_g: float, noise: Noise = Noise.ERASURE) -> Kap
     if kappa < 0.0 or t_g < 0.0:
         raise ValueError("kappa and t_g must be >= 0")
     p = -math.expm1(-kappa * t_g)
-    alpha_min = p / 2.0 if noise is Noise.ERASURE else p / 1.5
-    return KappaSurface(kappa=kappa, t_g=t_g, noise=noise, p=p, alpha_min=alpha_min)
+    return KappaSurface(kappa=kappa, t_g=t_g, noise=noise, p=p,
+                        alpha_min=_alpha_threshold(p, noise))

@@ -338,14 +338,20 @@ def _fmt(config: ExperimentConfig, default: str) -> str:
     return config.format or default
 
 
+def _threshold(config: ExperimentConfig) -> float:
+    """The error-count threshold n * beta of simulate and exact."""
+    if not 0.0 <= config.beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {config.beta}")
+    return config.n * config.beta
+
+
 def _run_simulate(config: ExperimentConfig) -> int:
     _require(config, "n", "p", "alpha", "beta", "n_traj", "t_max")
-    params = _model_params(config)
+    threshold = _threshold(config)
     spec = mc_mod.TrajectoryBatch(
-        params=params, n_traj=config.n_traj, t_max=config.t_max,
+        params=_model_params(config), n_traj=config.n_traj, t_max=config.t_max,
         master_seed=config.master_seed,
     )
-    threshold = config.n * config.beta
     est = mc_mod.run_batch(spec, threshold, n_workers=config.threads)
     fmt = _fmt(config, "csv")
     path = _out_path(config, f"simulate.{fmt}")
@@ -372,17 +378,16 @@ def _run_simulate(config: ExperimentConfig) -> int:
 
 def _run_exact(config: ExperimentConfig) -> int:
     _require(config, "n", "p", "alpha", "t_max")
-    params = _model_params(config)
-    kernel = exact_mod.build_kernel(params)
+    threshold = None if config.beta is None else _threshold(config)
+    kernel = exact_mod.build_kernel(_model_params(config))
+    curve = []
+    for dist in exact_mod.epochs(kernel, exact_mod.StateDistribution.point_mass(config.n),
+                                 config.t_max):
+        if threshold is not None:
+            curve.append(exact_mod.tail_prob(dist, threshold))
     fmt = _fmt(config, "csv")
     path = _out_path(config, f"exact.{fmt}")
-    if config.beta is not None:
-        threshold = config.n * config.beta
-        dist = exact_mod.StateDistribution.point_mass(params.n)
-        curve = [exact_mod.tail_prob(dist, threshold)]
-        for _ in range(config.t_max):
-            dist = exact_mod.evolve(kernel, dist, 1)
-            curve.append(exact_mod.tail_prob(dist, threshold))
+    if threshold is not None:
         if fmt == "csv":
             rows = [(t, repr(v)) for t, v in enumerate(curve)]
             _write_csv(path, config, "qecbatch.exact-tail.v1", ("t", "tail_prob"),
@@ -397,9 +402,6 @@ def _run_exact(config: ExperimentConfig) -> int:
             })
         print(f"exact: P[X > {threshold:g}] at t={config.t_max} is {curve[-1]:.6g}; wrote {path}")
     else:
-        dist = exact_mod.evolve(
-            kernel, exact_mod.StateDistribution.point_mass(params.n), config.t_max
-        )
         if fmt == "csv":
             rows = [(x, repr(float(dist.mass[x]))) for x in range(dist.n + 1)]
             _write_csv(path, config, "qecbatch.exact-dist.v1", ("state", "probability"),
@@ -459,6 +461,10 @@ def _run_bounds(config: ExperimentConfig) -> int:
 def _run_kappa_surface(config: ExperimentConfig) -> int:
     if config.p is not None:
         raise UsageError("give either --p or the pair --kappa/--t-g, not both")
+    # the surface fixes these itself; a given value would be recorded but unused
+    for name in ("l", "theta", "q", "capacity"):
+        if getattr(config, name) != _KEYS[name].default:
+            raise UsageError(f"--{name} does not apply to the --kappa/--t-g surface")
     _require(config, "kappa", "t_g", "alpha")
     surface = bounds_mod.kappa_surface(config.kappa, config.t_g, config.noise_kind())
     overhead = surface.overhead(config.alpha)

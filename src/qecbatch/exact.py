@@ -16,7 +16,10 @@ it to the distribution's `err`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -31,6 +34,7 @@ __all__ = [
     "StateDistribution",
     "build_kernel",
     "evolve",
+    "epochs",
     "tail_prob",
     "MonotonicityReport",
     "check_h_monotone",
@@ -245,32 +249,53 @@ class StateDistribution:
         return float(self.mass @ np.arange(self.mass.size))
 
 
-def evolve(kernel: TransitionKernel, dist0: StateDistribution, steps: int) -> StateDistribution:
-    """Push a distribution through `steps` correction epochs.
+def _pushes(
+    kernel: TransitionKernel, mass: np.ndarray, t0: int, steps: int, first: int
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Push mass through correction epochs t0 .. t0 + steps - 1.
 
-    When the kernel carries a static phase, it is applied before every
-    correction epoch whose absolute index (counted from dist0.t) is a
-    multiple of q_period, mirroring the simulator's schedule.
+    Yields (mass, phases) after each epoch, phases counting the phases
+    applied so far. When the kernel carries a static phase, it runs before
+    every epoch whose absolute index is a multiple of q_period, mirroring
+    the simulator's schedule. After each epoch the states from `first` up
+    are emptied; first = n + 1 empties none. This is the only code that
+    pushes mass through a kernel.
+    """
+    phases = 0
+    for t in range(t0, t0 + steps):
+        if kernel.static_probs is not None and t % kernel.q_period == 0:
+            mass = kernel.push(mass, static=True)
+            phases += 1
+        mass = kernel.push(mass)
+        phases += 1
+        mass[first:] = 0.0
+        yield mass, phases
+
+
+def epochs(
+    kernel: TransitionKernel, dist0: StateDistribution, steps: int
+) -> Iterator[StateDistribution]:
+    """The distributions at epochs dist0.t .. dist0.t + steps, dist0 first.
+
+    A static phase, when the kernel has one, precedes every epoch whose
+    absolute index is a multiple of q_period. Each distribution's err is
+    dist0.err plus the kernel's truncation once per phase since dist0.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if dist0.n != kernel.n:
         raise ValueError(f"distribution is over {dist0.n + 1} states, kernel over {kernel.n + 1}")
-    mass = dist0.mass.copy()
-    phases = steps
-    for j in range(steps):
-        if _static_due(kernel, dist0.t + j):
-            mass = kernel.push(mass, static=True)
-            phases += 1
-        mass = kernel.push(mass)
-    return StateDistribution(
-        t=dist0.t + steps, mass=mass, err=dist0.err + phases * kernel.truncation
-    )
+    pushes = _pushes(kernel, dist0.mass, dist0.t, steps, kernel.n + 1)
+    return chain([dist0], (
+        StateDistribution(t=t, mass=mass, err=dist0.err + phases * kernel.truncation)
+        for t, (mass, phases) in enumerate(pushes, start=dist0.t + 1)
+    ))
 
 
-def _static_due(kernel: TransitionKernel, epoch: int) -> bool:
-    """Whether a static phase precedes correction epoch `epoch` (0-based)."""
-    return kernel.static_probs is not None and epoch % kernel.q_period == 0
+def evolve(kernel: TransitionKernel, dist0: StateDistribution, steps: int) -> StateDistribution:
+    """Push a distribution through `steps` correction epochs: the last
+    distribution `epochs` yields."""
+    return deque(epochs(kernel, dist0, steps), maxlen=1)[0]
 
 
 def tail_prob(dist: StateDistribution, threshold: float) -> float:
@@ -358,20 +383,14 @@ def hitting_time_distribution(
         # threshold below zero: the fresh memory already exceeds it
         pmf[0] = 1.0
         return HittingTimeDistribution(threshold=threshold, pmf=pmf, survival=0.0)
-    alive = np.zeros(kernel.n + 1)
-    alive[0] = 1.0
-    phases = t_max
-    for t in range(1, t_max + 1):
-        before = alive.sum()
-        if _static_due(kernel, t - 1):
-            alive = kernel.push(alive, static=True)
-            phases += 1
-        alive = kernel.push(alive)
-        alive[first:] = 0.0
-        pmf[t] = before - alive.sum()
+    start = StateDistribution.point_mass(kernel.n).mass
+    sums, counts = zip(*((mass.sum(), phases) for mass, phases in _pushes(
+        kernel, start, 0, t_max, first)))
+    survival = np.array((1.0, *sums))  # survival[t] = P[tau > t]
+    pmf[1:] = survival[:-1] - survival[1:]
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=float(alive.sum()),
-        err=phases * kernel.truncation,
+        threshold=threshold, pmf=pmf, survival=float(survival[-1]),
+        err=counts[-1] * kernel.truncation,
     )
 
 
@@ -379,11 +398,5 @@ def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
     """Exact E[X_t] for t = 0..t_max, starting from zero errors."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    kernel = build_kernel(params)
-    dist = StateDistribution.point_mass(params.n)
-    means = [dist.mean()]
-    for _ in range(t_max):
-        dist = evolve(kernel, dist, 1)
-        means.append(dist.mean())
-    return np.array(means)
-
+    dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), t_max)
+    return np.array([dist.mean() for dist in dists])

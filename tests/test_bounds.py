@@ -9,14 +9,11 @@ from qecbatch.bounds import (
     DEPOLARIZING_HASHING,
     DEPOLARIZING_HASHING_CUTOFF,
     ERASURE_EXACT,
-    CapacityFn,
-    CapacityKind,
     Impossibility,
     default_capacity,
     hitting_prob_lb,
     kappa_surface,
     overhead_bound,
-    user_capacity,
 )
 from qecbatch.chain import Noise
 
@@ -64,24 +61,12 @@ def test_cutoff_capacity():
     assert DEPOLARIZING_HASHING_CUTOFF.eval(0.5) == 0.0
 
 
-def test_user_capacity():
-    linear = user_capacity(lambda g: 1.0 - g)
-    assert linear.eval(0.3) == pytest.approx(0.7)
-    clamped = user_capacity(lambda g: -1.0)
-    assert clamped.eval(0.1) == 0.0
-    with pytest.raises(ValueError):
-        CapacityFn(kind=CapacityKind.USER_SUPPLIED)
-    with pytest.raises(ValueError):
-        CapacityFn(kind=CapacityKind.ERASURE_EXACT, user_eval=lambda g: g)
-
-
 @pytest.mark.parametrize("capacity", [
     ERASURE_EXACT, DEPOLARIZING_HASHING, DEPOLARIZING_HASHING_CUTOFF,
-    user_capacity(lambda g: math.cos(3.0 * g) - 0.2),
 ])
 def test_capacity_on_arrays_equals_pointwise(capacity):
-    """An array evaluation gives bit for bit the scalar value at each element,
-    keeps the input's shape, and a user callable sees each element once."""
+    """An array evaluation gives bit for bit the scalar value at each element
+    and keeps the input's shape."""
     gammas = np.concatenate([
         np.linspace(0.0, 1.0, 1001), [0.2523, 0.2525, 1.0 / 3.0, 0.5, 5e-324],
         np.random.default_rng(11).uniform(0.0, 1.0, 2000),
@@ -92,13 +77,6 @@ def test_capacity_on_arrays_equals_pointwise(capacity):
     assert capacity.eval(gammas.reshape(-1, 3)).tolist() == values.reshape(-1, 3).tolist()
     with pytest.raises(ValueError, match="gamma must lie in"):
         capacity.eval(np.array([0.2, 1.5]))
-
-
-def test_user_capacity_sees_each_element():
-    seen = []
-    capacity = user_capacity(lambda g: seen.append(g) or 1.0 - g)
-    assert capacity.eval(np.array([0.1, 0.4])).tolist() == [0.9, 0.6]
-    assert seen == [0.1, 0.4] and all(type(g) is float for g in seen)
 
 
 def test_default_capacity():

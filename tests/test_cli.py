@@ -221,6 +221,19 @@ def test_bounds_kappa_surface_rejects_non_finite_inputs(tmp_path, capsys, kappa,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--l", "1000"], "--l"), (["--theta", "0.1"], "--theta"), (["--q", "0.3"], "--q"),
+    (["--noise", "depolarizing", "--capacity", "hashing-cutoff"], "--capacity"),
+])
+def test_bounds_kappa_surface_rejects_flags_it_ignores(tmp_path, capsys, extra, flag):
+    out = tmp_path / "surface.json"
+    assert main(["bounds", "--kappa", "10", "--t-g", "0.0001", "--alpha", "0.01", *extra,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {flag} does not apply to the --kappa/--t-g surface\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, value", [
     (["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.12", "--theta"], "-1e-9"),
     (["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.12", "--theta"], "-inf"),
@@ -270,17 +283,39 @@ def test_exact_distribution_csv(tmp_path):
 
 
 def test_exact_json_reports_error_bound(tmp_path):
-    truncation = build_kernel(ModelParams(n=30, p=0.2, alpha=0.1)).truncation
-    assert 0.0 < truncation <= 1e-16
-    base = ["exact", "--n", "30", "--p", "0.2", "--alpha", "0.1", "--t-max", "15",
-            "--format", "json"]
-    tail, dist = tmp_path / "tail.json", tmp_path / "dist.json"
-    assert main([*base, "--beta", "0.3", "--out", str(tail)]) == 0
-    assert main([*base, "--out", str(dist)]) == 0
-    for path, schema in ((tail, "qecbatch.exact-tail.v1"), (dist, "qecbatch.exact-dist.v1")):
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == schema
-        assert doc["error_bound"] == pytest.approx(15 * truncation, rel=1e-12)
+    """Both outputs carry the same bound: the kernel's truncation once per
+    phase, not a per-epoch running sum."""
+    # 45 epochs, after which a running sum of per-epoch bounds is ulps off;
+    # q_period 3 adds a static phase before epochs 0, 3, ..., 42
+    for q, q_period, phases in ((0.0, 1, 45), (0.05, 3, 45 + 15)):
+        truncation = build_kernel(ModelParams(n=30, p=0.2, alpha=0.1, q=q,
+                                              q_period=q_period)).truncation
+        assert 0.0 < truncation <= 1e-16
+        base = ["exact", "--n", "30", "--p", "0.2", "--alpha", "0.1", "--q", str(q),
+                "--q-period", str(q_period), "--t-max", "45", "--format", "json"]
+        tail, dist = tmp_path / "tail.json", tmp_path / "dist.json"
+        assert main([*base, "--beta", "0.3", "--out", str(tail)]) == 0
+        assert main([*base, "--out", str(dist)]) == 0
+        bounds = []
+        for path, schema in ((tail, "qecbatch.exact-tail.v1"),
+                             (dist, "qecbatch.exact-dist.v1")):
+            doc = json.loads(path.read_text())
+            assert doc["schema"] == schema
+            assert doc["error_bound"] == phases * truncation
+            bounds.append(doc["error_bound"])
+        assert bounds[0] == bounds[1]
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan", "-0.5", "1.5"])
+@pytest.mark.parametrize("command", [
+    "simulate --n 20 --p 0.3 --alpha 0.1 --n-traj 5 --t-max 3",
+    "exact --n 20 --p 0.3 --alpha 0.1 --t-max 3",
+])
+def test_beta_outside_the_unit_interval_exits_1(tmp_path, capsys, command, beta):
+    out = tmp_path / "result.csv"
+    assert main([*command.split(), "--beta", beta, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: beta must lie in [0, 1], got {float(beta)}\n"
+    assert not out.exists()
 
 
 def test_simulate_csv_deterministic(tmp_path):

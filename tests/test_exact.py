@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qecbatch.exact import (
     TransitionKernel,
     build_kernel,
     check_h_monotone,
+    epochs,
     evolve,
     hitting_time_distribution,
     mean_curve,
@@ -106,18 +108,30 @@ def test_static_kernel_only_adds_errors():
 
 
 def test_evolve_interleaves_static_phases():
-    """evolve must reproduce an explicit matrix composition with the static
-    kernel applied before epochs 0 and 2 (q_period 2)."""
+    """evolve and every distribution epochs yields must reproduce an explicit
+    matrix composition with the static kernel applied before epochs 0 and 2
+    (q_period 2), from t = 0 and from t = 1, where the schedule is offset;
+    err grows by the truncation once per phase."""
     params = ModelParams(n=3, p=0.4, alpha=1.0 / 3.0, q=0.3, q_period=2)
-    kernel = build_kernel(params)
+    # rows this short keep every entry; a declared truncation makes err move
+    kernel = replace(build_kernel(params), truncation=3e-17)
     static, probs = kernel.dense(static=True), kernel.dense()
-    mass = StateDistribution.point_mass(3).mass
-    mass = mass @ static @ probs                              # epoch 0
-    mass = mass @ probs                                       # epoch 1
-    mass = mass @ static @ probs                              # epoch 2
-    mass = mass @ probs                                       # epoch 3
+    masses = [StateDistribution.point_mass(3).mass]
+    masses.append(masses[-1] @ static @ probs)                # epoch 0
+    masses.append(masses[-1] @ probs)                         # epoch 1
+    masses.append(masses[-1] @ static @ probs)                # epoch 2
+    masses.append(masses[-1] @ probs)                         # epoch 3
+    phases = [0, 2, 3, 5, 6]  # phases[t]: phases applied in the first t epochs
     dist = evolve(kernel, StateDistribution.point_mass(3), 4)
-    np.testing.assert_allclose(dist.mass, mass, atol=1e-14)
+    np.testing.assert_allclose(dist.mass, masses[4], atol=1e-14)
+    for t0, dist0 in ((0, StateDistribution.point_mass(3)),
+                      (1, StateDistribution(t=1, mass=masses[1], err=1e-15))):
+        stream = list(epochs(kernel, dist0, 4 - t0))
+        assert [d.t for d in stream] == list(range(t0, 5))
+        for d in stream:
+            np.testing.assert_allclose(d.mass, masses[d.t], atol=1e-14)
+            assert d.err == dist0.err + (phases[d.t] - phases[t0]) * kernel.truncation
+        assert stream[-1].err == evolve(kernel, dist0, 4 - t0).err
 
 
 def test_evolve_zero_steps_is_identity():

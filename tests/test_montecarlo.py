@@ -107,6 +107,12 @@ def test_run_batch_agrees_with_exact_oracle():
         z=4.0, miss_frac=0.0,
     )
     assert ok, detail
+    # from epoch 25 on, this exact tail sums to a few ulps above 1
+    ok, detail = oracle_vs_monte_carlo(
+        ModelParams(n=60, p=0.2, alpha=0.05, q=0.05, q_period=3), beta=0.375, t_max=40,
+        n_traj=2000, seed=17, z=4.0, miss_frac=0.0,
+    )
+    assert ok, detail
 
 
 def test_steady_fraction_converges():
