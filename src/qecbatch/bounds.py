@@ -10,7 +10,7 @@ verdicts rather than sentinel infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -24,11 +24,6 @@ __all__ = [
     "HittingBound",
     "hitting_prob_lb",
     "CapacityKind",
-    "CapacityFn",
-    "ERASURE_EXACT",
-    "DEPOLARIZING_HASHING",
-    "DEPOLARIZING_HASHING_CUTOFF",
-    "default_capacity",
     "Impossibility",
     "BoundReport",
     "overhead_bound",
@@ -66,12 +61,6 @@ def hitting_prob_lb(n: int, p: float, alpha: float, beta: float) -> HittingBound
     return HittingBound(value=per_epoch**crossing.T, T=crossing.T, delta=crossing.delta)
 
 
-class CapacityKind(Enum):
-    ERASURE_EXACT = "erasure-exact"
-    DEPOLARIZING_HASHING = "hashing"
-    DEPOLARIZING_HASHING_CUTOFF = "hashing-cutoff"
-
-
 def _entropy2(x: np.ndarray) -> np.ndarray:
     """Binary entropy in bits; 0 log 0 = 0."""
     inner = (x > 0.0) & (x < 1.0)
@@ -86,17 +75,18 @@ def _hashing_rate(gamma: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - _entropy2(u) - u * _LOG2_3)
 
 
-@dataclass(frozen=True)
-class CapacityFn:
+class CapacityKind(Enum):
     """Quantum capacity per channel use as a function of the error rate.
 
-    Kinds: the exact erasure capacity 1 - 2*gamma, the depolarizing
+    Members: the exact erasure capacity 1 - 2*gamma, the depolarizing
     hashing rate, or the hashing rate with a hard zero from gamma = 1/3 on
-    (where the depolarizing capacity is known to vanish). Values are
-    clamped at zero.
+    (where the depolarizing capacity is known to vanish). Rates are
+    clamped at zero; a member's value is its mode name in reports.
     """
 
-    kind: CapacityKind
+    ERASURE_EXACT = "erasure-exact"
+    DEPOLARIZING_HASHING = "hashing"
+    DEPOLARIZING_HASHING_CUTOFF = "hashing-cutoff"
 
     def eval(self, gamma: float | np.ndarray) -> float | np.ndarray:
         """Capacity at gamma: a float for a float, an array for an array.
@@ -108,22 +98,31 @@ class CapacityFn:
         outside = ~((0.0 <= g) & (g <= 1.0))
         if outside.any():
             raise ValueError(f"gamma must lie in [0, 1], got {g[outside][0]}")
-        if self.kind is CapacityKind.ERASURE_EXACT:
+        if self is CapacityKind.ERASURE_EXACT:
             rate = np.maximum(0.0, 1.0 - 2.0 * g)
-        elif self.kind is CapacityKind.DEPOLARIZING_HASHING:
+        elif self is CapacityKind.DEPOLARIZING_HASHING:
             rate = _hashing_rate(g)
         else:
             rate = np.where(g >= 1.0 / 3.0, 0.0, _hashing_rate(g))
         return float(rate[0]) if np.ndim(gamma) == 0 else rate.reshape(np.shape(gamma))
 
 
-ERASURE_EXACT = CapacityFn(CapacityKind.ERASURE_EXACT)
-DEPOLARIZING_HASHING = CapacityFn(CapacityKind.DEPOLARIZING_HASHING)
-DEPOLARIZING_HASHING_CUTOFF = CapacityFn(CapacityKind.DEPOLARIZING_HASHING_CUTOFF)
+def _capacity_for(noise: Noise, capacity: CapacityKind | None) -> CapacityKind:
+    """The capacity the bound divides by under this noise.
 
-
-def default_capacity(noise: Noise) -> CapacityFn:
-    return ERASURE_EXACT if noise is Noise.ERASURE else DEPOLARIZING_HASHING
+    Erasure noise has its exact capacity. Depolarizing noise takes the
+    given hashing mode, plain hashing if none is given. A mode of the
+    other noise is an error.
+    """
+    if noise is Noise.ERASURE:
+        modes = (CapacityKind.ERASURE_EXACT,)
+    else:
+        modes = (CapacityKind.DEPOLARIZING_HASHING, CapacityKind.DEPOLARIZING_HASHING_CUTOFF)
+    if capacity is None:
+        return modes[0]
+    if capacity not in modes:
+        raise ValueError(f"capacity mode '{capacity.value}' does not apply to {noise.value} noise")
+    return capacity
 
 
 @dataclass(frozen=True)
@@ -131,28 +130,15 @@ class Impossibility:
     """A parameter point where no finite bound (or memory) exists.
 
     Returned instead of a number so serialized outputs never carry
-    sentinel infinities; names the violated threshold.
+    sentinel infinities; names the violated threshold. The constant
+    `impossible` field marks a verdict in serialized outputs.
     """
 
     reason: str
     threshold_name: str
     threshold_value: float
     actual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "impossible": True,
-            "reason": self.reason,
-            "threshold_name": self.threshold_name,
-            "threshold_value": self.threshold_value,
-            "actual": self.actual,
-        }
-
-
-def _serialize(value: float | int | Impossibility | None):
-    if isinstance(value, Impossibility):
-        return value.to_dict()
-    return value
+    impossible: bool = field(default=True, init=False)
 
 
 @dataclass(frozen=True)
@@ -183,27 +169,6 @@ class BoundReport:
     overhead_lb: float | None
     crossing_epochs: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "p": self.p,
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "q": self.q,
-            "noise": self.noise.value,
-            "capacity_mode": self.capacity_mode,
-            "alpha_threshold": self.alpha_threshold,
-            "noise_threshold": self.noise_threshold,
-            "residual_rate": self.residual_rate,
-            "crossover_alpha": self.crossover_alpha,
-            "baseline_full_parallel": _serialize(self.baseline_full_parallel),
-            "feasible": self.feasible,
-            "verdict": _serialize(self.verdict),
-            "n_min": self.n_min,
-            "overhead_lb": self.overhead_lb,
-            "crossing_epochs": self.crossing_epochs,
-        }
-
 
 def _alpha_threshold(p, noise: Noise):
     return p / 2.0 if noise is Noise.ERASURE else 2.0 * p / 3.0
@@ -218,28 +183,23 @@ def _effective_rate(p, q):
     return 1.0 - (1.0 - p) * (1.0 - q)
 
 
-def _baseline_capacity(noise: Noise, capacity_fn: CapacityFn) -> CapacityFn:
-    """The reference memory is erasure-coded under erasure noise."""
-    return capacity_fn if noise is Noise.DEPOLARIZING else ERASURE_EXACT
-
-
-def _capacity_where(cap_fn: CapacityFn, gamma: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """cap_fn at the points `where` selects, zero elsewhere."""
+def _capacity_where(capacity: CapacityKind, gamma: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """capacity at the points `where` selects, zero elsewhere."""
     rate = np.zeros_like(gamma)
-    rate[where] = cap_fn.eval(gamma[where])
+    rate[where] = capacity.eval(gamma[where])
     return rate
 
 
-def _capacity_zero_hint(cap_fn: CapacityFn) -> float:
-    if cap_fn.kind is CapacityKind.ERASURE_EXACT:
+def _capacity_zero_hint(capacity: CapacityKind) -> float:
+    if capacity is CapacityKind.ERASURE_EXACT:
         return 0.5
-    if cap_fn.kind is CapacityKind.DEPOLARIZING_HASHING_CUTOFF:
+    if capacity is CapacityKind.DEPOLARIZING_HASHING_CUTOFF:
         return 1.0 / 3.0
     # hashing rate crosses zero near 0.2524; report the cutoff actually used
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if cap_fn.eval(mid) > 0.0:
+        if capacity.eval(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -266,10 +226,11 @@ class BoundColumns:
     out_of_domain marks the points where overhead_bound raises, feasible
     those with a finite bound; the rest of the domain holds impossibility
     verdicts. Values that do not apply to a point are nan, or 0 for
-    crossing_epochs. capacity_fn is the capacity actually used.
+    crossing_epochs. capacity is the capacity actually used, by the bound
+    and the full-parallel baseline alike.
     """
 
-    capacity_fn: CapacityFn
+    capacity: CapacityKind
     out_of_domain: np.ndarray
     feasible: np.ndarray
     alpha_threshold: np.ndarray
@@ -284,26 +245,24 @@ class BoundColumns:
 
 def overhead_columns(
     l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0,
-    capacity_fn: CapacityFn | None = None,
+    capacity: CapacityKind | None = None,
 ) -> BoundColumns:
     """overhead_bound over scalars or arrays, broadcast to one 1-d length.
 
     Points where overhead_bound would raise come back marked
-    out_of_domain instead. Each capacity is evaluated only at the points
+    out_of_domain instead. The capacity is evaluated only at the points
     where overhead_bound evaluates it.
     """
     l, p, alpha, theta, q = _points(l, p, alpha, theta, q)
-    if capacity_fn is None:
-        capacity_fn = default_capacity(noise)
+    capacity = _capacity_for(noise, capacity)
     out_of_domain = _broken(_domain_rules(l, p, alpha, theta, q))
     inside = ~out_of_domain
     alpha_thr = _alpha_threshold(p, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = (p - alpha) / p - theta
-    base_rate = _capacity_where(_baseline_capacity(noise, capacity_fn), _effective_rate(p, q),
-                                inside)
+    base_rate = _capacity_where(capacity, _effective_rate(p, q), inside)
     rated = inside & (alpha >= alpha_thr)
-    rate = _capacity_where(capacity_fn, residual, rated)
+    rate = _capacity_where(capacity, residual, rated)
     live = (rated & (rate > 0.0)).nonzero()[0]
     crossing_epochs = np.zeros(p.shape, dtype=np.int64)
     crossing_epochs[live], _, unreachable = _crossings(p[live], alpha[live], residual[live])
@@ -312,7 +271,7 @@ def overhead_columns(
     feasible[live[~unreachable]] = True
     n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=feasible)
     return BoundColumns(
-        capacity_fn=capacity_fn, out_of_domain=out_of_domain, feasible=feasible,
+        capacity=capacity, out_of_domain=out_of_domain, feasible=feasible,
         alpha_threshold=alpha_thr, noise_threshold=_noise_threshold(alpha, noise),
         residual_rate=residual, crossover_alpha=p * (1.0 - p) * (1.0 - q),
         baseline_full_parallel=np.divide(l, base_rate, out=np.full(p.shape, np.nan),
@@ -328,7 +287,7 @@ def overhead_bound(
     theta: float,
     noise: Noise = Noise.ERASURE,
     q: float = 0.0,
-    capacity_fn: CapacityFn | None = None,
+    capacity: CapacityKind | None = None,
 ) -> BoundReport:
     """Physical qubits needed to hold l logical qubits, lower bound.
 
@@ -340,9 +299,11 @@ def overhead_bound(
     erasure, two thirds for depolarizing) admit no finite bound and
     yield an impossibility verdict. The bound is evaluated at q = 0 and
     only tightens for q > 0; q enters the reported baseline and
-    crossover directly. This is the one-point case of overhead_columns.
+    crossover directly. capacity picks the depolarizing mode (hashing by
+    default); erasure noise takes its exact capacity. This is the
+    one-point case of overhead_columns.
     """
-    columns = overhead_columns(l, p, alpha, theta, noise, q, capacity_fn)
+    columns = overhead_columns(l, p, alpha, theta, noise, q, capacity)
     values = {name: float(getattr(columns, name)[0]) for name in (
         "alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha",
         "baseline_full_parallel", "n_min", "overhead_lb")}
@@ -350,12 +311,12 @@ def overhead_bound(
         _raise_first(_domain_rules(*_points(l, p, alpha, theta, q)))
         # inside the domain, only the crossing epoch can be missing
         epochs_to_cross(p, alpha, values["residual_rate"])
-    capacity_fn = columns.capacity_fn
+    capacity = columns.capacity
     if math.isnan(values["baseline_full_parallel"]):
         values["baseline_full_parallel"] = Impossibility(
             reason="capacity vanishes at the effective idle error rate",
             threshold_name="effective_error_rate",
-            threshold_value=_capacity_zero_hint(_baseline_capacity(noise, capacity_fn)),
+            threshold_value=_capacity_zero_hint(capacity),
             actual=_effective_rate(p, q),
         )
     feasible = bool(columns.feasible[0])
@@ -369,16 +330,16 @@ def overhead_bound(
         )
     elif not feasible:
         verdict = Impossibility(
-            reason=f"capacity mode '{capacity_fn.kind.value}' vanishes at the residual error rate",
+            reason=f"capacity mode '{capacity.value}' vanishes at the residual error rate",
             threshold_name="capacity_zero",
-            threshold_value=_capacity_zero_hint(capacity_fn),
+            threshold_value=_capacity_zero_hint(capacity),
             actual=values["residual_rate"],
         )
     if not feasible:
         values.update(n_min=None, overhead_lb=None)
     return BoundReport(
         l=l, p=p, alpha=alpha, theta=theta, q=q, noise=noise,
-        capacity_mode=capacity_fn.kind.value, feasible=feasible, verdict=verdict,
+        capacity_mode=capacity.value, feasible=feasible, verdict=verdict,
         crossing_epochs=int(columns.crossing_epochs[0]) if feasible else None, **values,
     )
 
@@ -427,12 +388,13 @@ class KappaSurface:
             )
         if self.noise is Noise.ERASURE:
             return self.p / (2.0 * alpha - self.p)
-        rate = DEPOLARIZING_HASHING.eval(max(0.0, (self.p - alpha) / self.p) if self.p > 0 else 0.0)
+        hashing = CapacityKind.DEPOLARIZING_HASHING
+        rate = hashing.eval(max(0.0, (self.p - alpha) / self.p) if self.p > 0 else 0.0)
         if rate <= 0.0:
             return Impossibility(
                 reason="hashing rate vanishes at the residual error rate",
                 threshold_name="capacity_zero",
-                threshold_value=_capacity_zero_hint(DEPOLARIZING_HASHING),
+                threshold_value=_capacity_zero_hint(hashing),
                 actual=(self.p - alpha) / self.p,
             )
         return 1.0 / rate

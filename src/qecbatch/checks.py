@@ -103,8 +103,7 @@ def oracle_vs_monte_carlo(
     spec = TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max, master_seed=seed)
     est = run_batch(spec, n * beta)
     dists = epochs(build_kernel(params), StateDistribution.point_mass(n), t_max)
-    # a tail sum can round a few ulps above 1
-    truth = np.clip([tail_prob(dist, n * beta) for dist in dists], 0.0, 1.0)
+    truth = np.array([tail_prob(dist, n * beta) for dist in dists])
     se = np.sqrt(truth * (1.0 - truth) / n_traj)
     misses = int(np.count_nonzero(np.abs(est.p_hat_by_t - truth) > z * se))
     allowed = math.floor(miss_frac * (t_max + 1))

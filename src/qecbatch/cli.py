@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -50,11 +51,6 @@ _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
 # Largest grid `sweep` evaluates. Peak memory grows by about 0.75 kB per
 # point (75 MiB for a 10^5-point CSV sweep), so the cap is near 0.8 GB.
 SWEEP_POINT_CAP = 10**6
-
-_CAPACITY_CHOICES = {
-    "hashing": bounds_mod.DEPOLARIZING_HASHING,
-    "hashing-cutoff": bounds_mod.DEPOLARIZING_HASHING_CUTOFF,
-}
 
 
 class UsageError(Exception):
@@ -176,7 +172,7 @@ class ExperimentConfig:
     noise: str = _key("erasure or depolarizing", "simulate exact bounds sweep", "erasure",
                       choices=("erasure", "depolarizing"))
     capacity: str = _key("depolarizing capacity mode: hashing or hashing-cutoff",
-                         "bounds sweep", "hashing", choices=tuple(_CAPACITY_CHOICES))
+                         "bounds sweep", "hashing", choices=("hashing", "hashing-cutoff"))
     kappa: float | None = _key("decoherence rate (pairs with --t-g)", "bounds")
     t_g: float | None = _key("duration of one correction batch", "bounds")
     beta: float | None = _key("target error fraction", "simulate exact meanfield")
@@ -223,9 +219,6 @@ class ExperimentConfig:
 
     def noise_kind(self) -> Noise:
         return Noise(self.noise)
-
-    def capacity_fn(self) -> bounds_mod.CapacityFn:
-        return _CAPACITY_CHOICES[self.capacity]
 
 
 _KEYS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
@@ -285,6 +278,21 @@ def _require(config: ExperimentConfig, *names: str) -> None:
         )
 
 
+def _reject_unused(config: ExperimentConfig, names: Iterable[str], target: str) -> None:
+    """Refuse keys the run fixes itself: a given value would be recorded but unused."""
+    for name in names:
+        if getattr(config, name) != _KEYS[name].default:
+            raise UsageError(f"--{name} does not apply to {target}")
+
+
+def _capacity(config: ExperimentConfig) -> bounds_mod.CapacityKind | None:
+    """The --capacity mode; None under erasure noise, which fixes its own capacity."""
+    if config.noise_kind() is Noise.ERASURE:
+        _reject_unused(config, ("capacity",), "erasure noise")
+        return None
+    return bounds_mod.CapacityKind(config.capacity)
+
+
 def _model_params(config: ExperimentConfig) -> ModelParams:
     return ModelParams(
         n=config.n,
@@ -314,10 +322,16 @@ def _config_json(config: ExperimentConfig) -> str:
     return json.dumps(config.to_mapping(), sort_keys=True)
 
 
+def _encode(value: object) -> object:
+    """json.dumps hook for result records: an Enum as its value, a dataclass as
+    a dict. asdict raises the TypeError json.dumps expects for anything else."""
+    return value.value if isinstance(value, Enum) else asdict(value)
+
+
 def _write_json(path: Path, config: ExperimentConfig, schema: str, payload: dict) -> None:
     doc = {"schema": schema, "config": config.to_mapping()}
     doc.update(payload)
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=_encode) + "\n")
 
 
 def _csv_lines(rows: Iterable[Sequence[object]]) -> Iterator[str]:
@@ -445,11 +459,10 @@ def _run_bounds(config: ExperimentConfig) -> int:
     _require(config, "l", "p", "alpha", "theta")
     report = bounds_mod.overhead_bound(
         l=config.l, p=config.p, alpha=config.alpha, theta=config.theta,
-        noise=config.noise_kind(), q=config.q,
-        capacity_fn=None if config.noise == "erasure" else config.capacity_fn(),
+        noise=config.noise_kind(), q=config.q, capacity=_capacity(config),
     )
     path = _out_path(config, "bounds.json")
-    _write_json(path, config, "qecbatch.bounds.v1", {"report": report.to_dict()})
+    _write_json(path, config, "qecbatch.bounds.v1", {"report": report})
     if report.feasible:
         print(f"bounds: n_min={report.n_min:.6g} (overhead {report.overhead_lb:.4f}, "
               f"crossing epochs {report.crossing_epochs}); wrote {path}")
@@ -461,21 +474,18 @@ def _run_bounds(config: ExperimentConfig) -> int:
 def _run_kappa_surface(config: ExperimentConfig) -> int:
     if config.p is not None:
         raise UsageError("give either --p or the pair --kappa/--t-g, not both")
-    # the surface fixes these itself; a given value would be recorded but unused
-    for name in ("l", "theta", "q", "capacity"):
-        if getattr(config, name) != _KEYS[name].default:
-            raise UsageError(f"--{name} does not apply to the --kappa/--t-g surface")
+    _reject_unused(config, ("l", "theta", "q", "capacity"), "the --kappa/--t-g surface")
     _require(config, "kappa", "t_g", "alpha")
     surface = bounds_mod.kappa_surface(config.kappa, config.t_g, config.noise_kind())
     overhead = surface.overhead(config.alpha)
     try:
-        check = asdict(surface.small_budget_check(config.alpha))
+        check = surface.small_budget_check(config.alpha)
     except ValueError:  # the kappa*t_g << 1 form does not apply at this point
         check = None
     payload = {
         "p": surface.p,
         "alpha_min": surface.alpha_min,
-        "overhead": bounds_mod._serialize(overhead),
+        "overhead": overhead,
         "small_budget_check": check,
     }
     path = _out_path(config, "bounds.json")
@@ -497,12 +507,12 @@ def _run_couple(config: ExperimentConfig) -> int:
     )
     fmt = _fmt(config, "json")
     path = _out_path(config, f"couple.{fmt}")
-    summary = report.to_dict()
     if fmt == "csv":
+        summary = asdict(report)
         row = tuple(repr(v) if isinstance(v, float) else v for v in summary.values())
         _write_csv(path, config, "qecbatch.couple.v1", tuple(summary), _csv_lines([row]))
     else:
-        _write_json(path, config, "qecbatch.couple.v1", {"report": summary})
+        _write_json(path, config, "qecbatch.couple.v1", {"report": report})
     print(f"couple: inclusion holds on {report.inclusion_fraction:.4%} of "
           f"{report.pairs_checked} pairs, faithfulness p-value "
           f"{report.pit_chi2_pvalue}; wrote {path}")
@@ -560,7 +570,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
             )
     columns = bounds_mod.overhead_columns(
         **{name: point[name] for name in _SWEEPABLE}, noise=config.noise_kind(),
-        capacity_fn=None if config.noise == "erasure" else config.capacity_fn(),
+        capacity=_capacity(config),
     )
     inside = ~columns.out_of_domain
     everywhere = np.ones(count, dtype=bool)
@@ -568,7 +578,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
     table = {name: (point[name], everywhere) for name in _SWEEPABLE}
     table.update(
         noise=(config.noise, everywhere),
-        capacity_mode=(np.where(inside, columns.capacity_fn.kind.value, ""), everywhere),
+        capacity_mode=(np.where(inside, columns.capacity.value, ""), everywhere),
         status=(np.where(columns.out_of_domain, "out-of-domain",
                          np.where(columns.feasible, "ok", "impossible")), everywhere),
         baseline_full_parallel=(columns.baseline_full_parallel,

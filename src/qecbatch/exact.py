@@ -305,7 +305,8 @@ def tail_prob(dist: StateDistribution, threshold: float) -> float:
         return 1.0
     if first > dist.n:
         return 0.0
-    return float(dist.mass[first:].sum())
+    # the pushed mass can sum a few ulps above 1
+    return min(1.0, float(dist.mass[first:].sum()))
 
 
 @dataclass(frozen=True)

@@ -275,34 +275,12 @@ class CouplingReport:
     t_max: int
     pairs_checked: int
     inclusion_violations: int
+    inclusion_fraction: float
     count_violations: int
     injection_events: int
     pit_chi2_stat: float | None
     pit_chi2_pvalue: float | None
     pit_dof: int
-
-    @property
-    def inclusion_fraction(self) -> float:
-        if self.pairs_checked == 0:
-            return 1.0
-        return 1.0 - self.inclusion_violations / self.pairs_checked
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q_low": self.q_low,
-            "q_high": self.q_high,
-            "n_traj": self.n_traj,
-            "t_max": self.t_max,
-            "pairs_checked": self.pairs_checked,
-            "inclusion_violations": self.inclusion_violations,
-            "inclusion_fraction": self.inclusion_fraction,
-            "count_violations": self.count_violations,
-            "injection_events": self.injection_events,
-            "pit_chi2_stat": self.pit_chi2_stat,
-            "pit_chi2_pvalue": self.pit_chi2_pvalue,
-            "pit_dof": self.pit_dof,
-        }
 
 
 def run_coupled(
@@ -369,6 +347,7 @@ def run_coupled(
         t_max=t_max,
         pairs_checked=n_traj * t_max,
         inclusion_violations=inclusion_violations,
+        inclusion_fraction=1.0 - inclusion_violations / (n_traj * t_max),
         count_violations=count_violations,
         injection_events=len(pit_values),
         pit_chi2_stat=stat,

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -6,11 +5,8 @@ import numpy as np
 import pytest
 
 from qecbatch.bounds import (
-    DEPOLARIZING_HASHING,
-    DEPOLARIZING_HASHING_CUTOFF,
-    ERASURE_EXACT,
+    CapacityKind,
     Impossibility,
-    default_capacity,
     hitting_prob_lb,
     kappa_surface,
     overhead_bound,
@@ -35,35 +31,36 @@ def test_hitting_prob_lb_grows_with_n():
 
 
 def test_erasure_capacity():
-    assert ERASURE_EXACT.eval(0.0) == 1.0
-    assert ERASURE_EXACT.eval(0.25) == pytest.approx(0.5)
-    assert ERASURE_EXACT.eval(0.5) == 0.0
-    assert ERASURE_EXACT.eval(0.8) == 0.0  # clamped, not negative
+    erasure = CapacityKind.ERASURE_EXACT
+    assert erasure.eval(0.0) == 1.0
+    assert erasure.eval(0.25) == pytest.approx(0.5)
+    assert erasure.eval(0.5) == 0.0
+    assert erasure.eval(0.8) == 0.0  # clamped, not negative
     with pytest.raises(ValueError):
-        ERASURE_EXACT.eval(1.2)
+        erasure.eval(1.2)
     with pytest.raises(ValueError):
-        ERASURE_EXACT.eval(-0.1)
+        erasure.eval(-0.1)
 
 
 def test_hashing_capacity_frozen_values():
+    hashing = CapacityKind.DEPOLARIZING_HASHING
     # frozen from an independent evaluation of 1 - H2(3g/4) - (3g/4) log2 3
-    assert DEPOLARIZING_HASHING.eval(0.1) == pytest.approx(0.4968162683194162, rel=1e-12)
-    assert DEPOLARIZING_HASHING.eval(0.2) == pytest.approx(0.15241532017542606, rel=1e-12)
-    assert DEPOLARIZING_HASHING.eval(0.0) == 1.0
+    assert hashing.eval(0.1) == pytest.approx(0.4968162683194162, rel=1e-12)
+    assert hashing.eval(0.2) == pytest.approx(0.15241532017542606, rel=1e-12)
+    assert hashing.eval(0.0) == 1.0
     # the rate crosses zero near 0.25239
-    assert DEPOLARIZING_HASHING.eval(0.2523) > 0.0
-    assert DEPOLARIZING_HASHING.eval(0.2525) == 0.0
+    assert hashing.eval(0.2523) > 0.0
+    assert hashing.eval(0.2525) == 0.0
 
 
 def test_cutoff_capacity():
-    assert DEPOLARIZING_HASHING_CUTOFF.eval(0.2) == DEPOLARIZING_HASHING.eval(0.2)
-    assert DEPOLARIZING_HASHING_CUTOFF.eval(1.0 / 3.0) == 0.0
-    assert DEPOLARIZING_HASHING_CUTOFF.eval(0.5) == 0.0
+    cutoff = CapacityKind.DEPOLARIZING_HASHING_CUTOFF
+    assert cutoff.eval(0.2) == CapacityKind.DEPOLARIZING_HASHING.eval(0.2)
+    assert cutoff.eval(1.0 / 3.0) == 0.0
+    assert cutoff.eval(0.5) == 0.0
 
 
-@pytest.mark.parametrize("capacity", [
-    ERASURE_EXACT, DEPOLARIZING_HASHING, DEPOLARIZING_HASHING_CUTOFF,
-])
+@pytest.mark.parametrize("capacity", list(CapacityKind))
 def test_capacity_on_arrays_equals_pointwise(capacity):
     """An array evaluation gives bit for bit the scalar value at each element
     and keeps the input's shape."""
@@ -79,9 +76,18 @@ def test_capacity_on_arrays_equals_pointwise(capacity):
         capacity.eval(np.array([0.2, 1.5]))
 
 
-def test_default_capacity():
-    assert default_capacity(Noise.ERASURE) is ERASURE_EXACT
-    assert default_capacity(Noise.DEPOLARIZING) is DEPOLARIZING_HASHING
+def test_capacity_mode_follows_the_noise():
+    """Erasure noise has its exact capacity, depolarizing noise the given
+    hashing mode (plain hashing by default); another noise's mode is refused."""
+    assert overhead_bound(100, 0.2, 0.15, 0.1).capacity_mode == "erasure-exact"
+    depolarizing = (100, 0.2, 0.18, 0.05, Noise.DEPOLARIZING)
+    assert overhead_bound(*depolarizing).capacity_mode == "hashing"
+    cutoff = CapacityKind.DEPOLARIZING_HASHING_CUTOFF
+    assert overhead_bound(*depolarizing, capacity=cutoff).capacity_mode == "hashing-cutoff"
+    with pytest.raises(ValueError, match="'hashing-cutoff' does not apply to erasure noise"):
+        overhead_bound(100, 0.2, 0.15, 0.1, capacity=cutoff)
+    with pytest.raises(ValueError, match="'erasure-exact' does not apply to depolarizing noise"):
+        overhead_bound(*depolarizing, capacity=CapacityKind.ERASURE_EXACT)
 
 
 def test_baseline_frozen_values():
@@ -98,7 +104,7 @@ def test_baseline_impossible():
     assert isinstance(verdict, Impossibility)
     assert verdict.threshold_name == "effective_error_rate"
     assert verdict.threshold_value == pytest.approx(0.5)
-    assert verdict.to_dict()["impossible"] is True
+    assert verdict.impossible is True
     # combined idle rate 1 - 0.7*0.6 = 0.58 also sits past one half
     assert isinstance(overhead_bound(100, 0.3, 0.2, 0.1, q=0.4).baseline_full_parallel,
                       Impossibility)
@@ -174,7 +180,7 @@ def test_overhead_bound_depolarizing_capacity_zero():
     assert report.verdict.threshold_value == pytest.approx(0.2524, abs=1e-3)
     cutoff = overhead_bound(
         100, 0.2, 0.14, 0.01, noise=Noise.DEPOLARIZING,
-        capacity_fn=DEPOLARIZING_HASHING_CUTOFF,
+        capacity=CapacityKind.DEPOLARIZING_HASHING_CUTOFF,
     )
     assert cutoff.verdict.threshold_value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -199,17 +205,6 @@ def test_overhead_bound_validation():
         overhead_bound(100, 0.2, 0.12, 0.45)  # theta above (p - alpha)/p
     with pytest.raises(ValueError):
         overhead_bound(100, 0.2, 0.12, 0.0)
-
-
-def test_bound_report_serializes():
-    report = overhead_bound(100, 0.2, 0.05, 0.1)
-    doc = report.to_dict()
-    json.dumps(doc)
-    assert doc["noise"] == "erasure"
-    assert doc["verdict"]["impossible"] is True
-    feasible_doc = overhead_bound(100, 0.2, 0.12, 0.1).to_dict()
-    json.dumps(feasible_doc)
-    assert feasible_doc["verdict"] is None
 
 
 def test_kappa_surface_frozen_case():
@@ -243,7 +238,7 @@ def test_kappa_surface_depolarizing():
     assert surface.p == pytest.approx(p, rel=1e-12)
     assert surface.alpha_min == pytest.approx(p / 1.5, rel=1e-12)
     over = surface.overhead(0.9 * p)
-    assert over == pytest.approx(1.0 / DEPOLARIZING_HASHING.eval(0.1), rel=1e-12)
+    assert over == pytest.approx(1.0 / CapacityKind.DEPOLARIZING_HASHING.eval(0.1), rel=1e-12)
     with pytest.raises(ValueError):
         surface.small_budget_check(0.9 * p)
 

@@ -2,14 +2,14 @@ import csv
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qecbatch.bounds import DEPOLARIZING_HASHING_CUTOFF, overhead_bound
+from qecbatch.bounds import CapacityKind, overhead_bound
 from qecbatch.chain import ModelParams, Noise
 from qecbatch.cli import (
     COMMANDS,
@@ -24,6 +24,7 @@ from qecbatch.cli import (
 )
 from qecbatch.exact import build_kernel
 from qecbatch.meanfield import iterate_recursion
+from qecbatch.montecarlo import CouplingReport
 
 CONFIG_TEXT = """
 # memory under test
@@ -172,6 +173,7 @@ def test_bounds_json_output(tmp_path, monkeypatch):
     assert doc["schema"] == "qecbatch.bounds.v1"
     assert doc["report"]["n_min"] == pytest.approx(250.0, rel=1e-9)
     assert doc["report"]["feasible"] is True
+    assert doc["report"]["verdict"] is None
     rebuilt = config_from_mapping(doc["config"])
     assert rebuilt.l == 100 and rebuilt.command == "bounds"
 
@@ -183,6 +185,18 @@ def test_bounds_impossible_still_exits_zero(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "bounds.json").read_text())
     assert doc["report"]["feasible"] is False
     assert doc["report"]["verdict"]["impossible"] is True
+    assert doc["report"]["noise"] == "erasure"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.15", "--theta", "0.1"],
+    ["sweep", "--l", "100", "--p", "0.2", "--theta", "0.1", "--grid", "alpha:0.05:0.25:9"],
+])
+def test_capacity_is_refused_under_erasure(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--capacity", "hashing-cutoff", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: --capacity does not apply to erasure noise\n"
+    assert not out.exists()
 
 
 def test_bounds_kappa_surface(tmp_path):
@@ -340,6 +354,8 @@ def test_couple_json(tmp_path, monkeypatch):
                  "--t-max", "10"]) == 0
     doc = json.loads((tmp_path / "couple.json").read_text())
     report = doc["report"]
+    assert set(report) == {f.name for f in fields(CouplingReport)}
+    assert report["n"] == 30
     assert report["inclusion_fraction"] == 1.0
     assert report["pairs_checked"] == 500
 
@@ -352,6 +368,7 @@ def test_couple_csv_summary(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "# schema=qecbatch.couple.v1"
     header = lines[2].split(",")
+    assert header == [f.name for f in fields(CouplingReport)]
     row = dict(zip(header, lines[3].split(",")))
     assert row["inclusion_fraction"] == "1.0"
     assert row["pairs_checked"] == "500"
@@ -513,22 +530,25 @@ def test_one_point_sweep_matches_bounds(tmp_path, point, noise, cutoff):
     """A sweep row prints the strings of overhead_bound's report for the same
     point, and is out-of-domain exactly where overhead_bound raises."""
     l, p, alpha, theta, q = point
-    capacity = "hashing-cutoff" if cutoff else "hashing"
+    # --capacity picks a depolarizing mode; erasure noise refuses it
+    capacity = None
+    if noise == "depolarizing":
+        capacity = CapacityKind("hashing-cutoff" if cutoff else "hashing")
     out = tmp_path / "point.csv"
     # `--key=value` keeps argparse from reading a value like -1e-9 as a flag
     assert main(["sweep", f"--l={l}", f"--p={p!r}", f"--alpha={alpha!r}",
-                 f"--theta={theta!r}", f"--noise={noise}", f"--capacity={capacity}",
+                 f"--theta={theta!r}", f"--noise={noise}",
+                 *([f"--capacity={capacity.value}"] if capacity else []),
                  f"--grid=q:{q!r}:{q!r}:2", f"--out={out}"]) == 0
     row, twin = _read_sweep(out)
     assert row == twin
     try:
-        report = overhead_bound(
-            l, p, alpha, theta, noise=Noise(noise), q=q,
-            capacity_fn=DEPOLARIZING_HASHING_CUTOFF if noise == "depolarizing" and cutoff else None,
-        ).to_dict()
+        report = asdict(overhead_bound(l, p, alpha, theta, noise=Noise(noise), q=q,
+                                       capacity=capacity))
     except ValueError:
         assert row["status"] == "out-of-domain"
         return
+    report["noise"] = report["noise"].value
     assert row["status"] == ("ok" if report["feasible"] else "impossible")
     if isinstance(report["baseline_full_parallel"], dict):
         report["baseline_full_parallel"] = None

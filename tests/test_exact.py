@@ -174,6 +174,19 @@ def test_tail_prob_is_strict():
     assert tail_prob(dist, 2) == 0.0
 
 
+@pytest.mark.parametrize("params, beta", [
+    (ModelParams(n=300, p=0.2, alpha=0.05), 0.5),
+    (ModelParams(n=60, p=0.2, alpha=0.05, q=0.05, q_period=3), 0.375),
+])
+def test_tail_prob_never_exceeds_one(params, beta):
+    """Pushed mass can sum a few ulps above 1; at these points unclamped
+    tail sums reach 1 + 4e-16 and 1 + 7e-16."""
+    dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), 40)
+    tails = [tail_prob(dist, params.n * beta) for dist in dists]
+    assert max(tails) <= 1.0
+    assert max(tails) == 1.0  # the tail saturates, so the clamp is reached
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         StateDistribution(t=0, mass=np.array([0.5, 0.4]))

@@ -187,15 +187,6 @@ def test_coupled_validation():
             run_coupled(PARAMS, 0.01, 0.05, n_traj=10, t_max=5, master_seed=seed)
 
 
-def test_coupling_report_serializes():
-    params = ModelParams(n=20, p=0.2, alpha=0.1)
-    report = run_coupled(params, 0.01, 0.03, n_traj=20, t_max=5, master_seed=2)
-    doc = report.to_dict()
-    assert doc["n"] == 20
-    assert doc["inclusion_fraction"] == 1.0
-    assert set(doc) >= {"pit_chi2_stat", "pit_chi2_pvalue", "pairs_checked"}
-
-
 def _randomized_pit(value, trials, prob, rng):
     """Scalar randomized PIT of one Binomial(trials, prob) draw."""
     lower = float(binom.cdf(value - 1, trials, prob)) if value > 0 else 0.0
