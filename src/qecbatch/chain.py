@@ -38,7 +38,8 @@ _BUDGET_REL_SLACK = 1e-12
 
 
 class Noise(Enum):
-    """Supported single-qubit noise kinds. Both are absorbing per qubit."""
+    """Supported single-qubit noise kinds. Both are absorbing per qubit, so the
+    chain is the same for both; only the capacity in `qecbatch.bounds` differs."""
 
     ERASURE = "erasure"
     DEPOLARIZING = "depolarizing"
@@ -60,8 +61,6 @@ class ModelParams:
     q        : per-qubit decoherence probability during one static phase
                (0 disables static phases entirely).
     q_period : one static phase is injected per q_period correction epochs.
-    noise    : noise kind; it never changes the chain dynamics, only which
-               capacity formulas apply downstream.
     """
 
     n: int
@@ -69,7 +68,6 @@ class ModelParams:
     alpha: float
     q: float = 0.0
     q_period: int = 1
-    noise: Noise = Noise.ERASURE
 
     def __post_init__(self) -> None:
         for name in ("n", "q_period"):
@@ -84,8 +82,6 @@ class ModelParams:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.q_period < 1:
             raise ValueError(f"q_period must be >= 1, got {self.q_period}")
-        if not isinstance(self.noise, Noise):
-            raise ValueError(f"noise must be a Noise member, got {self.noise!r}")
 
     @property
     def k_batch(self) -> int:

@@ -12,8 +12,9 @@ the field's metadata holds the help text and the commands that take the
 key as a flag, and its annotated type (int, float or str) picks the
 parser unless the metadata names one. Unknown config keys are hard
 errors. Results are written atomically (temp file then rename) as CSV
-or JSON, both carrying the fully resolved configuration, and every
-emitted JSON config re-parses to the same ExperimentConfig. Exit codes:
+or JSON, both carrying the keys the run read, and every emitted JSON
+config re-parses to the same ExperimentConfig. Any other key, from a
+flag, a config file or a document, must hold its default. Exit codes:
 0 success (impossibility verdicts included), 1 usage or parameter
 error, 2 verification failure.
 """
@@ -29,7 +30,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +54,7 @@ _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
 SWEEP_POINT_CAP = 10**6
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags or config; maps to exit code 1."""
 
 
@@ -169,7 +170,7 @@ class ExperimentConfig:
                                "bounds sweep", parse=_parse_theta)
     q: float = _key("static-phase decoherence probability", "simulate exact bounds sweep", 0.0)
     q_period: int = _key("correction epochs per static phase", "simulate exact couple", 1)
-    noise: str = _key("erasure or depolarizing", "simulate exact bounds sweep", "erasure",
+    noise: str = _key("erasure or depolarizing", "bounds sweep", "erasure",
                       choices=("erasure", "depolarizing"))
     capacity: str = _key("depolarizing capacity mode: hashing or hashing-cutoff",
                          "bounds sweep", "hashing", choices=("hashing", "hashing-cutoff"))
@@ -203,25 +204,34 @@ class ExperimentConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        for name, what in _ignored(self):
+            if getattr(self, name) != _KEYS[name].default:
+                raise UsageError(f"--{name.replace('_', '-')} does not apply to {what}")
 
     def to_mapping(self) -> dict:
+        """The command and each key the run reads, unless it is None."""
+        ignored = {name for name, _ in _ignored(self)}
         out: dict = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name == "grid":
-                if value:
-                    out["grid"] = [axis.token() for axis in value]
-                continue
-            out[f.name] = value
+            if value is not None and f.name not in ignored:
+                out[f.name] = [axis.token() for axis in value] if f.name == "grid" else value
         return out
-
-    def noise_kind(self) -> Noise:
-        return Noise(self.noise)
 
 
 _KEYS = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+
+
+def _ignored(config: ExperimentConfig) -> Iterator[tuple[str, str]]:
+    """Each key the run does not read, with what ignores it."""
+    for name, f in _KEYS.items():
+        if config.command not in f.metadata["commands"]:
+            yield name, f"command '{config.command}'"
+    if config.command == "bounds" and (config.kappa is not None or config.t_g is not None):
+        for name in ("p", "l", "theta", "q", "capacity"):
+            yield name, "the --kappa/--t-g surface"
+    if config.command in ("bounds", "sweep") and Noise(config.noise) is Noise.ERASURE:
+        yield "capacity", "erasure noise"
 
 
 def _type_name(key: str) -> str:
@@ -278,17 +288,9 @@ def _require(config: ExperimentConfig, *names: str) -> None:
         )
 
 
-def _reject_unused(config: ExperimentConfig, names: Iterable[str], target: str) -> None:
-    """Refuse keys the run fixes itself: a given value would be recorded but unused."""
-    for name in names:
-        if getattr(config, name) != _KEYS[name].default:
-            raise UsageError(f"--{name} does not apply to {target}")
-
-
 def _capacity(config: ExperimentConfig) -> bounds_mod.CapacityKind | None:
     """The --capacity mode; None under erasure noise, which fixes its own capacity."""
-    if config.noise_kind() is Noise.ERASURE:
-        _reject_unused(config, ("capacity",), "erasure noise")
+    if Noise(config.noise) is Noise.ERASURE:
         return None
     return bounds_mod.CapacityKind(config.capacity)
 
@@ -300,15 +302,18 @@ def _model_params(config: ExperimentConfig) -> ModelParams:
         alpha=config.alpha,
         q=config.q,
         q_period=config.q_period,
-        noise=config.noise_kind(),
     )
 
 
-def _out_path(config: ExperimentConfig, default_name: str) -> Path:
-    if config.out is not None:
-        return Path(config.out)
-    base = Path(os.environ.get(OUT_DIR_ENV, "."))
-    return base / default_name
+class _Document(NamedTuple):
+    """What a writing run computed: its schema, its summary line, and either
+    the JSON payload or the CSV header and lines."""
+
+    schema: str
+    summary: str
+    payload: dict | None = None
+    header: Sequence[str] = ()
+    lines: Iterable[str] = ()
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -318,38 +323,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _config_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_mapping(), sort_keys=True)
-
-
 def _encode(value: object) -> object:
     """json.dumps hook for result records: an Enum as its value, a dataclass as
     a dict. asdict raises the TypeError json.dumps expects for anything else."""
     return value.value if isinstance(value, Enum) else asdict(value)
 
 
-def _write_json(path: Path, config: ExperimentConfig, schema: str, payload: dict) -> None:
-    doc = {"schema": schema, "config": config.to_mapping()}
-    doc.update(payload)
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=_encode) + "\n")
-
-
 def _csv_lines(rows: Iterable[Sequence[object]]) -> Iterator[str]:
     """CSV lines from rows of cells; None is an empty cell, anything else is str(cell)."""
     for row in rows:
         yield ",".join("" if cell is None else str(cell) for cell in row)
-
-
-def _write_csv(
-    path: Path, config: ExperimentConfig, schema: str, header: Sequence[str],
-    lines: Iterable[str],
-) -> None:
-    head = [f"# schema={schema}", f"# config={_config_json(config)}", ",".join(header)]
-    _write_atomic(path, "\n".join([*head, *lines]) + "\n")
-
-
-def _fmt(config: ExperimentConfig, default: str) -> str:
-    return config.format or default
 
 
 def _threshold(config: ExperimentConfig) -> float:
@@ -359,7 +342,7 @@ def _threshold(config: ExperimentConfig) -> float:
     return config.n * config.beta
 
 
-def _run_simulate(config: ExperimentConfig) -> int:
+def _run_simulate(config: ExperimentConfig, fmt: str) -> _Document:
     _require(config, "n", "p", "alpha", "beta", "n_traj", "t_max")
     threshold = _threshold(config)
     spec = mc_mod.TrajectoryBatch(
@@ -367,30 +350,23 @@ def _run_simulate(config: ExperimentConfig) -> int:
         master_seed=config.master_seed,
     )
     est = mc_mod.run_batch(spec, threshold, n_workers=config.threads)
-    fmt = _fmt(config, "csv")
-    path = _out_path(config, f"simulate.{fmt}")
+    summary = (f"simulate: P[X > {threshold:g}] at t={config.t_max} is "
+               f"{est.p_hat_by_t[-1]:.4f} ({config.n_traj} trajectories)")
+    curves = {"p_hat": est.p_hat_by_t.tolist(), "ci_low": est.ci_low_by_t.tolist(),
+              "ci_high": est.ci_high_by_t.tolist()}
     if fmt == "csv":
-        rows = [
-            (t, repr(float(est.p_hat_by_t[t])), repr(float(est.ci_halfwidth_by_t[t])))
-            for t in range(config.t_max + 1)
-        ]
-        _write_csv(path, config, "qecbatch.simulate.v1", ("t", "p_hat", "ci_halfwidth"),
-                   _csv_lines(rows))
-    else:
-        _write_json(path, config, "qecbatch.simulate.v1", {
-            "threshold": threshold,
-            "t": list(range(config.t_max + 1)),
-            "p_hat": est.p_hat_by_t.tolist(),
-            "ci_halfwidth": est.ci_halfwidth_by_t.tolist(),
-            "median_tau": None if math.isinf(est.median_tau()) else est.median_tau(),
-        })
-    final = est.p_hat_by_t[-1]
-    print(f"simulate: P[X > {threshold:g}] at t={config.t_max} is {final:.4f} "
-          f"({config.n_traj} trajectories); wrote {path}")
-    return 0
+        rows = ((t, *map(repr, cells)) for t, cells in enumerate(zip(*curves.values())))
+        return _Document("qecbatch.simulate.v2", summary, header=("t", *curves),
+                         lines=_csv_lines(rows))
+    return _Document("qecbatch.simulate.v2", summary, {
+        "threshold": threshold,
+        "t": list(range(config.t_max + 1)),
+        **curves,
+        "median_tau": None if math.isinf(est.median_tau()) else est.median_tau(),
+    })
 
 
-def _run_exact(config: ExperimentConfig) -> int:
+def _run_exact(config: ExperimentConfig, fmt: str) -> _Document:
     _require(config, "n", "p", "alpha", "t_max")
     threshold = None if config.beta is None else _threshold(config)
     kernel = exact_mod.build_kernel(_model_params(config))
@@ -399,124 +375,101 @@ def _run_exact(config: ExperimentConfig) -> int:
                                  config.t_max):
         if threshold is not None:
             curve.append(exact_mod.tail_prob(dist, threshold))
-    fmt = _fmt(config, "csv")
-    path = _out_path(config, f"exact.{fmt}")
     if threshold is not None:
+        summary = f"exact: P[X > {threshold:g}] at t={config.t_max} is {curve[-1]:.6g}"
         if fmt == "csv":
-            rows = [(t, repr(v)) for t, v in enumerate(curve)]
-            _write_csv(path, config, "qecbatch.exact-tail.v1", ("t", "tail_prob"),
-                       _csv_lines(rows))
-        else:
-            _write_json(path, config, "qecbatch.exact-tail.v1", {
-                "threshold": threshold,
-                "t": list(range(config.t_max + 1)),
-                "tail_prob": curve,
-                "mean_final": dist.mean(),
-                "error_bound": dist.err,
-            })
-        print(f"exact: P[X > {threshold:g}] at t={config.t_max} is {curve[-1]:.6g}; wrote {path}")
-    else:
-        if fmt == "csv":
-            rows = [(x, repr(float(dist.mass[x]))) for x in range(dist.n + 1)]
-            _write_csv(path, config, "qecbatch.exact-dist.v1", ("state", "probability"),
-                       _csv_lines(rows))
-        else:
-            _write_json(path, config, "qecbatch.exact-dist.v1", {
-                "t": dist.t,
-                "mass": dist.mass.tolist(),
-                "mean": dist.mean(),
-                "error_bound": dist.err,
-            })
-        print(f"exact: mean error count at t={config.t_max} is {dist.mean():.4f}; wrote {path}")
-    return 0
+            return _Document("qecbatch.exact-tail.v1", summary, header=("t", "tail_prob"),
+                             lines=_csv_lines((t, repr(v)) for t, v in enumerate(curve)))
+        return _Document("qecbatch.exact-tail.v1", summary, {
+            "threshold": threshold,
+            "t": list(range(config.t_max + 1)),
+            "tail_prob": curve,
+            "mean_final": dist.mean(),
+            "error_bound": dist.err,
+        })
+    summary = f"exact: mean error count at t={config.t_max} is {dist.mean():.4f}"
+    if fmt == "csv":
+        rows = ((x, repr(float(dist.mass[x]))) for x in range(dist.n + 1))
+        return _Document("qecbatch.exact-dist.v1", summary, header=("state", "probability"),
+                         lines=_csv_lines(rows))
+    return _Document("qecbatch.exact-dist.v1", summary, {
+        "t": dist.t,
+        "mass": dist.mass.tolist(),
+        "mean": dist.mean(),
+        "error_bound": dist.err,
+    })
 
 
-def _run_meanfield(config: ExperimentConfig) -> int:
+def _run_meanfield(config: ExperimentConfig, fmt: str) -> _Document:
     _require(config, "p", "alpha", "beta")
     crossing = mf_mod.epochs_to_cross(config.p, config.alpha, config.beta, config.delta)
-    fmt = _fmt(config, "json")
-    path = _out_path(config, f"meanfield.{fmt}")
+    summary = f"meanfield: crossing epoch T={crossing.T} at delta={crossing.delta:.6g}"
     if fmt == "csv":
         iterates = mf_mod.mf_iterate(1.0, config.p, config.alpha, crossing.delta,
                                      np.arange(crossing.T + 1))
-        rows = [(k, repr(x)) for k, x in enumerate(iterates.tolist())]
-        _write_csv(path, config, "qecbatch.meanfield.v1", ("k", "x_k"), _csv_lines(rows))
-    else:
-        _write_json(path, config, "qecbatch.meanfield.v1", {
-            "T": crossing.T,
-            "delta": crossing.delta,
-            "fixed_point_fraction": mf_mod._fixed_point(1.0, config.p - crossing.delta,
-                                                         config.alpha),
-            "steady_fraction": (config.p - config.alpha) / config.p,
-        })
-    print(f"meanfield: crossing epoch T={crossing.T} at delta={crossing.delta:.6g}; wrote {path}")
-    return 0
+        rows = ((k, repr(x)) for k, x in enumerate(iterates.tolist()))
+        return _Document("qecbatch.meanfield.v1", summary, header=("k", "x_k"),
+                         lines=_csv_lines(rows))
+    return _Document("qecbatch.meanfield.v1", summary, {
+        "T": crossing.T,
+        "delta": crossing.delta,
+        "fixed_point_fraction": mf_mod._fixed_point(1.0, config.p - crossing.delta,
+                                                     config.alpha),
+        "steady_fraction": (config.p - config.alpha) / config.p,
+    })
 
 
-def _run_bounds(config: ExperimentConfig) -> int:
+def _run_bounds(config: ExperimentConfig, fmt: str) -> _Document:
     if config.kappa is not None or config.t_g is not None:
         return _run_kappa_surface(config)
     _require(config, "l", "p", "alpha", "theta")
     report = bounds_mod.overhead_bound(
         l=config.l, p=config.p, alpha=config.alpha, theta=config.theta,
-        noise=config.noise_kind(), q=config.q, capacity=_capacity(config),
+        noise=Noise(config.noise), q=config.q, capacity=_capacity(config),
     )
-    path = _out_path(config, "bounds.json")
-    _write_json(path, config, "qecbatch.bounds.v1", {"report": report})
     if report.feasible:
-        print(f"bounds: n_min={report.n_min:.6g} (overhead {report.overhead_lb:.4f}, "
-              f"crossing epochs {report.crossing_epochs}); wrote {path}")
+        summary = (f"bounds: n_min={report.n_min:.6g} (overhead {report.overhead_lb:.4f}, "
+                   f"crossing epochs {report.crossing_epochs})")
     else:
-        print(f"bounds: impossible, {report.verdict.reason}; wrote {path}")
-    return 0
+        summary = f"bounds: impossible, {report.verdict.reason}"
+    return _Document("qecbatch.bounds.v1", summary, {"report": report})
 
 
-def _run_kappa_surface(config: ExperimentConfig) -> int:
-    if config.p is not None:
-        raise UsageError("give either --p or the pair --kappa/--t-g, not both")
-    _reject_unused(config, ("l", "theta", "q", "capacity"), "the --kappa/--t-g surface")
+def _run_kappa_surface(config: ExperimentConfig) -> _Document:
     _require(config, "kappa", "t_g", "alpha")
-    surface = bounds_mod.kappa_surface(config.kappa, config.t_g, config.noise_kind())
+    surface = bounds_mod.kappa_surface(config.kappa, config.t_g, Noise(config.noise))
     overhead = surface.overhead(config.alpha)
     try:
         check = surface.small_budget_check(config.alpha)
     except ValueError:  # the kappa*t_g << 1 form does not apply at this point
         check = None
-    payload = {
+    if isinstance(overhead, bounds_mod.Impossibility):
+        summary = f"bounds: impossible, {overhead.reason}"
+    else:
+        summary = (f"bounds: overhead {overhead:.6g} at alpha={config.alpha:g} "
+                   f"(p={surface.p:.6g}, alpha_min={surface.alpha_min:.6g})")
+    return _Document("qecbatch.kappa-surface.v1", summary, {
         "p": surface.p,
         "alpha_min": surface.alpha_min,
         "overhead": overhead,
         "small_budget_check": check,
-    }
-    path = _out_path(config, "bounds.json")
-    _write_json(path, config, "qecbatch.kappa-surface.v1", payload)
-    if isinstance(overhead, bounds_mod.Impossibility):
-        print(f"bounds: impossible, {overhead.reason}; wrote {path}")
-    else:
-        print(f"bounds: overhead {overhead:.6g} at alpha={config.alpha:g} "
-              f"(p={surface.p:.6g}, alpha_min={surface.alpha_min:.6g}); wrote {path}")
-    return 0
+    })
 
 
-def _run_couple(config: ExperimentConfig) -> int:
+def _run_couple(config: ExperimentConfig, fmt: str) -> _Document:
     _require(config, "n", "p", "alpha", "q_low", "q_high", "n_traj", "t_max")
-    params = _model_params(config)
     report = mc_mod.run_coupled(
-        params=params, q_low=config.q_low, q_high=config.q_high,
+        params=_model_params(config), q_low=config.q_low, q_high=config.q_high,
         n_traj=config.n_traj, t_max=config.t_max, master_seed=config.master_seed,
     )
-    fmt = _fmt(config, "json")
-    path = _out_path(config, f"couple.{fmt}")
+    summary = (f"couple: inclusion holds on {report.inclusion_fraction:.4%} of "
+               f"{report.pairs_checked} pairs, faithfulness p-value {report.pit_chi2_pvalue}")
     if fmt == "csv":
-        summary = asdict(report)
-        row = tuple(repr(v) if isinstance(v, float) else v for v in summary.values())
-        _write_csv(path, config, "qecbatch.couple.v1", tuple(summary), _csv_lines([row]))
-    else:
-        _write_json(path, config, "qecbatch.couple.v1", {"report": report})
-    print(f"couple: inclusion holds on {report.inclusion_fraction:.4%} of "
-          f"{report.pairs_checked} pairs, faithfulness p-value "
-          f"{report.pit_chi2_pvalue}; wrote {path}")
-    return 0
+        record = asdict(report)
+        row = tuple(repr(v) if isinstance(v, float) else v for v in record.values())
+        return _Document("qecbatch.couple.v1", summary, header=tuple(record),
+                         lines=_csv_lines([row]))
+    return _Document("qecbatch.couple.v1", summary, {"report": report})
 
 
 _SWEEP_COLUMNS = _SWEEPABLE + (
@@ -546,7 +499,7 @@ def _cells(
     return cells
 
 
-def _run_sweep(config: ExperimentConfig) -> int:
+def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
     if not config.grid:
         raise UsageError("sweep needs at least one --grid axis (name:start:stop:steps)")
     axes = config.grid
@@ -569,7 +522,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
                 f"sweep grid point l={float(point['l'][fractional[0]])!r} is not an integer"
             )
     columns = bounds_mod.overhead_columns(
-        **{name: point[name] for name in _SWEEPABLE}, noise=config.noise_kind(),
+        **{name: point[name] for name in _SWEEPABLE}, noise=Noise(config.noise),
         capacity=_capacity(config),
     )
     inside = ~columns.out_of_domain
@@ -588,7 +541,6 @@ def _run_sweep(config: ExperimentConfig) -> int:
         table[name] = (getattr(columns, name), columns.feasible)
     for name in ("alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha"):
         table[name] = (getattr(columns, name), inside)
-    fmt = _fmt(config, "csv")
     # CSV cells are text, JSON cells Python values; l is an integer in both
     if fmt == "csv":
         convert, convert_l, missing = str, (lambda v: str(int(v))), ""
@@ -596,17 +548,14 @@ def _run_sweep(config: ExperimentConfig) -> int:
         convert, convert_l, missing = (lambda v: v), int, None
     cells = [_cells(*table[name], convert_l if name == "l" else convert, missing)
              for name in _SWEEP_COLUMNS]
-    path = _out_path(config, f"sweep.{fmt}")
-    if fmt == "csv":
-        _write_csv(path, config, "qecbatch.sweep.v1", _SWEEP_COLUMNS,
-                   map(",".join, zip(*cells)))
-    else:
-        _write_json(path, config, "qecbatch.sweep.v1", {
-            "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in zip(*cells)],
-        })
     feasible = int(np.count_nonzero(columns.feasible))
-    print(f"sweep: {count} grid points, {feasible} with finite bounds; wrote {path}")
-    return 0
+    summary = f"sweep: {count} grid points, {feasible} with finite bounds"
+    if fmt == "csv":
+        return _Document("qecbatch.sweep.v1", summary, header=_SWEEP_COLUMNS,
+                         lines=map(",".join, zip(*cells)))
+    return _Document("qecbatch.sweep.v1", summary, {
+        "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in zip(*cells)],
+    })
 
 
 def _run_verify(config: ExperimentConfig, checks=checks_mod.VERIFY) -> int:
@@ -623,20 +572,42 @@ def _run_verify(config: ExperimentConfig, checks=checks_mod.VERIFY) -> int:
     return 0
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "exact": _run_exact,
-    "meanfield": _run_meanfield,
-    "bounds": _run_bounds,
-    "couple": _run_couple,
-    "sweep": _run_sweep,
-    "verify": _run_verify,
+# Each writing command's runner and its default format.
+_WRITERS = {
+    "simulate": (_run_simulate, "csv"),
+    "exact": (_run_exact, "csv"),
+    "meanfield": (_run_meanfield, "json"),
+    "bounds": (_run_bounds, "json"),
+    "couple": (_run_couple, "json"),
+    "sweep": (_run_sweep, "csv"),
 }
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one fully resolved configuration; returns the exit code."""
-    return _RUNNERS[config.command](config)
+    """Execute one fully resolved configuration; returns the exit code.
+
+    A writing run's document goes to --out, else to {command}.{format}
+    in $QECBATCH_OUT_DIR or the working directory, headed by its schema
+    and the keys the run read.
+    """
+    if config.command == "verify":
+        return _run_verify(config)
+    runner, default = _WRITERS[config.command]
+    fmt = config.format or default
+    doc = runner(config, fmt)
+    path = (Path(config.out) if config.out is not None
+            else Path(os.environ.get(OUT_DIR_ENV, ".")) / f"{config.command}.{fmt}")
+    if fmt == "csv":
+        head = [f"# schema={doc.schema}",
+                f"# config={json.dumps(config.to_mapping(), sort_keys=True)}",
+                ",".join(doc.header)]
+        text = "\n".join([*head, *doc.lines]) + "\n"
+    else:
+        body = {"schema": doc.schema, "config": config.to_mapping(), **doc.payload}
+        text = json.dumps(body, indent=2, sort_keys=True, default=_encode) + "\n"
+    _write_atomic(path, text)
+    print(f"{doc.summary}; wrote {path}")
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):

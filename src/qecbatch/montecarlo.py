@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.stats import beta as beta_dist
 from scipy.stats import binom as binom_dist
 from scipy.stats import chi2 as chi2_dist
 
@@ -45,9 +46,6 @@ __all__ = [
     "location_counts",
     "chi_square_uniformity",
 ]
-
-# Two-sided 99% normal quantile, used for all confidence half-widths here.
-Z_99 = 2.5758293035489004
 
 _PIT_BINS = 20
 _SEED_LIMIT = 1 << 64
@@ -134,15 +132,17 @@ class HittingEstimate:
     """Empirical exceedance curve for one threshold.
 
     p_hat_by_t[t] estimates P[X_t > threshold] for t = 0..t_max, with
-    99% normal-approximation half-widths alongside. tau_samples holds
-    each trajectory's first exceedance epoch, -1 when it never crossed.
+    99% Clopper-Pearson bounds ci_low_by_t[t] <= p_hat_by_t[t] <=
+    ci_high_by_t[t] alongside. tau_samples holds each trajectory's first
+    exceedance epoch, -1 when it never crossed.
     """
 
     threshold: float
     n_traj: int
     master_seed: int
     p_hat_by_t: np.ndarray
-    ci_halfwidth_by_t: np.ndarray
+    ci_low_by_t: np.ndarray
+    ci_high_by_t: np.ndarray
     tau_samples: np.ndarray
 
     def median_tau(self) -> float:
@@ -189,16 +189,27 @@ def run_batch(
             results = list(pool.map(_exceed_worker, args))
     counts = sum(r[0] for r in results)
     taus = np.concatenate([r[1] for r in results])
-    p_hat = counts / spec.n_traj
-    half = Z_99 * np.sqrt(p_hat * (1.0 - p_hat) / spec.n_traj)
+    low, high = _clopper_pearson(counts, spec.n_traj)
     return HittingEstimate(
         threshold=threshold,
         n_traj=spec.n_traj,
         master_seed=spec.master_seed,
-        p_hat_by_t=p_hat,
-        ci_halfwidth_by_t=half,
+        p_hat_by_t=counts / spec.n_traj,
+        ci_low_by_t=low,
+        ci_high_by_t=high,
         tau_samples=taus,
     )
+
+
+def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided 99% Clopper-Pearson bounds for k successes in n trials. The
+    low bound is exactly 0 at k = 0 and the high bound exactly 1 at k = n,
+    where their beta quantiles are undefined."""
+    low, high = np.zeros(k.shape), np.ones(k.shape)
+    some, short = k > 0, k < n
+    low[some] = beta_dist.ppf(0.005, k[some], n - k[some] + 1)
+    high[short] = beta_dist.ppf(0.995, k[short] + 1, n - k[short])
+    return low, high
 
 
 def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:

@@ -41,7 +41,6 @@ def test_k_batch_decimal_products():
         dict(n=10, p=0.2, alpha=1.01),
         dict(n=10, p=0.2, alpha=0.1, q=-0.2),
         dict(n=10, p=0.2, alpha=0.1, q_period=0),
-        dict(n=10, p=0.2, alpha=0.1, noise="erasure"),
         dict(n=10.5, p=0.2, alpha=0.1),
         dict(n=True, p=0.2, alpha=0.1),
         dict(n=10, p=0.2, alpha=0.1, q_period=2.5),

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from qecbatch.cli import (
     config_from_mapping,
     main,
     parse_config,
+    _KEYS,
+    _ignored,
     _run_verify,
 )
 from qecbatch.exact import build_kernel
@@ -104,15 +108,21 @@ def configs(draw):
         else:
             values = _VALUES[f.name if f.name in _VALUES else f.type.removesuffix(" | None")]
         keys[f.name] = draw(st.none() | values if f.default is None else values)
-    return ExperimentConfig(command=draw(st.sampled_from(COMMANDS)), **keys)
+    command = draw(st.sampled_from(COMMANDS))
+    # a key the run does not read may only hold its default
+    for name, _ in _ignored(SimpleNamespace(command=command, **keys)):
+        keys[name] = _KEYS[name].default
+    return ExperimentConfig(command=command, **keys)
 
 
 @settings(max_examples=200, deadline=None)
 @given(configs())
 def test_every_key_round_trips(config):
-    """Every key survives to_mapping -> JSON -> config_from_mapping, and a
-    `key = value` config file."""
+    """Every key the run reads survives to_mapping -> JSON ->
+    config_from_mapping, and a `key = value` config file; no other key is
+    emitted."""
     mapping = config.to_mapping()
+    assert not {name for name, _ in _ignored(config)} & set(mapping)
     assert config_from_mapping(json.loads(json.dumps(mapping))) == config
     lines = [f"{key} = {' '.join(value) if key == 'grid' else value}"
              for key, value in mapping.items() if key != "command"]
@@ -124,6 +134,62 @@ def test_config_from_mapping_errors():
         config_from_mapping({"p": 0.2})
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_mapping({"command": "bounds", "shenanigans": 1})
+    with pytest.raises(UsageError, match="--threads does not apply to command 'meanfield'"):
+        config_from_mapping({"command": "meanfield", "p": 0.2, "threads": 4})
+
+
+def test_a_document_with_foreign_keys_at_their_defaults_re_parses():
+    """A document that also echoes keys its run ignores, at their defaults,
+    re-parses; the re-emitted config holds only the keys the run read."""
+    read = {"command": "meanfield", "alpha": 0.05, "beta": 0.5, "p": 0.2}
+    config = config_from_mapping({**read, "capacity": "hashing", "master_seed": 20260817,
+                                  "noise": "erasure", "q": 0.0, "q_period": 1, "threads": 1})
+    assert config.to_mapping() == read
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("meanfield --p 0.2 --alpha 0.05 --beta 0.5", "theta = 0.1\ncapacity = hashing-cutoff\n",
+     "--theta does not apply to command 'meanfield'"),
+    ("bounds --l 100 --p 0.2 --alpha 0.15 --theta 0.05 --noise depolarizing", "q_period = 7\n",
+     "--q-period does not apply to command 'bounds'"),
+])
+def test_config_file_keys_the_run_ignores_exit_1(tmp_path, capsys, command, text, key):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text(text)
+    out = tmp_path / "out.json"
+    assert main([*command.split(), "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {key}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "simulate --n 20 --p 0.3 --alpha 0.1 --beta 0.3 --n-traj 5 --t-max 3",
+    "exact --n 20 --p 0.3 --alpha 0.1 --t-max 3",
+])
+def test_simulate_and_exact_take_no_noise_flag(tmp_path, capsys, command):
+    out = tmp_path / "result.csv"
+    assert main([*command.split(), "--noise", "depolarizing", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --noise depolarizing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_the_keys_a_plain_run_reads(capsys, command):
+    """Every command a key names exists, and `--help` lists the flags of the
+    keys that a run with no flags reads, under either noise where it reads
+    the noise."""
+    for f in fields(ExperimentConfig)[1:]:
+        assert set(f.metadata["commands"]) <= set(COMMANDS), f.name
+    plain = ExperimentConfig(command=command)
+    runs = [plain]
+    if "noise" in plain.to_mapping():
+        runs.append(ExperimentConfig(command=command, noise="depolarizing"))
+    read = {key for run in runs for key in _KEYS
+            if key not in {name for name, _ in _ignored(run)}}
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert listed - {"help", "config"} == {key.replace("_", "-") for key in read}
 
 
 def test_grid_axis():
@@ -236,6 +302,7 @@ def test_bounds_kappa_surface_rejects_non_finite_inputs(tmp_path, capsys, kappa,
 
 
 @pytest.mark.parametrize("extra, flag", [
+    (["--p", "0.2"], "--p"),
     (["--l", "1000"], "--l"), (["--theta", "0.1"], "--theta"), (["--q", "0.3"], "--q"),
     (["--noise", "depolarizing", "--capacity", "hashing-cutoff"], "--capacity"),
 ])
@@ -342,8 +409,8 @@ def test_simulate_csv_deterministic(tmp_path):
     assert main(args) == 0
     assert out.read_text() == first
     lines = first.splitlines()
-    assert lines[0] == "# schema=qecbatch.simulate.v1"
-    assert lines[2] == "t,p_hat,ci_halfwidth"
+    assert lines[0] == "# schema=qecbatch.simulate.v2"
+    assert lines[2] == "t,p_hat,ci_low,ci_high"
     assert len(lines) == 3 + 9
 
 

@@ -6,7 +6,7 @@ from scipy.stats import binom, chi2, kstest
 
 from qecbatch.chain import ModelParams, correct
 from qecbatch.checks import oracle_vs_monte_carlo
-from qecbatch.exact import StateDistribution, build_kernel, evolve
+from qecbatch.exact import StateDistribution, build_kernel, epochs, evolve, tail_prob
 from qecbatch.montecarlo import (
     RecordMode,
     TrajectoryBatch,
@@ -67,7 +67,7 @@ def test_run_batch_basics():
     assert est.p_hat_by_t[0] == 0.0  # the chain starts at zero errors
     assert est.p_hat_by_t.shape == (13,)
     assert np.all((0.0 <= est.p_hat_by_t) & (est.p_hat_by_t <= 1.0))
-    assert np.all(est.ci_halfwidth_by_t >= 0.0)
+    assert np.all((est.ci_low_by_t <= est.p_hat_by_t) & (est.p_hat_by_t <= est.ci_high_by_t))
     crossed = est.tau_samples[est.tau_samples >= 0]
     assert crossed.min() >= 1
 
@@ -96,9 +96,40 @@ def test_p_hat_curve_is_monotone_within_noise():
     params = ModelParams(n=50, p=0.2, alpha=0.05)
     spec = TrajectoryBatch(params=params, n_traj=2000, t_max=30, master_seed=11)
     est = run_batch(spec, 0.375 * params.n)
+    # twice the sum of the two epochs' 99% Wald half-widths
+    half = 2.5758293035489004 * np.sqrt(est.p_hat_by_t * (1.0 - est.p_hat_by_t) / spec.n_traj)
     for t in range(30):
-        slack = 2.0 * (est.ci_halfwidth_by_t[t] + est.ci_halfwidth_by_t[t + 1])
+        slack = 2.0 * (half[t] + half[t + 1])
         assert est.p_hat_by_t[t + 1] >= est.p_hat_by_t[t] - slack
+
+
+def test_interval_brackets_p_hat_with_positive_width_at_zero_and_one():
+    """The 99% interval holds p_hat and stays open where p_hat is 0 or 1."""
+    saturated = ModelParams(n=30, p=1.0, alpha=0.0)
+    est = run_batch(TrajectoryBatch(params=saturated, n_traj=20, t_max=3, master_seed=1), 29.5)
+    assert est.p_hat_by_t.tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert np.all((est.ci_low_by_t <= est.p_hat_by_t) & (est.p_hat_by_t <= est.ci_high_by_t))
+    assert est.ci_low_by_t[0] == 0.0 and est.ci_high_by_t[0] > 0.0
+    assert np.all(est.ci_high_by_t[1:] == 1.0) and np.all(est.ci_low_by_t[1:] < 1.0)
+    # Clopper-Pearson at k = 0 and k = N: 1 - 0.005^(1/N) and 0.005^(1/N)
+    assert est.ci_high_by_t[0] == pytest.approx(1.0 - 0.005 ** (1 / 20), rel=1e-12)
+    assert est.ci_low_by_t[1] == pytest.approx(0.005 ** (1 / 20), rel=1e-12)
+
+
+def test_interval_covers_the_exact_tail_over_seeds():
+    """Over 200 seeds x 41 epochs, the 99% interval misses the exact tail in
+    at most 1% of the cells, the saturated epochs included."""
+    params = ModelParams(n=60, p=0.2, alpha=0.05)
+    threshold, t_max = 22.5, 40
+    kernel = build_kernel(params)
+    truth = np.array([tail_prob(dist, threshold) for dist in
+                      epochs(kernel, StateDistribution.point_mass(params.n), t_max)])
+    misses = 0
+    for seed in range(200):
+        spec = TrajectoryBatch(params=params, n_traj=200, t_max=t_max, master_seed=seed)
+        est = run_batch(spec, threshold)
+        misses += np.count_nonzero((truth < est.ci_low_by_t) | (truth > est.ci_high_by_t))
+    assert misses <= 0.01 * 200 * (t_max + 1), misses
 
 
 def test_run_batch_agrees_with_exact_oracle():
