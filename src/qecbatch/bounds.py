@@ -361,87 +361,66 @@ class SmallBudgetCheck:
 
 @dataclass(frozen=True)
 class KappaSurface:
-    """Overhead as a function of the correction budget on a device whose
-    qubits decohere at rate kappa and take t_g per correction batch."""
+    """The overhead lower bound at one correction budget on a device whose
+    qubits decohere at rate kappa and take t_g per correction batch.
 
-    kappa: float
-    t_g: float
-    noise: Noise
+    p is the per-batch idle error probability and alpha_min the minimum
+    survivable budget fraction. overhead is a number, or an impossibility
+    verdict where none is finite. small_budget_check is None where the
+    kappa*t_g << 1 form does not apply: depolarizing noise, kappa*t_g = 0
+    or 2*alpha <= kappa*t_g.
+    """
+
     p: float
     alpha_min: float
-
-    def overhead(self, alpha: float) -> float | Impossibility:
-        """Exact overhead lower bound at budget fraction alpha.
-
-        Erasure: (1 - exp(-kappa t_g)) / (2 alpha - 1 + exp(-kappa t_g)).
-        Depolarizing: 1 / hashing_rate((p - alpha)/p). Budgets at or
-        below alpha_min have no finite overhead.
-        """
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        if alpha <= self.alpha_min:
-            return Impossibility(
-                reason="correction budget at or below the survivable minimum for this device",
-                threshold_name="alpha_min",
-                threshold_value=self.alpha_min,
-                actual=alpha,
-            )
-        if self.noise is Noise.ERASURE:
-            return self.p / (2.0 * alpha - self.p)
-        hashing = CapacityKind.DEPOLARIZING_HASHING
-        rate = hashing.eval(max(0.0, (self.p - alpha) / self.p) if self.p > 0 else 0.0)
-        if rate <= 0.0:
-            return Impossibility(
-                reason="hashing rate vanishes at the residual error rate",
-                threshold_name="capacity_zero",
-                threshold_value=_capacity_zero_hint(hashing),
-                actual=(self.p - alpha) / self.p,
-            )
-        return 1.0 / rate
-
-    def small_budget_check(self, alpha: float) -> SmallBudgetCheck:
-        """Compare the exact erasure fraction with its kappa*t_g << 1 form.
-
-        For small kappa*t_g the overhead approaches
-        1 / (2*alpha/(kappa*t_g) - 1); the ratio form itself is reported
-        too, since 2*alpha/(kappa*t_g) > 1 is exactly the survivability
-        condition.
-        """
-        if self.noise is not Noise.ERASURE:
-            raise ValueError("the closed small-budget form applies to erasure noise")
-        product = self.kappa * self.t_g
-        if product <= 0.0:
-            raise ValueError("kappa * t_g must be positive for the approximation")
-        ratio = 2.0 * alpha / product - 1.0
-        if ratio <= 0.0:
-            raise ValueError(
-                f"budget ratio 2*alpha/(kappa*t_g) must exceed 1, got {ratio + 1.0}"
-            )
-        exact = self.overhead(alpha)
-        if isinstance(exact, Impossibility):
-            raise ValueError("alpha sits below alpha_min, no exact overhead to compare")
-        approx = 1.0 / ratio
-        return SmallBudgetCheck(
-            exact=exact,
-            approx=approx,
-            displayed_ratio=ratio,
-            rel_error=abs(exact - approx) / exact,
-        )
+    overhead: float | Impossibility
+    small_budget_check: SmallBudgetCheck | None
 
 
-def kappa_surface(kappa: float, t_g: float, noise: Noise = Noise.ERASURE) -> KappaSurface:
-    """Overhead surface for a device with decoherence rate kappa and batch
-    duration t_g.
+def kappa_surface(
+    kappa: float, t_g: float, alpha: float, noise: Noise = Noise.ERASURE,
+) -> KappaSurface:
+    """Overhead at budget fraction alpha for a device with decoherence rate
+    kappa and batch duration t_g.
 
-    The per-batch idle error probability is p = 1 - exp(-kappa * t_g);
-    the minimum survivable budget fraction is p/2 for erasure and 2p/3
-    for depolarizing noise.
+    The per-batch idle error probability is p = 1 - exp(-kappa * t_g).
+    Budgets at or below alpha_min (p/2 for erasure, 2p/3 for depolarizing
+    noise) have no finite overhead; above it the overhead is p/(2 alpha - p)
+    for erasure and 1 / hashing_rate((p - alpha)/p) for depolarizing noise.
+    The erasure overhead is compared with its kappa*t_g << 1 form
+    1 / (2*alpha/(kappa*t_g) - 1), whose ratio 2*alpha/(kappa*t_g) > 1 is
+    exactly the survivability condition.
     """
     for name, value in (("kappa", kappa), ("t_g", t_g), ("kappa * t_g", kappa * t_g)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if kappa < 0.0 or t_g < 0.0:
         raise ValueError("kappa and t_g must be >= 0")
-    p = -math.expm1(-kappa * t_g)
-    return KappaSurface(kappa=kappa, t_g=t_g, noise=noise, p=p,
-                        alpha_min=_alpha_threshold(p, noise))
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    product = kappa * t_g
+    p = -math.expm1(-product)
+    alpha_min = _alpha_threshold(p, noise)
+    hashing = CapacityKind.DEPOLARIZING_HASHING
+    if alpha <= alpha_min:
+        overhead = Impossibility(
+            reason="correction budget at or below the survivable minimum for this device",
+            threshold_name="alpha_min", threshold_value=alpha_min, actual=alpha,
+        )
+    elif noise is Noise.ERASURE:
+        overhead = p / (2.0 * alpha - p)
+    elif (rate := hashing.eval(max(0.0, (p - alpha) / p) if p > 0 else 0.0)) > 0.0:
+        overhead = 1.0 / rate
+    else:
+        overhead = Impossibility(
+            reason="hashing rate vanishes at the residual error rate",
+            threshold_name="capacity_zero", threshold_value=_capacity_zero_hint(hashing),
+            actual=(p - alpha) / p,
+        )
+    # an impossible erasure budget has 2*alpha <= p < kappa*t_g, so ratio <= 0
+    ratio = 2.0 * alpha / product - 1.0 if product > 0.0 else 0.0
+    check = None
+    if noise is Noise.ERASURE and ratio > 0.0:
+        check = SmallBudgetCheck(exact=overhead, approx=1.0 / ratio, displayed_ratio=ratio,
+                                 rel_error=abs(overhead - 1.0 / ratio) / overhead)
+    return KappaSurface(p=p, alpha_min=alpha_min, overhead=overhead, small_budget_check=check)

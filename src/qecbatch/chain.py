@@ -76,6 +76,8 @@ class ModelParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        if self.n >= 2**63:
+            raise ValueError(f"n must be below 2^63, got {self.n}")
         _check_prob("p", self.p)
         _check_prob("q", self.q)
         if not 0.0 <= self.alpha <= 1.0:

@@ -121,13 +121,16 @@ THETA_LIMIT_PRESET = 1e-6
 
 def _parse_theta(key: str, raw: object) -> float:
     if isinstance(raw, str) and raw.strip().lower() == "limit":
-        print(
-            f"note: theta=limit evaluates the bound at the finite slack "
-            f"theta={THETA_LIMIT_PRESET:g}, not at the theta -> 0 limit itself",
-            file=sys.stderr,
-        )
         return THETA_LIMIT_PRESET
     return _TYPE_PARSERS["float"](key, raw)
+
+
+def _note_theta_preset(theta: float) -> None:
+    """Tell a run that reads theta at the 'limit' preset what it evaluates."""
+    if theta == THETA_LIMIT_PRESET:
+        print(f"note: theta={THETA_LIMIT_PRESET:g} is the 'limit' preset, a finite slack; "
+              f"the bound is evaluated there, not at the theta -> 0 limit itself",
+              file=sys.stderr)
 
 
 def _parse_grid(key: str, raw: object) -> tuple[GridAxis, ...]:
@@ -319,8 +322,12 @@ class _Document(NamedTuple):
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _encode(value: object) -> object:
@@ -427,6 +434,7 @@ def _run_bounds(config: ExperimentConfig, fmt: str) -> _Document:
         l=config.l, p=config.p, alpha=config.alpha, theta=config.theta,
         noise=Noise(config.noise), q=config.q, capacity=_capacity(config),
     )
+    _note_theta_preset(config.theta)
     if report.feasible:
         summary = (f"bounds: n_min={report.n_min:.6g} (overhead {report.overhead_lb:.4f}, "
                    f"crossing epochs {report.crossing_epochs})")
@@ -437,23 +445,14 @@ def _run_bounds(config: ExperimentConfig, fmt: str) -> _Document:
 
 def _run_kappa_surface(config: ExperimentConfig) -> _Document:
     _require(config, "kappa", "t_g", "alpha")
-    surface = bounds_mod.kappa_surface(config.kappa, config.t_g, Noise(config.noise))
-    overhead = surface.overhead(config.alpha)
-    try:
-        check = surface.small_budget_check(config.alpha)
-    except ValueError:  # the kappa*t_g << 1 form does not apply at this point
-        check = None
-    if isinstance(overhead, bounds_mod.Impossibility):
-        summary = f"bounds: impossible, {overhead.reason}"
+    surface = bounds_mod.kappa_surface(config.kappa, config.t_g, config.alpha,
+                                       Noise(config.noise))
+    if isinstance(surface.overhead, bounds_mod.Impossibility):
+        summary = f"bounds: impossible, {surface.overhead.reason}"
     else:
-        summary = (f"bounds: overhead {overhead:.6g} at alpha={config.alpha:g} "
+        summary = (f"bounds: overhead {surface.overhead:.6g} at alpha={config.alpha:g} "
                    f"(p={surface.p:.6g}, alpha_min={surface.alpha_min:.6g})")
-    return _Document("qecbatch.kappa-surface.v1", summary, {
-        "p": surface.p,
-        "alpha_min": surface.alpha_min,
-        "overhead": overhead,
-        "small_budget_check": check,
-    })
+    return _Document("qecbatch.kappa-surface.v1", summary, asdict(surface))
 
 
 def _run_couple(config: ExperimentConfig, fmt: str) -> _Document:
@@ -548,6 +547,8 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
         convert, convert_l, missing = (lambda v: v), int, None
     cells = [_cells(*table[name], convert_l if name == "l" else convert, missing)
              for name in _SWEEP_COLUMNS]
+    if "theta" not in names:
+        _note_theta_preset(config.theta)
     feasible = int(np.count_nonzero(columns.feasible))
     summary = f"sweep: {count} grid points, {feasible} with finite bounds"
     if fmt == "csv":

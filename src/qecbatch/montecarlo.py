@@ -5,13 +5,13 @@ curves, steady-state error fractions and hitting times, and runs two
 statistical self-checks: a shared-randomness coupling of two static
 noise rates and a uniformity test of accumulated error locations.
 
-All of them run on one block engine. A fleet is cut into blocks of a
-fixed size that depends only on the fleet size, n and the mode; a block
-advances together, as an array of error counts in count mode or as a
-(block x n) boolean error mask in mask mode, and draws from its own
-counter-based generator keyed by (master_seed, block_index). Results are
-therefore identical for the same master seed no matter how blocks are
-scheduled across workers.
+All of them iterate one block engine, the generator `_fleet`. It cuts a
+fleet into blocks of a fixed size that depends only on the fleet size, n
+and the kind of state; a block advances together, as an array of error
+counts, a (block x n) boolean error mask or a stacked pair of masks, and
+draws from its own counter-based generator keyed by (master_seed,
+block_index). Results are therefore identical for the same master seed
+no matter how blocks are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -99,32 +99,36 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_sizes(n_traj: int, n: int, masks: bool) -> list[int]:
-    """Trajectories in each block of a fleet; block b draws from
-    trajectory_rng(master_seed, b)."""
-    size = max(1, _MASK_CELLS // n) if masks else _COUNT_BLOCK
-    return [min(size, n_traj - lo) for lo in range(0, n_traj, size)]
+def _fleet(params: ModelParams, n_traj: int, t_max: int, master_seed: int,
+           kind: str = "counts", inject=None,
+           blocks: Iterable[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, state) for t = 0..t_max, block after block of the fleet.
 
-
-def _epochs(params: ModelParams, state: np.ndarray, t_max: int,
-            rng: np.random.Generator, inject=None) -> Iterator[np.ndarray]:
-    """Yield one block's state at epochs 0..t_max.
-
-    `state` starts as the block's error counts (int) or error masks
-    (bool, qubits on the last axis), which picks the chain primitives.
-    `inject` replaces the block's static phase, which runs whenever
-    chain.static_phase_due says so.
+    `kind` picks each block's empty start state and with it the chain
+    primitives: "counts" (an int array of error counts, _COUNT_BLOCK
+    trajectories a block), "masks" (a block x n bool error mask of about
+    _MASK_CELLS cells) or "pairs" (a 2 x block x n stack of masks that
+    advance under common randomness). Block b draws from
+    trajectory_rng(master_seed, b); `blocks` picks the block indices to
+    run, all of them by default. `inject` replaces the static phase,
+    which runs whenever chain.static_phase_due says so.
     """
-    masks = state.dtype == bool
+    masks = kind != "counts"
+    size = max(1, _MASK_CELLS // params.n) if masks else _COUNT_BLOCK
     step = chain.step if masks else chain.step_count
     if inject is None:
         inject = chain.inject_static_noise if masks else chain.inject_count
-    yield state
-    for t in range(t_max):
-        if chain.static_phase_due(t, params):
-            state = inject(state, params, rng)
-        state = step(state, params, rng)
-        yield state
+    for b in range(-(-n_traj // size)) if blocks is None else blocks:
+        rows = min(size, n_traj - b * size)
+        shape = {"counts": (rows,), "masks": (rows, params.n), "pairs": (2, rows, params.n)}[kind]
+        state = np.zeros(shape, dtype=bool if masks else np.int64)
+        rng = trajectory_rng(master_seed, b)
+        yield 0, state
+        for t in range(t_max):
+            if chain.static_phase_due(t, params):
+                state = inject(state, params, rng)
+            state = step(state, params, rng)
+            yield t + 1, state
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,15 +159,12 @@ def _exceed_worker(args: tuple) -> tuple[np.ndarray, np.ndarray]:
     spec, first_exceed, blocks = args
     counts = np.zeros(spec.t_max + 1, dtype=np.int64)
     taus = []
-    for b, size in blocks:
-        rng = trajectory_rng(spec.master_seed, b)
-        tau = np.full(size, -1, dtype=np.int64)
-        start = np.zeros(size, dtype=np.int64)
-        for t, x in enumerate(_epochs(spec.params, start, spec.t_max, rng)):
-            above = x >= first_exceed
-            counts[t] += np.count_nonzero(above)
-            tau[above & (tau < 0)] = t
-        taus.append(tau)
+    for t, x in _fleet(spec.params, spec.n_traj, spec.t_max, spec.master_seed, blocks=blocks):
+        if t == 0:
+            taus.append(np.full(len(x), -1, dtype=np.int64))
+        above = x >= first_exceed
+        counts[t] += np.count_nonzero(above)
+        taus[-1][above & (taus[-1] < 0)] = t
     return counts, np.concatenate(taus)
 
 
@@ -179,9 +180,9 @@ def run_batch(
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     first_exceed = int(math.floor(threshold)) + 1
-    blocks = list(enumerate(_block_sizes(spec.n_traj, spec.params.n, masks=False)))
-    args = [(spec, first_exceed, blocks[lo:hi])
-            for lo, hi in _split_ranges(len(blocks), n_workers)]
+    n_blocks = -(-spec.n_traj // _COUNT_BLOCK)
+    args = [(spec, first_exceed, part)
+            for part in np.array_split(np.arange(n_blocks), min(n_workers, n_blocks))]
     if len(args) == 1:
         results = [_exceed_worker(args[0])]
     else:
@@ -212,18 +213,6 @@ def _clopper_pearson(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = min(parts, total)
-    base, extra = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for j in range(parts):
-        hi = lo + base + (1 if j < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 @dataclass(frozen=True)
 class SteadyFraction:
     """Time-averaged error fraction past burn-in, with a standard error."""
@@ -247,15 +236,12 @@ def steady_fraction(spec: TrajectoryBatch, burn_in: int | None = None) -> Steady
     if not 0 <= burn_in < spec.t_max:
         raise ValueError(f"burn_in must lie in [0, t_max), got {burn_in}")
     parts = []
-    for b, size in enumerate(_block_sizes(spec.n_traj, spec.params.n, masks=False)):
-        start = np.zeros(size, dtype=np.int64)
-        total = np.zeros(size)
-        rng = trajectory_rng(spec.master_seed, b)
-        for t, x in enumerate(_epochs(spec.params, start, spec.t_max, rng)):
-            if t > burn_in:
-                total += x
-        parts.append(total / ((spec.t_max - burn_in) * spec.params.n))
-    per_traj = np.concatenate(parts)
+    for t, x in _fleet(spec.params, spec.n_traj, spec.t_max, spec.master_seed):
+        if t == 0:
+            parts.append(np.zeros(len(x)))
+        elif t > burn_in:
+            parts[-1] += x
+    per_traj = np.concatenate(parts) / ((spec.t_max - burn_in) * spec.params.n)
     stderr = (
         float(per_traj.std(ddof=1) / math.sqrt(spec.n_traj)) if spec.n_traj > 1 else 0.0
     )
@@ -338,12 +324,9 @@ def run_coupled(
         pit_coins.append(rng.random(len(hits)))
         return pair | np.stack([hits, copied])
 
-    static = replace(params, q=q_high)
-    for b, size in enumerate(_block_sizes(n_traj, n, masks=True)):
-        start = np.zeros((2, size, n), dtype=bool)
-        pairs = _epochs(static, start, t_max, trajectory_rng(master_seed, b), inject)
-        next(pairs)  # epoch 0: both memories are empty
-        for high, low in pairs:
+    for t, (high, low) in _fleet(replace(params, q=q_high), n_traj, t_max, master_seed,
+                                 "pairs", inject):
+        if t > 0:  # at epoch 0 both memories are empty
             inclusion_violations += int(np.any(low & ~high, axis=1).sum())
             count_violations += int((low.sum(axis=1) > high.sum(axis=1)).sum())
     fresh, trials, coins = (np.concatenate(part or [np.empty(0)])
@@ -416,12 +399,10 @@ def location_counts(spec: TrajectoryBatch, t_probe: int) -> tuple[np.ndarray, np
     n = spec.params.n
     counts = np.zeros(n, dtype=np.int64)
     errors = []
-    for b, size in enumerate(_block_sizes(spec.n_traj, n, masks=True)):
-        start = np.zeros((size, n), dtype=bool)
-        for mask in _epochs(spec.params, start, t_probe, trajectory_rng(spec.master_seed, b)):
-            pass
-        counts += mask.sum(axis=0)
-        errors.append(mask.sum(axis=1))
+    for t, mask in _fleet(spec.params, spec.n_traj, t_probe, spec.master_seed, "masks"):
+        if t == t_probe:
+            counts += mask.sum(axis=0)
+            errors.append(mask.sum(axis=1))
     return counts, np.concatenate(errors)
 
 

@@ -208,15 +208,14 @@ def test_overhead_bound_validation():
 
 
 def test_kappa_surface_frozen_case():
-    surface = kappa_surface(10.0, 1e-4)
+    surface = kappa_surface(10.0, 1e-4, 0.01)
     assert surface.p == pytest.approx(0.0009995001666250085, rel=1e-12)
     assert surface.alpha_min == pytest.approx(surface.p / 2.0, rel=1e-14)
-    over = surface.overhead(0.01)
-    assert over == pytest.approx(0.052603888076110196, rel=1e-12)
+    assert surface.overhead == pytest.approx(0.052603888076110196, rel=1e-12)
 
 
 def test_kappa_surface_small_budget_check():
-    check = kappa_surface(10.0, 1e-4).small_budget_check(0.01)
+    check = kappa_surface(10.0, 1e-4, 0.01).small_budget_check
     assert check.displayed_ratio == pytest.approx(19.0, rel=1e-12)
     assert check.approx == pytest.approx(1.0 / 19.0, rel=1e-12)
     assert check.rel_error == pytest.approx(5.264035087702547e-4, rel=1e-9)
@@ -224,42 +223,42 @@ def test_kappa_surface_small_budget_check():
 
 
 def test_kappa_surface_impossible_budget():
-    surface = kappa_surface(10.0, 1e-4)
-    verdict = surface.overhead(surface.alpha_min)
+    alpha_min = kappa_surface(10.0, 1e-4, 0.01).alpha_min
+    surface = kappa_surface(10.0, 1e-4, alpha_min)
+    verdict = surface.overhead
     assert isinstance(verdict, Impossibility)
     assert verdict.threshold_name == "alpha_min"
+    assert surface.small_budget_check is None
     with pytest.raises(ValueError):
-        surface.overhead(0.0)
+        kappa_surface(10.0, 1e-4, 0.0)
 
 
 def test_kappa_surface_depolarizing():
-    surface = kappa_surface(5.0, 0.01, noise=Noise.DEPOLARIZING)
     p = -math.expm1(-0.05)
+    surface = kappa_surface(5.0, 0.01, 0.9 * p, noise=Noise.DEPOLARIZING)
     assert surface.p == pytest.approx(p, rel=1e-12)
     assert surface.alpha_min == pytest.approx(p / 1.5, rel=1e-12)
-    over = surface.overhead(0.9 * p)
+    over = surface.overhead
     assert over == pytest.approx(1.0 / CapacityKind.DEPOLARIZING_HASHING.eval(0.1), rel=1e-12)
-    with pytest.raises(ValueError):
-        surface.small_budget_check(0.9 * p)
+    assert surface.small_budget_check is None
 
 
 def test_kappa_surface_ratio_guard():
     # with kappa*t_g = 1 there are budgets that clear p/2 but not the
     # ratio condition 2*alpha > kappa*t_g
-    surface = kappa_surface(1.0, 1.0)
-    assert not isinstance(surface.overhead(0.45), Impossibility)
-    with pytest.raises(ValueError):
-        surface.small_budget_check(0.45)
+    surface = kappa_surface(1.0, 1.0, 0.45)
+    assert not isinstance(surface.overhead, Impossibility)
+    assert surface.small_budget_check is None
 
 
 def test_kappa_surface_validation():
     with pytest.raises(ValueError):
-        kappa_surface(-1.0, 0.1)
+        kappa_surface(-1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
-        kappa_surface(1.0, -0.1)
+        kappa_surface(1.0, -0.1, 0.1)
     # nan gets past a sign check, and inf * 0 is nan
     for kappa, t_g, key in [(math.nan, 1.0, "kappa"), (0.001, math.nan, "t_g"),
                             (math.inf, 0.0, "kappa"), (1.0, math.inf, "t_g"),
                             (1e200, 1e200, "kappa * t_g")]:
         with pytest.raises(ValueError, match=re.escape(f"{key} must be finite")):
-            kappa_surface(kappa, t_g)
+            kappa_surface(kappa, t_g, 0.1)

@@ -44,6 +44,7 @@ def test_k_batch_decimal_products():
         dict(n=10.5, p=0.2, alpha=0.1),
         dict(n=True, p=0.2, alpha=0.1),
         dict(n=10, p=0.2, alpha=0.1, q_period=2.5),
+        dict(n=2**63, p=0.2, alpha=0.1),
     ],
 )
 def test_params_validation(kwargs):

@@ -452,6 +452,28 @@ def test_theta_limit_preset(tmp_path, monkeypatch, capsys):
     assert doc["report"]["n_min"] == pytest.approx(2000.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("argv, config_text, code", [
+    ("meanfield --p 0.2 --alpha 0.05 --beta 0.5", "theta = limit\n", 1),
+    ("bounds --kappa 10 --t-g 0.0001 --alpha 0.01 --theta limit", None, 1),
+    ("sweep --l 100 --p 0.2 --alpha 0.12 --theta limit --grid theta:0.05:0.1:2", None, 0),
+])
+def test_theta_preset_note_needs_a_run_that_reads_theta(tmp_path, capsys, argv, config_text,
+                                                        code):
+    extra = []
+    if config_text is not None:
+        config_path = tmp_path / "run.conf"
+        config_path.write_text(config_text)
+        extra = ["--config", str(config_path)]
+    assert main([*argv.split(), *extra, "--out", str(tmp_path / "out")]) == code
+    assert "note:" not in capsys.readouterr().err
+
+
+def test_sweep_without_a_theta_axis_notes_the_preset_once(tmp_path, capsys):
+    assert main(["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12", "--theta", "limit",
+                 "--grid", "alpha:0.05:0.1:2", "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err.count("note: theta=1e-06") == 1
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12",
@@ -705,3 +727,25 @@ def test_no_temp_files_left_behind(tmp_path, monkeypatch):
     assert main(["meanfield", "--p", "0.2", "--alpha", "0.05", "--beta", "0.5"]) == 0
     leftovers = [name for name in os.listdir(tmp_path) if ".tmp-" in name]
     assert leftovers == []
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "D"
+    target.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    assert main(["meanfield", "--p", "0.2", "--alpha", "0.05", "--beta", "0.5",
+                 "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", [
+    "simulate --p 0.2 --alpha 0.1 --beta 0.5 --n-traj 10 --t-max 3",
+    "exact --p 0.2 --alpha 0.1 --t-max 3",
+    "couple --p 0.2 --alpha 0.1 --q-low 0.01 --q-high 0.05 --n-traj 10 --t-max 3",
+])
+def test_n_beyond_int64_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command.split(), "--n", str(2**63), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: n must be below 2^63, got {2**63}\n"
+    assert not out.exists()

@@ -1,13 +1,17 @@
-"""The benchmark's traced run (`perfbench/run.py --trace 1`) wraps qecbatch
-functions by the names in `perfbench/tracer.py:TRACED`. A renamed function
-would only surface there, so this reads the names with `ast`, without
-importing the benchmark, and checks that each one still resolves."""
+"""The benchmark under `perfbench/` reaches qecbatch in two ways. Its traced
+run (`perfbench/run.py --trace 1`) wraps functions by the names in
+`perfbench/tracer.py:TRACED`, and its jobs and tests take names such as
+`montecarlo.RecordMode.LOCATIONS` from the qecbatch modules they import. A
+renamed or deleted name would only surface when the benchmark runs, so
+these tests read the names with `ast`, without importing the benchmark,
+and check that each one still resolves."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCH / "tracer.py"
 
 
 def traced_names() -> tuple[str, ...]:
@@ -26,3 +30,67 @@ def test_every_traced_name_resolves():
         layer, fn = name.split(".")
         module = importlib.import_module(f"qecbatch.{layer}")
         assert callable(getattr(module, fn, None)), f"{name} is not a callable of qecbatch.{layer}"
+
+
+def _bindings(tree: ast.AST) -> dict[str, str]:
+    """Each name a module binds by importing from qecbatch, with the dotted
+    path it stands for."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.split(".")[0] == "qecbatch":
+                    bound[alias.asname] = alias.name
+                elif alias.name.split(".")[0] == "qecbatch":  # binds the package itself
+                    bound["qecbatch"] = "qecbatch"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module or "").split(".")[0] == "qecbatch":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bound
+
+
+def reached_names(path: Path) -> set[str]:
+    """Every dotted qecbatch name a module takes: the names it imports and
+    each attribute chain rooted at one of them."""
+    tree = ast.parse(path.read_text())
+    bound = _bindings(tree)
+    reached = set(bound.values())
+    for node in ast.walk(tree):
+        attrs, root = [], node
+        while isinstance(root, ast.Attribute):
+            attrs.append(root.attr)
+            root = root.value
+        if attrs and isinstance(root, ast.Name) and root.id in bound:
+            reached.add(".".join([bound[root.id], *reversed(attrs)]))
+    return reached
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the longest importable prefix of `dotted` has the rest as an
+    attribute chain."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_every_qecbatch_name_the_benchmark_takes_resolves():
+    reached = set()
+    for path in sorted([*BENCH.glob("*.py"), *(BENCH / "tests").glob("*.py")]):
+        reached |= reached_names(path)
+    # the scan sees the kinds of names the jobs take
+    assert {
+        "qecbatch.montecarlo.RecordMode.LOCATIONS", "qecbatch.exact.StateDistribution.point_mass",
+        "qecbatch.exact.MonotonicityReport", "qecbatch.bounds.hitting_prob_lb",
+        "qecbatch.cli.main", "qecbatch.chain.ModelParams", "qecbatch.run_batch",
+    } <= reached
+    assert sorted(name for name in reached if not _resolves(name)) == []
