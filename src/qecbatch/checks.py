@@ -1,32 +1,38 @@
 """Cross-checks between the exact, Monte Carlo, mean-field and closed-form
-answers.
-
-Each check takes its grid or sample, seed, tolerance and bound as
-arguments and returns (ok, one-line detail). `qecbatch verify` runs them
-on the small grids in VERIFY; the acceptance suite runs them on its own.
+answers, each returning (ok, one-line detail), and CHECKS, the one table
+of them: a row per acceptance criterion except 8 (bounds fixtures run
+through the command line), with arguments at two sizes. `qecbatch
+verify` runs every row at verify size under its master seed, in
+seconds; tests/test_acceptance.py runs them at acceptance size.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from inspect import signature
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.stats import binom, norm
 
 from .bounds import hitting_prob_lb
-from .chain import ModelParams
-from .exact import StateDistribution, build_kernel, epochs, evolve, tail_prob
+from .chain import ModelParams, correct
+from .exact import (StateDistribution, build_kernel, check_h_monotone, epochs, evolve,
+                    hitting_time_distribution, tail_prob)
 from .meanfield import epochs_to_cross, iterate_recursion, mf_iterate
-from .montecarlo import TrajectoryBatch, run_batch
+from .montecarlo import (RecordMode, TrajectoryBatch, chi_square_uniformity, run_batch,
+                         run_coupled, steady_fraction, trajectory_rng, uniformity_check)
 
-__all__ = ["closed_form_vs_recursion", "crossing_formula_vs_iteration",
-           "exact_tail_dominates_bound", "oracle_vs_monte_carlo", "VERIFY"]
+__all__ = ["Check", "CHECKS", "closed_forms_vs_iteration", "crossing_formula_vs_iteration",
+           "exact_tail_dominates_bound", "oracle_vs_monte_carlo"]
 
 
-def closed_form_vs_recursion(seed: int, draws: int, k_max: int, tol: float) -> tuple[bool, str]:
+def closed_forms_vs_iteration(
+    seed: int, draws: int, k_max: int, tol: float, fractions: Sequence[float], max_epochs: int,
+) -> tuple[bool, str]:
     """Closed-form iterate against the recursion, on random p, alpha <= 0.9 p,
     delta <= 0.95 (p - alpha), k < k_max and n in {1, 10^4}: the largest gap
-    over n must be at most tol."""
+    over n must be at most tol; crossing_formula_vs_iteration must hold too."""
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(draws):
@@ -40,7 +46,9 @@ def closed_form_vs_recursion(seed: int, draws: int, k_max: int, tol: float) -> t
     looped = np.array([iterate_recursion(*point) for point in points])
     gaps = np.abs(mf_iterate(n, p, alpha, delta, k) - looped) / n
     worst = float(gaps.max(initial=0.0))
-    return worst <= tol, f"max |closed - recursion| / n = {worst:.3g} over {draws} draws"
+    grid_ok, grid = crossing_formula_vs_iteration(fractions, max_epochs)
+    return worst <= tol and grid_ok, (
+        f"max |closed - recursion| / n = {worst:.3g} over {draws} draws; {grid}")
 
 
 def crossing_formula_vs_iteration(
@@ -92,38 +100,181 @@ def exact_tail_dominates_bound(
     return violations == 0, f"{checked} grid points, {violations} bound violations"
 
 
+def steady_fraction_matches_fixed_point(
+    cases: Sequence[tuple[float, float]], n: int, n_traj: int, t_max: int, seed: int,
+    tol: float,
+) -> tuple[bool, str]:
+    """Monte Carlo long-run error fraction of an n-qubit memory against the
+    fixed point (p - alpha) / p, for each (p, alpha) in cases: the largest
+    gap must be at most tol."""
+    worst = max(abs(steady_fraction(TrajectoryBatch(
+        params=ModelParams(n=n, p=p, alpha=alpha), n_traj=n_traj, t_max=t_max,
+        master_seed=seed)).mean_fraction - (p - alpha) / p) for p, alpha in cases)
+    return worst <= tol, f"max |fraction - target| = {worst:.5f} over {len(cases)} cases"
+
+
+def median_hitting_time_is_size_free(
+    p: float, alpha: float, beta: float, ns: Sequence[int], n_traj: int, t_max: int, seed: int,
+) -> tuple[bool, str]:
+    """Monte Carlo median epoch at which X_t first exceeds n beta, for each n
+    in ns: the medians may spread by at most one epoch, none may exceed the
+    mean-field crossing epoch T, and the one at ns[0] must lie within one
+    epoch of the exact median there."""
+    T = epochs_to_cross(p, alpha, beta).T
+    medians = {n: run_batch(TrajectoryBatch(
+        params=ModelParams(n=n, p=p, alpha=alpha), n_traj=n_traj, t_max=t_max,
+        master_seed=seed), n * beta).median_tau() for n in ns}
+    kernel = build_kernel(ModelParams(n=ns[0], p=p, alpha=alpha))
+    exact_median = hitting_time_distribution(kernel, ns[0] * beta, t_max).median()
+    ok = (max(medians.values()) - min(medians.values()) <= 1.0
+          and max(medians.values()) <= T and abs(medians[ns[0]] - exact_median) <= 1.0)
+    return ok, f"medians {medians}, exact(n={ns[0]}) {exact_median}, T={T}"
+
+
+def reach_probabilities_are_monotone(
+    max_n: int, ps: Sequence[float], alpha_fracs: Sequence[float], horizons: Sequence[int],
+    curves: Sequence[tuple[float, float]], t_max: int, tol: float,
+) -> tuple[bool, str]:
+    """check_h_monotone at every horizon for every kernel with n <= max_n,
+    p in ps and alpha = fa p; and for each (p, alpha) in curves, the exact
+    tail of an n = max_n memory beyond half its steady headroom may not
+    drop by more than tol from one epoch to the next, up to t_max."""
+    kernels = [build_kernel(ModelParams(n=n, p=p, alpha=fa * p))
+               for n in range(1, max_n + 1) for p in ps for fa in alpha_fracs]
+    kernel_violations = sum(not check_h_monotone(k, m).ok for k in kernels for m in horizons)
+    curve_violations = 0
+    for p, alpha in curves:
+        threshold = max_n * 0.5 * (p - alpha) / p
+        dists = epochs(build_kernel(ModelParams(n=max_n, p=p, alpha=alpha)),
+                       StateDistribution.point_mass(max_n), t_max)
+        tails = np.array([tail_prob(dist, threshold) for dist in dists])
+        curve_violations += int(np.count_nonzero(tails[1:] < tails[:-1] - tol))
+    ok = kernel_violations == 0 and curve_violations == 0
+    return ok, (f"{len(kernels)} kernels x {len(horizons)} horizons, {kernel_violations} kernel "
+                f"and {curve_violations} curve violations")
+
+
 def oracle_vs_monte_carlo(
     params: ModelParams, beta: float, t_max: int, n_traj: int, seed: int,
     z: float, miss_frac: float,
 ) -> tuple[bool, str]:
-    """Monte Carlo P[X_t > n beta] against the exact curve for t <= t_max:
-    at most floor(miss_frac * (t_max + 1)) epochs may sit more than z exact
-    standard errors away."""
+    """Monte Carlo P[X_t > n beta] against the exact curve for t <= t_max.
+
+    Each epoch's count of exceeding trajectories gets a two-sided exact
+    binomial test against the exact tail at level 2 Phi(-z), the level of a
+    z-sigma normal test; at most floor(miss_frac * (t_max + 1)) epochs may
+    fail it. A normal test is wrong for a tail within a few 1/n_traj of 0
+    or 1, where it scores one straggling trajectory as many sigma.
+    """
     n = params.n
     spec = TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max, master_seed=seed)
     est = run_batch(spec, n * beta)
     dists = epochs(build_kernel(params), StateDistribution.point_mass(n), t_max)
     truth = np.array([tail_prob(dist, n * beta) for dist in dists])
-    se = np.sqrt(truth * (1.0 - truth) / n_traj)
-    misses = int(np.count_nonzero(np.abs(est.p_hat_by_t - truth) > z * se))
+    k = np.rint(est.p_hat_by_t * n_traj)
+    tail = np.minimum(binom.cdf(k, n_traj, truth), binom.sf(k - 1, n_traj, truth))
+    misses = int(np.count_nonzero(tail < norm.sf(z)))
     allowed = math.floor(miss_frac * (t_max + 1))
-    return misses <= allowed, (
-        f"{misses}/{t_max + 1} epochs beyond {z:g} standard errors, {allowed} allowed"
-    )
+    return misses <= allowed, (f"{misses}/{t_max + 1} epochs fail an exact binomial test "
+                               f"at the {z:g} sigma level, {allowed} allowed")
 
 
-# (name, check of the master seed) pairs small enough to run in seconds.
-VERIFY: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
-    ("closed-form vs recursion",
-     lambda seed: closed_form_vs_recursion(seed, draws=200, k_max=200, tol=1e-9)),
-    ("crossing-epoch formula vs iteration",
-     lambda seed: crossing_formula_vs_iteration(np.linspace(0.1, 0.9, 6), max_epochs=100_000)),
-    ("exact tail dominates closed-form bound",
-     lambda seed: exact_tail_dominates_bound(
-         ns=(50, 200), ps=(0.2, 0.5), alpha_fracs=(0.25, 0.5), beta_fracs=(0.25, 0.75),
-         tol=0.0)),
-    ("exact oracle vs Monte Carlo",
-     lambda seed: oracle_vs_monte_carlo(
-         ModelParams(n=60, p=0.2, alpha=0.05), beta=0.5 * (0.2 - 0.05) / 0.2, t_max=40,
-         n_traj=20_000, seed=seed, z=3.0, miss_frac=0.01)),
+def coupled_dominance(
+    params: ModelParams, q_low: float, q_high: float, n_traj: int, t_max: int, seed: int,
+    pvalue_floor: float,
+) -> tuple[bool, str]:
+    """run_coupled at static rates q_low <= q_high: the low-rate memory's
+    error set must stay inside the high-rate one's on every epoch of every
+    path, and the PIT chi-square of its static injections against
+    Binomial(n - x, q_low) must not fall below pvalue_floor."""
+    rep = run_coupled(params, q_low=q_low, q_high=q_high, n_traj=n_traj, t_max=t_max,
+                      master_seed=seed)
+    pvalue = rep.pit_chi2_pvalue
+    ok = (rep.inclusion_violations == 0 and rep.count_violations == 0
+          and pvalue is not None and pvalue >= pvalue_floor)
+    shown = "none" if pvalue is None else f"{pvalue:.4f}"
+    return ok, (f"inclusion {rep.inclusion_fraction:.6%} of {rep.pairs_checked} pairs, "
+                f"PIT chi-square p = {shown}")
+
+
+def uniform_error_locations(
+    params: ModelParams, n_traj: int, t_probe: int, n_biased: int, seed: int,
+    pvalue_floor: float,
+) -> tuple[bool, str]:
+    """Chi-square uniformity of error locations at epoch t_probe. n_traj
+    trajectories under the correction rule must not fall below
+    pvalue_floor, while n_biased trajectories whose correction always
+    repairs the lowest indices (chain.correct keyed by qubit index, static
+    phases left out) must."""
+    fair = uniformity_check(TrajectoryBatch(
+        params=params, n_traj=n_traj, t_max=t_probe, master_seed=seed,
+        record=RecordMode.LOCATIONS), t_probe)
+    rng = trajectory_rng(seed, 0)
+    mask = np.zeros((n_biased, params.n), dtype=bool)
+    for _ in range(t_probe):
+        mask = correct(mask | (rng.random(mask.shape) < params.p), np.arange(params.n),
+                       params.k_batch)
+    biased = chi_square_uniformity(mask.sum(axis=0), mask.sum(axis=1))
+    ok = not fair.degenerate and fair.pvalue >= pvalue_floor and biased.pvalue < pvalue_floor
+    return ok, f"fair p = {fair.pvalue:.4f}, biased p = {biased.pvalue:.2e}"
+
+
+class Check(NamedTuple):
+    """One acceptance criterion: its check with every argument at verify size
+    but the seed, and those that differ at acceptance size, with the frozen
+    seed of a check that takes one."""
+
+    criterion: int
+    name: str
+    check: Callable[..., tuple[bool, str]]
+    verify: Mapping[str, object]
+    acceptance: Mapping[str, object]
+
+    def at_verify_size(self, master_seed: int) -> tuple[bool, str]:
+        """The check at verify size; one that takes a seed gets master_seed."""
+        seed = {"seed": master_seed} if "seed" in signature(self.check).parameters else {}
+        return self.check(**self.verify, **seed)
+
+    def at_acceptance_size(self) -> tuple[bool, str]:
+        return self.check(**{**self.verify, **self.acceptance})
+
+
+CHECKS: tuple[Check, ...] = (
+    Check(1, "exact tail dominates closed-form bound", exact_tail_dominates_bound,
+          verify=dict(ns=(50, 200), ps=(0.2, 0.5), alpha_fracs=(0.25, 0.5),
+                      beta_fracs=(0.25, 0.75), tol=0.0),
+          acceptance=dict(ns=(50, 100, 300, 1000), ps=(0.1, 0.2, 0.3, 0.5),
+                          alpha_fracs=(0.25, 0.5, 0.75),
+                          beta_fracs=(0.2, 0.25, 0.5, 0.75, 0.9), tol=1e-12)),
+    Check(2, "steady fraction vs fixed point", steady_fraction_matches_fixed_point,
+          verify=dict(cases=((0.2, 0.1), (0.3, 0.15), (0.5, 0.1)), n=10_000, n_traj=200,
+                      t_max=100, tol=0.01),
+          acceptance=dict(n=100_000, n_traj=1000, t_max=200, seed=202)),
+    Check(3, "median hitting time is size-free", median_hitting_time_is_size_free,
+          verify=dict(p=0.2, alpha=0.05, beta=0.5, ns=(1000, 10_000), n_traj=300, t_max=20),
+          acceptance=dict(ns=(1000, 10_000, 100_000), n_traj=1000, seed=203)),
+    Check(4, "monotone reach probabilities and tails", reach_probabilities_are_monotone,
+          verify=dict(max_n=30, ps=(0.1, 0.3, 0.5, 0.7, 0.9), alpha_fracs=(0.0, 0.25, 0.5),
+                      horizons=(1, 2, 5), curves=((0.2, 0.1), (0.5, 0.25)), t_max=30,
+                      tol=1e-10),
+          acceptance=dict(max_n=100, t_max=100)),
+    Check(5, "exact oracle vs Monte Carlo", oracle_vs_monte_carlo,
+          verify=dict(params=ModelParams(n=60, p=0.2, alpha=0.05),
+                      beta=0.5 * (0.2 - 0.05) / 0.2, t_max=40, n_traj=20_000, z=3.0,
+                      miss_frac=0.01),
+          acceptance=dict(params=ModelParams(n=100, p=0.2, alpha=0.05), beta=0.5, t_max=50,
+                          n_traj=100_000, seed=208)),
+    Check(6, "coupled dominance", coupled_dominance,
+          verify=dict(params=ModelParams(n=100, p=0.2, alpha=0.1), q_low=0.01, q_high=0.05,
+                      n_traj=1000, t_max=50, pvalue_floor=1e-3),
+          acceptance=dict(n_traj=10_000, seed=206)),
+    Check(7, "closed forms vs iteration", closed_forms_vs_iteration,
+          verify=dict(draws=200, k_max=200, tol=1e-9, fractions=np.linspace(0.1, 0.9, 6),
+                      max_epochs=100_000),
+          acceptance=dict(seed=207, draws=1000, k_max=500,
+                          fractions=np.linspace(0.05, 0.95, 20), max_epochs=200_000)),
+    Check(9, "uniform error locations", uniform_error_locations,
+          verify=dict(params=ModelParams(n=50, p=0.2, alpha=0.05), n_traj=2000, t_probe=30,
+                      n_biased=300, pvalue_floor=1e-3),
+          acceptance=dict(n_traj=10_000, n_biased=2000, seed=209)),
 )

@@ -3,8 +3,8 @@
 Commands: simulate (Monte Carlo exceedance curve), exact (banded kernel
 evolution), meanfield (crossing epochs and iterates), bounds (overhead
 report), couple (two-rate dominance check), sweep (bounds over a
-parameter grid) and verify (the cross-checks of `qecbatch.checks` on
-small grids).
+parameter grid) and verify (every row of the cross-check table
+`qecbatch.checks.CHECKS` at verify size, under --master-seed).
 
 Parameters come from an optional key=value config file plus flags;
 flags win. Each key is described once, by its ExperimentConfig field:
@@ -325,8 +325,10 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the user's path, not the temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -559,11 +561,11 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
     })
 
 
-def _run_verify(config: ExperimentConfig, checks=checks_mod.VERIFY) -> int:
+def _run_verify(config: ExperimentConfig, checks=checks_mod.CHECKS) -> int:
     failures = 0
-    for name, check in checks:
-        ok, detail = check(config.master_seed)
-        print(f"[verify] {name}: {'ok' if ok else 'FAIL'} ({detail})")
+    for row in checks:
+        ok, detail = row.at_verify_size(config.master_seed)
+        print(f"[verify] {row.name}: {'ok' if ok else 'FAIL'} ({detail})")
         if not ok:
             failures += 1
     if failures:

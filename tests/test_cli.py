@@ -3,7 +3,7 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qecbatch.bounds import CapacityKind, overhead_bound
 from qecbatch.chain import ModelParams, Noise
+from qecbatch.checks import CHECKS, Check
 from qecbatch.cli import (
     COMMANDS,
     SWEEP_POINT_CAP,
@@ -671,23 +672,30 @@ def test_sweep_takes_swept_keys_from_the_grid(tmp_path, capsys):
 
 def test_verify_exit_codes(capsys):
     config = parse_config("verify")
-    ok = (("always fine", lambda seed: (True, "all good")),)
-    assert _run_verify(config, checks=ok) == 0
+    fine = Check(0, "always fine", lambda: (True, "all good"), {}, {})
+    assert _run_verify(config, checks=(fine,)) == 0
     assert "[verify] always fine: ok" in capsys.readouterr().out
-    mixed = (
-        ("always fine", lambda seed: (True, "all good")),
-        ("always broken", lambda seed: (False, "nope")),
-    )
-    assert _run_verify(config, checks=mixed) == 2
+    broken = Check(0, "always broken", lambda seed: (seed != 7, "nope"), {}, {"seed": 1})
+    assert _run_verify(config, checks=(fine, broken)) == 0
+    assert _run_verify(replace(config, master_seed=7), checks=(fine, broken)) == 2
     assert "always broken: FAIL" in capsys.readouterr().out
 
 
 def test_verify_runs_the_shared_checks(capsys):
+    """verify passes with one line per row, in table order. The rows cover
+    criteria 1-9 once each, counting criterion 8, which the acceptance
+    suite runs through the CLI; names are unique; each row sets arguments
+    at both sizes, and verify takes any seed from --master-seed."""
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    for name in ("closed-form vs recursion", "crossing-epoch formula vs iteration",
-                 "exact tail dominates closed-form bound", "exact oracle vs Monte Carlo"):
-        assert f"[verify] {name}: ok" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (", 1)[0] for line in lines] == [
+        *(f"[verify] {row.name}: ok" for row in CHECKS),
+        f"[verify] all {len(CHECKS)} checks passed"]
+    assert sorted([row.criterion for row in CHECKS] + [8]) == list(range(1, 10))
+    assert len({row.name for row in CHECKS}) == len(CHECKS)
+    for row in CHECKS:
+        assert row.verify and row.acceptance
+        assert set(row.acceptance) - {"seed"} <= set(row.verify)
 
 
 @pytest.mark.parametrize("seed", ["-3", str(2**64)])
@@ -735,7 +743,9 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
     before = sorted(os.listdir(tmp_path))
     assert main(["meanfield", "--p", "0.2", "--alpha", "0.05", "--beta", "0.5",
                  "--out", str(target)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"'{target}'")
+    assert ".tmp-" not in err
     assert sorted(os.listdir(tmp_path)) == before
 
 

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import binom, chi2, kstest
 
+from qecbatch import checks
 from qecbatch.chain import ModelParams, correct
 from qecbatch.checks import oracle_vs_monte_carlo
 from qecbatch.exact import StateDistribution, build_kernel, epochs, evolve, tail_prob
@@ -21,6 +23,7 @@ from qecbatch.montecarlo import (
 )
 
 PARAMS = ModelParams(n=30, p=0.3, alpha=0.1)
+ORACLE = next(row for row in checks.CHECKS if row.criterion == 5)
 
 
 def test_trajectory_rng_reproducible():
@@ -144,6 +147,20 @@ def test_run_batch_agrees_with_exact_oracle():
         n_traj=2000, seed=17, z=4.0, miss_frac=0.0,
     )
     assert ok, detail
+
+
+@pytest.mark.parametrize("seed, defect", [
+    (3, None), (34, None), (0, {"alpha": 0.04}), (0, {"p": 0.21})])
+def test_oracle_check_at_verify_size(monkeypatch, seed, defect):
+    """Seeds 3 and 34 sit one trajectory short of an exact tail within 1e-4
+    of 1, which a normal z-test scored beyond 6 sigma; Monte Carlo with
+    budget 2 instead of 3, or p = 0.21 instead of 0.2, must be rejected."""
+    if defect:
+        real = checks.run_batch
+        monkeypatch.setattr(checks, "run_batch", lambda spec, threshold: real(
+            replace(spec, params=replace(spec.params, **defect)), threshold))
+    ok, detail = ORACLE.at_verify_size(seed)
+    assert ok == (defect is None), detail
 
 
 def test_steady_fraction_converges():
