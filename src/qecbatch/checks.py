@@ -17,14 +17,28 @@ from scipy.stats import binom, norm
 
 from .bounds import hitting_prob_lb
 from .chain import ModelParams, correct
-from .exact import (StateDistribution, build_kernel, check_h_monotone, epochs, evolve,
-                    hitting_time_distribution, tail_prob)
+from .exact import (EXACT_N_CAP, StateDistribution, build_kernel, check_h_monotone, epochs,
+                    evolve, hitting_time_distribution, tail_prob)
 from .meanfield import epochs_to_cross, iterate_recursion, mf_iterate
 from .montecarlo import (RecordMode, TrajectoryBatch, chi_square_uniformity, run_batch,
                          run_coupled, steady_fraction, trajectory_rng, uniformity_check)
 
-__all__ = ["Check", "CHECKS", "closed_forms_vs_iteration", "crossing_formula_vs_iteration",
-           "exact_tail_dominates_bound", "oracle_vs_monte_carlo"]
+__all__ = ["Check", "CHECKS", "binomial_misses", "closed_forms_vs_iteration",
+           "crossing_formula_vs_iteration", "exact_tail_dominates_bound", "oracle_vs_monte_carlo"]
+
+
+def binomial_misses(counts: np.ndarray, n_traj: int, truth: np.ndarray, z: float) -> int:
+    """How many of the trajectory counts fail a two-sided exact binomial
+    test against the exact probability of their event, at level 2 Phi(-z),
+    the level of a z-sigma normal test.
+
+    A normal test is wrong for a probability within a few 1/n_traj of 0 or
+    1, where it scores one straggling trajectory as many sigma. The truth
+    is clipped to [0, 1], as exact probabilities can sit an ulp outside.
+    """
+    truth = np.clip(truth, 0.0, 1.0)
+    tail = np.minimum(binom.cdf(counts, n_traj, truth), binom.sf(counts - 1, n_traj, truth))
+    return int(np.count_nonzero(tail < norm.sf(z)))
 
 
 def closed_forms_vs_iteration(
@@ -115,20 +129,37 @@ def steady_fraction_matches_fixed_point(
 
 def median_hitting_time_is_size_free(
     p: float, alpha: float, beta: float, ns: Sequence[int], n_traj: int, t_max: int, seed: int,
+    z: float,
 ) -> tuple[bool, str]:
-    """Monte Carlo median epoch at which X_t first exceeds n beta, for each n
-    in ns: the medians may spread by at most one epoch, none may exceed the
+    """Monte Carlo epoch tau at which X_t first exceeds n beta, for each n in
+    ns: the medians may spread by at most one epoch, none may exceed the
     mean-field crossing epoch T, and the one at ns[0] must lie within one
-    epoch of the exact median there."""
+    epoch of the exact median there. At ns[0] and every other n up to
+    EXACT_N_CAP, the number of trajectories with tau = t must pass
+    binomial_misses against the exact hitting pmf at every t <= t_max.
+
+    The medians alone cannot see a defect that moves tau by one epoch,
+    and a budget fixed at its value for one n shows only at the others.
+    """
     T = epochs_to_cross(p, alpha, beta).T
-    medians = {n: run_batch(TrajectoryBatch(
-        params=ModelParams(n=n, p=p, alpha=alpha), n_traj=n_traj, t_max=t_max,
-        master_seed=seed), n * beta).median_tau() for n in ns}
-    kernel = build_kernel(ModelParams(n=ns[0], p=p, alpha=alpha))
-    exact_median = hitting_time_distribution(kernel, ns[0] * beta, t_max).median()
+    medians, exact_medians, misses = {}, {}, {}
+    for n in ns:
+        params = ModelParams(n=n, p=p, alpha=alpha)
+        est = run_batch(TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max,
+                                        master_seed=seed), n * beta)
+        medians[n] = est.median_tau()
+        if n == ns[0] or n <= EXACT_N_CAP:
+            law = hitting_time_distribution(build_kernel(params), n * beta, t_max)
+            taus = est.tau_samples
+            counts = np.bincount(taus[taus >= 0], minlength=t_max + 1)
+            misses[n] = binomial_misses(counts, n_traj, law.pmf, z)
+            exact_medians[n] = law.median()
+    exact_median = exact_medians[ns[0]]
     ok = (max(medians.values()) - min(medians.values()) <= 1.0
-          and max(medians.values()) <= T and abs(medians[ns[0]] - exact_median) <= 1.0)
-    return ok, f"medians {medians}, exact(n={ns[0]}) {exact_median}, T={T}"
+          and max(medians.values()) <= T and abs(medians[ns[0]] - exact_median) <= 1.0
+          and not any(misses.values()))
+    return ok, (f"medians {medians}, exact(n={ns[0]}) {exact_median}, T={T}; epochs failing "
+                f"an exact binomial test of the hitting law at {z:g} sigma: {misses}")
 
 
 def reach_probabilities_are_monotone(
@@ -160,20 +191,16 @@ def oracle_vs_monte_carlo(
 ) -> tuple[bool, str]:
     """Monte Carlo P[X_t > n beta] against the exact curve for t <= t_max.
 
-    Each epoch's count of exceeding trajectories gets a two-sided exact
-    binomial test against the exact tail at level 2 Phi(-z), the level of a
-    z-sigma normal test; at most floor(miss_frac * (t_max + 1)) epochs may
-    fail it. A normal test is wrong for a tail within a few 1/n_traj of 0
-    or 1, where it scores one straggling trajectory as many sigma.
+    Each epoch's count of exceeding trajectories is tested against the
+    exact tail by binomial_misses at the z-sigma level; at most
+    floor(miss_frac * (t_max + 1)) epochs may fail.
     """
     n = params.n
     spec = TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max, master_seed=seed)
     est = run_batch(spec, n * beta)
     dists = epochs(build_kernel(params), StateDistribution.point_mass(n), t_max)
     truth = np.array([tail_prob(dist, n * beta) for dist in dists])
-    k = np.rint(est.p_hat_by_t * n_traj)
-    tail = np.minimum(binom.cdf(k, n_traj, truth), binom.sf(k - 1, n_traj, truth))
-    misses = int(np.count_nonzero(tail < norm.sf(z)))
+    misses = binomial_misses(np.rint(est.p_hat_by_t * n_traj), n_traj, truth, z)
     allowed = math.floor(miss_frac * (t_max + 1))
     return misses <= allowed, (f"{misses}/{t_max + 1} epochs fail an exact binomial test "
                                f"at the {z:g} sigma level, {allowed} allowed")
@@ -251,7 +278,8 @@ CHECKS: tuple[Check, ...] = (
                       t_max=100, tol=0.01),
           acceptance=dict(n=100_000, n_traj=1000, t_max=200, seed=202)),
     Check(3, "median hitting time is size-free", median_hitting_time_is_size_free,
-          verify=dict(p=0.2, alpha=0.05, beta=0.5, ns=(1000, 10_000), n_traj=300, t_max=20),
+          verify=dict(p=0.2, alpha=0.05, beta=0.5, ns=(1000, 10_000), n_traj=300, t_max=20,
+                      z=5.0),
           acceptance=dict(ns=(1000, 10_000, 100_000), n_traj=1000, seed=203)),
     Check(4, "monotone reach probabilities and tails", reach_probabilities_are_monotone,
           verify=dict(max_n=30, ps=(0.1, 0.3, 0.5, 0.7, 0.9), alpha_fracs=(0.0, 0.25, 0.5),

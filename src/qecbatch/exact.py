@@ -6,11 +6,16 @@ is the reference that the Monte Carlo engine, the mean-field iteration
 and the closed-form bounds are checked against.
 
 Each kernel row is stored as a band: row x keeps the Binomial(n - x, prob)
-pmf of the fresh errors only between its two _TAIL_EPS / 2 tail quantiles,
-so a kernel holds (n+1) x w numbers with w of order sqrt(n) rather than
-(n+1)^2. The largest mass any row leaves out is carried as a certified
-total-variation bound: every phase a distribution is pushed through adds
-it to the distribution's `err`.
+pmf of the fresh errors only between its two _TAIL_EPS / 4 tail
+quantiles, w of order sqrt(n) entries rather than n + 1. Rows come in
+aligned blocks of _BLOCK states. A block is built, checked and stored as
+its own sparse operator the first time a push carries mass into it, so a
+distribution that sits on a few hundred states touches a few blocks, not
+all of them. Each push also skips the leading and trailing blocks whose
+combined mass is at most half the kernel's truncation. One phase thus
+moves a distribution by at most the truncation, _TAIL_EPS, in total
+variation: half for the row tails and half for the skipped blocks. Every
+phase a distribution goes through adds it to the distribution's `err`.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array
-from scipy.special import bdtr, bdtrc, gammaln
+from scipy.special import bdtr, gammaln
 from scipy.stats import binom
 
 from .chain import ModelParams
@@ -43,15 +49,24 @@ __all__ = [
     "mean_curve",
 ]
 
-# Default ceiling on n for building a kernel. Band rows are w ~ 8.3 sqrt(n)
-# entries wide at p = 1/2, the widest case: at n = 2 * 10^4 one phase's
-# band is 20001 x 1176 float64 entries, 188 MB, plus 94 MB of int32 landing
-# states. Raise explicitly via n_cap if you have the memory for it.
+# Default ceiling on n for building a kernel. Band rows are up to
+# w ~ 8.4 sqrt(n) entries wide at p = 1/2, the widest case, and a built
+# block stores each row's own width only. At n = 2 * 10^4 a phase whose
+# every block has been built holds 15.8 million entries: 127 MB of float64
+# plus 63 MB of int32 landing states, the worst case. Blocks are built
+# only where mass arrives: 60 epochs from zero errors at p = 0.2,
+# alpha = 0.05 build 46 of the 79 blocks. Reading probs materialises the
+# full 20001 x 1187 band, another 190 MB. Raise explicitly via n_cap if
+# you have the memory for it.
 EXACT_N_CAP = 20_000
 
-# Two-sided tail mass a band row may leave out before renormalization;
-# each row drops below _TAIL_EPS / 2 on either side of its band.
+# Total-variation budget of one phase, build_kernel's truncation. Each
+# band row leaves out at most _TAIL_EPS / 4 on either side, and each push
+# skips blocks holding at most the other _TAIL_EPS / 2 of the mass.
 _TAIL_EPS = 1e-16
+
+# Kernel states per block; a block is built the first time it carries mass.
+_BLOCK = 256
 
 # The band's raw log-space mass must match 1 minus the dropped tails to
 # this tolerance before each row is renormalized.
@@ -61,29 +76,40 @@ _ROW_SUM_TOL = 1e-12
 _MASS_TOL = 1e-12
 
 
-def _band(n: int, prob: float, budget: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """One phase of the chain as a band: (probs, offset, dropped).
+_Rowband = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _band(n: int, prob: float, budget: int, x0: int, x1: int) -> _Rowband:
+    """Rows x0 .. x1 - 1 of one phase of the chain as a band: (probs,
+    offset, width).
 
     Row x draws y ~ Binomial(m = n - x, prob) fresh errors and lands on
     max(x + y - budget, 0). Only y in [lo, hi], between the two tail
     quantiles, is kept: entry j of row x is the renormalized pmf of
     y = lo + j and lands on clip(offset[x] + j, 0, n), with
-    offset[x] = x + lo - budget. Entries past a row's own width are zero.
-    `dropped` is the largest tail mass any row left out.
+    offset[x] = x + lo - budget. Entries past a row's own width, hi - lo + 1,
+    are zero. Raises if a row leaves out more than _TAIL_EPS / 4 on either side.
     """
-    x = np.arange(n + 1)
+    x = np.arange(x0, x1)
     m = n - x
     if prob in (0.0, 1.0):
         lo = m if prob == 1.0 else np.zeros_like(m)
-        return np.ones((n + 1, 1)), x + lo - budget, 0.0
-    lo = binom.ppf(_TAIL_EPS / 2, m, prob).astype(np.int64)
-    # binom.isf saturates at m for tails this small; count down from m instead
-    hi = m - binom.ppf(_TAIL_EPS / 2, m, 1.0 - prob).astype(np.int64)
+        return np.ones((x.size, 1)), x + lo - budget, np.ones_like(x)
+    # binom.isf saturates at m for tails this small, so the upper quantile
+    # counts down from m; one ppf call finds both, as its overhead dominates
+    both = binom.ppf(_TAIL_EPS / 4, np.concatenate([m, m]), np.repeat([prob, 1.0 - prob], m.size))
+    lo, hi = both[: m.size].astype(np.int64), m - both[m.size :].astype(np.int64)
+    # P[y < lo] and P[y > hi] = P[m - y < m - hi], as the quantiles were found
+    left = np.where(lo > 0, bdtr(lo - 1, m, prob), 0.0)
+    right = np.where(hi < m, bdtr(m - hi - 1, m, 1.0 - prob), 0.0)
+    widest = max(left.max(), right.max())
+    if widest > _TAIL_EPS / 4:
+        raise ValueError(f"binomial band leaves out a tail of {widest}, beyond {_TAIL_EPS / 4}")
     width = hi - lo + 1
     w = int(width.max())
     # band[x, j] = ln pmf(lo + j) - ln pmf(lo), summed from the ratios
     # pmf(y + 1) / pmf(y) = (m - y) / (y + 1) * prob / (1 - prob)
-    band = np.zeros((n + 1, w))
+    band = np.zeros((x.size, w))
     ratios = band[:, 1:]
     y1 = lo[:, None] + np.arange(1.0, w)  # y + 1 for y = lo .. lo + w - 2
     np.subtract(m[:, None] + 1.0, y1, out=ratios)
@@ -98,89 +124,175 @@ def _band(n: int, prob: float, budget: int) -> tuple[np.ndarray, np.ndarray, flo
     band -= peak[:, None]
     np.exp(band, out=band)
     total = band.sum(axis=1)
-    lf = gammaln(np.arange(1, n + 2, dtype=np.float64))  # lf[i] = ln(i!)
-    log_first = lf[m] - lf[lo] - lf[m - lo] + lo * math.log(prob) + (m - lo) * math.log1p(-prob)
-    dropped = np.where(lo > 0, bdtr(np.maximum(lo - 1, 0), m, prob), 0.0) + bdtrc(hi, m, prob)
-    drift = np.abs(total * np.exp(log_first + peak) - (1.0 - dropped)).max()
+    log_first = (gammaln(m + 1.0) - gammaln(lo + 1.0) - gammaln(m - lo + 1.0)
+                 + lo * math.log(prob) + (m - lo) * math.log1p(-prob))
+    drift = np.abs(total * np.exp(log_first + peak) - (1.0 - left - right)).max()
     if drift > _RAW_ROW_TOL:
         raise ValueError(f"binomial band misses its mass by {drift}, construction is off")
     band /= total[:, None]
-    return band, x + lo - budget, float(dropped.max())
+    return band, x + lo - budget, width
 
 
-@dataclass(frozen=True, eq=False)
+class _Block(NamedTuple):
+    """Some rows of a phase: a sparse operator from their mass to the
+    landing states first .. first + op.shape[0] - 1, whose column x holds
+    row x's own width of band entries, and their offsets."""
+
+    op: csc_array
+    first: int
+    offset: np.ndarray
+
+
+class _Rows:
+    """The rows of one phase, a correction epoch or a static phase, built
+    in aligned blocks of _BLOCK states the first time a block is needed.
+
+    build(x0, x1) gives rows x0 .. x1 - 1 as (probs, offset, width) in the
+    band form of TransitionKernel, entries past a row's width being zero;
+    each block is checked as it is built.
+    """
+
+    def __init__(self, n: int, build: Callable[[int, int], _Rowband]):
+        self.n = n
+        self._build = build
+        self._starts = np.arange(0, n + 1, _BLOCK)
+        self._blocks: list[_Block | None] = [None] * self._starts.size
+
+    def block(self, b: int) -> _Block:
+        block = self._blocks[b]
+        if block is None:
+            x0 = b * _BLOCK
+            band, offset, width = self._build(x0, min(x0 + _BLOCK, self.n + 1))
+            if band.min() < 0.0:
+                raise ValueError("kernel rows have negative entries")
+            drift = np.abs(band.sum(axis=1) - 1.0).max()
+            if drift > _ROW_SUM_TOL:
+                raise ValueError(f"kernel rows sum to 1 +/- {drift}, beyond tolerance")
+            # entries that clip onto the same state are summed by the product
+            keep = np.arange(band.shape[1]) < width[:, None]
+            dest = np.clip(offset[:, None] + np.arange(band.shape[1]), 0, self.n)[keep]
+            first = int(dest.min())
+            indptr = np.concatenate(([0], np.cumsum(width))).astype(np.int32)
+            op = csc_array((band[keep], (dest - first).astype(np.int32), indptr),
+                           shape=(int(dest.max()) - first + 1, offset.size))
+            block = self._blocks[b] = _Block(op, first, offset)
+        return block
+
+    def push(self, mass: np.ndarray, skip: float) -> np.ndarray:
+        """mass pushed through this phase, leaving out the leading and
+        trailing blocks whose combined mass is at most skip."""
+        sums = np.add.reduceat(mass, self._starts).tolist()
+        lead, stop = 0, len(sums)
+        while lead < stop and sums[lead] <= skip:
+            skip -= sums[lead]
+            lead += 1
+        while stop > lead and sums[stop - 1] <= skip:
+            skip -= sums[stop - 1]
+            stop -= 1
+        out = np.zeros(mass.size)
+        for b in range(lead, stop):
+            op, first, _ = self.block(b)
+            out[first : first + op.shape[0]] += op @ mass[b * _BLOCK : (b + 1) * _BLOCK]
+        return out
+
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row as one (n+1) x w band and its offsets."""
+        blocks = [self.block(b) for b in range(len(self._blocks))]
+        widths = [np.diff(block.op.indptr) for block in blocks]
+        probs = np.zeros((self.n + 1, max(width.max() for width in widths)))
+        for x0, block, width in zip(self._starts, blocks, widths):
+            rows = probs[x0 : x0 + width.size]
+            rows[np.arange(probs.shape[1]) < width[:, None]] = block.op.data
+        return probs, np.concatenate([block.offset for block in blocks])
+
+    def dense(self) -> np.ndarray:
+        dense = np.zeros((self.n + 1, self.n + 1))
+        for b, x0 in enumerate(self._starts):
+            op, first, offset = self.block(b)
+            dense[x0 : x0 + offset.size, first : first + op.shape[0]] = op.T.toarray()
+        return dense
+
+
+def _given_rows(n: int, band: np.ndarray, offset: np.ndarray | None, name: str) -> _Rows:
+    """Rows read from a band given in full; every block is built and checked now."""
+    band = np.asarray(band, dtype=float)
+    if band.ndim != 2 or band.shape[0] != n + 1 or band.shape[1] < 1:
+        raise ValueError(f"{name} must have shape ({n + 1}, w), got {band.shape}")
+    if offset is None:
+        offset = np.zeros(n + 1, dtype=np.int64)
+    if offset.shape != (n + 1,):
+        raise ValueError(f"the offsets of {name} must have shape ({n + 1},), got {offset.shape}")
+    width = np.full(n + 1, band.shape[1])
+    rows = _Rows(n, lambda x0, x1: (band[x0:x1], offset[x0:x1], width[x0:x1]))
+    rows.band()
+    return rows
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class TransitionKernel:
     """Banded one-epoch kernel, plus the static-phase kernel when q > 0.
 
-    probs[x, j] is the probability that one correction epoch maps x
-    uncorrected errors to clip(offset[x] + j, 0, n); offset defaults to 0,
-    which makes an (n+1) x (n+1) probs a plain dense kernel. static_probs
-    and static_offset, present only for q > 0, are the same for one static
+    A kernel is given in band form: probs[x, j] is the probability that
+    one correction epoch maps x uncorrected errors to
+    clip(offset[x] + j, 0, n); offset defaults to 0, which makes an
+    (n+1) x (n+1) probs a plain dense kernel. static_probs and
+    static_offset, present only for q > 0, are the same for one static
     phase; evolve interleaves it every q_period correction epochs.
-    truncation is the largest total-variation distance between a stored
-    row and the true row, added once per phase a distribution goes through.
+    build_kernel gives `rows` and `static_rows` instead, which build their
+    blocks on first use; reading probs or static_probs builds them all.
+    truncation bounds the total-variation distance one phase adds to a
+    distribution pushed through it, row tails and skipped blocks together.
     """
 
     n: int
     k_batch: int
-    probs: np.ndarray
-    offset: np.ndarray | None = None
-    static_probs: np.ndarray | None = None
-    static_offset: np.ndarray | None = None
-    q_period: int = 1
-    truncation: float = 0.0
-    _push: csc_array = field(init=False, repr=False)
-    _static_push: csc_array | None = field(init=False, repr=False)
+    rows: _Rows = field(repr=False)
+    static_rows: _Rows | None = field(repr=False)
+    q_period: int
+    truncation: float
 
-    def __post_init__(self) -> None:
-        if self.q_period < 1:
-            raise ValueError(f"q_period must be >= 1, got {self.q_period}")
-        if not self.truncation >= 0.0:
-            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
-        object.__setattr__(self, "_push", self._operator("probs", "offset"))
-        object.__setattr__(
-            self, "_static_push",
-            None if self.static_probs is None else self._operator("static_probs", "static_offset"),
-        )
+    def __init__(
+        self, n: int, k_batch: int, probs: np.ndarray | None = None,
+        offset: np.ndarray | None = None, static_probs: np.ndarray | None = None,
+        static_offset: np.ndarray | None = None, q_period: int = 1, truncation: float = 0.0,
+        *, rows: _Rows | None = None, static_rows: _Rows | None = None,
+    ) -> None:
+        if q_period < 1:
+            raise ValueError(f"q_period must be >= 1, got {q_period}")
+        if not truncation >= 0.0:
+            raise ValueError(f"truncation must be >= 0, got {truncation}")
+        if rows is None:
+            rows = _given_rows(n, probs, offset, "probs")
+        if static_rows is None and static_probs is not None:
+            static_rows = _given_rows(n, static_probs, static_offset, "static_probs")
+        for name, value in (("n", n), ("k_batch", k_batch), ("rows", rows),
+                            ("static_rows", static_rows), ("q_period", q_period),
+                            ("truncation", truncation)):
+            object.__setattr__(self, name, value)
 
-    def _operator(self, name: str, offset_name: str) -> csc_array:
-        """Sparse P with P @ mass the push-forward of mass through band `name`.
+    def _phase(self, static: bool) -> _Rows:
+        rows = self.static_rows if static else self.rows
+        if rows is None:
+            raise ValueError("kernel has no static phase")
+        return rows
 
-        Column x holds row x's entries at their landing states; entries
-        that clip onto the same state are summed by the product. P shares
-        the band's data.
-        """
-        band, offset = getattr(self, name), getattr(self, offset_name)
-        rows = self.n + 1
-        if band.ndim != 2 or band.shape[0] != rows or band.shape[1] < 1:
-            raise ValueError(f"{name} must have shape ({rows}, w), got {band.shape}")
-        if offset is None:
-            offset = np.zeros(rows, dtype=np.int64)
-            object.__setattr__(self, offset_name, offset)
-        if offset.shape != (rows,):
-            raise ValueError(f"{offset_name} must have shape ({rows},), got {offset.shape}")
-        if np.any(band < 0.0):
-            raise ValueError(f"{name} has negative entries")
-        drift = np.abs(band.sum(axis=1) - 1.0).max()
-        if drift > _ROW_SUM_TOL:
-            raise ValueError(f"{name} rows sum to 1 +/- {drift}, beyond tolerance")
-        w = band.shape[1]
-        itype = np.int32 if band.size < 2**31 else np.int64
-        dest = offset.astype(itype)[:, None] + np.arange(w, dtype=itype)
-        np.clip(dest, 0, self.n, out=dest)
-        indptr = np.arange(0, band.size + 1, w, dtype=itype)
-        return csc_array((band.reshape(-1), dest.reshape(-1), indptr), shape=(rows, rows))
+    @property
+    def probs(self) -> np.ndarray:
+        """The correction-epoch rows as one band, every block built."""
+        return self.rows.band()[0]
+
+    @property
+    def static_probs(self) -> np.ndarray | None:
+        return None if self.static_rows is None else self.static_rows.band()[0]
 
     def dense(self, static: bool = False) -> np.ndarray:
         """The correction-epoch (or static-phase) kernel as an (n+1) x (n+1) matrix."""
-        push = self._static_push if static else self._push
-        if push is None:
-            raise ValueError("kernel has no static phase")
-        return push.T.toarray()
+        return self._phase(static).dense()
 
     def push(self, mass: np.ndarray, static: bool = False) -> np.ndarray:
-        """mass pushed through one correction epoch (or one static phase)."""
-        return (self._static_push if static else self._push) @ mass
+        """mass pushed through one correction epoch (or one static phase),
+        skipping blocks that hold at most half the truncation."""
+        return self._phase(static).push(mass, self.truncation / 2)
 
 
 def build_kernel(params: ModelParams, n_cap: int = EXACT_N_CAP) -> TransitionKernel:
@@ -189,7 +301,8 @@ def build_kernel(params: ModelParams, n_cap: int = EXACT_N_CAP) -> TransitionKer
     Row x spreads Binomial(n - x, p) fresh errors y over the landing
     states max(x + y - k_batch, 0), keeping y between the row's two tail
     quantiles; the static phase does the same with q and no correction.
-    Refuses n beyond n_cap.
+    Rows are built block by block as pushes reach them. Refuses n beyond
+    n_cap.
     """
     if params.n > n_cap:
         raise ValueError(
@@ -197,14 +310,10 @@ def build_kernel(params: ModelParams, n_cap: int = EXACT_N_CAP) -> TransitionKer
             "pass a larger n_cap explicitly if the memory budget allows it"
         )
     n, k = params.n, params.k_batch
-    probs, offset, truncation = _band(n, params.p, k)
-    static = static_offset = None
-    if params.q > 0.0:
-        static, static_offset, dropped = _band(n, params.q, 0)
-        truncation = max(truncation, dropped)
+    static = _Rows(n, partial(_band, n, params.q, 0)) if params.q > 0.0 else None
     return TransitionKernel(
-        n=n, k_batch=k, probs=probs, offset=offset, static_probs=static,
-        static_offset=static_offset, q_period=params.q_period, truncation=truncation,
+        n=n, k_batch=k, q_period=params.q_period, truncation=_TAIL_EPS,
+        rows=_Rows(n, partial(_band, n, params.p, k)), static_rows=static,
     )
 
 
@@ -225,7 +334,7 @@ class StateDistribution:
             raise ValueError(f"t must be >= 0, got {self.t}")
         if self.mass.ndim != 1 or self.mass.size < 1:
             raise ValueError("mass must be a nonempty 1-d array")
-        if np.any(self.mass < 0.0):
+        if (self.mass < 0.0).any():
             raise ValueError("mass has negative entries")
         total = float(self.mass.sum())
         if abs(total - 1.0) > _MASS_TOL:
@@ -259,11 +368,12 @@ def _pushes(
     every epoch whose absolute index is a multiple of q_period, mirroring
     the simulator's schedule. After each epoch the states from `first` up
     are emptied; first = n + 1 empties none. This is the only code that
-    pushes mass through a kernel.
+    pushes mass through a kernel, and each push builds only the blocks of
+    rows that carry mass, so the cost follows the distribution's support.
     """
     phases = 0
     for t in range(t0, t0 + steps):
-        if kernel.static_probs is not None and t % kernel.q_period == 0:
+        if kernel.static_rows is not None and t % kernel.q_period == 0:
             mass = kernel.push(mass, static=True)
             phases += 1
         mass = kernel.push(mass)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from qecbatch import exact
 from qecbatch.bounds import hitting_prob_lb
 from qecbatch.chain import ModelParams
 from qecbatch.exact import (
@@ -297,6 +299,16 @@ def test_mean_curve_with_static_phases():
         dist = evolve(kernel, dist, 1)
 
 
+def test_band_refuses_rows_that_leave_out_too_much(monkeypatch):
+    """Quantiles one step inside the true ones leave more than _TAIL_EPS / 4
+    out on a side; the block that holds such rows must not be built."""
+    ppf = exact.binom.ppf
+    monkeypatch.setattr(exact, "binom", SimpleNamespace(ppf=lambda q, m, p: ppf(q, m, p) + 1))
+    kernel = build_kernel(ModelParams(n=300, p=0.2, alpha=0.05))
+    with pytest.raises(ValueError, match="leaves out a tail"):
+        evolve(kernel, StateDistribution.point_mass(300), 1)
+
+
 # ---------------------------------------------------------------- banded
 # engine against a dense reference built from scipy.stats.binom.pmf
 
@@ -338,11 +350,11 @@ class DenseReference:
         self.filled[static][new] = True
         return mass[live] @ rows[live]
 
-    def run(self, steps, threshold):
-        """Mass after `steps` epochs from zero errors, and the hitting law
-        of `threshold` over those epochs as (pmf, survival)."""
+    def run(self, steps, threshold, start=None):
+        """Mass after `steps` epochs from `start` (default zero errors), and
+        the hitting law of `threshold` over those epochs as (pmf, survival)."""
         first = math.floor(threshold) + 1
-        mass = StateDistribution.point_mass(self.params.n).mass
+        mass = StateDistribution.point_mass(self.params.n).mass if start is None else start
         alive = mass.copy()
         pmf = np.zeros(steps + 1)
         for t in range(steps):
@@ -399,9 +411,37 @@ def test_band_matches_dense_reference(n, p, alpha_frac, q, q_period, steps, beta
     check_tail_dominates_bound(params, beta_frac)
 
 
-@pytest.mark.parametrize("n", [1000, 5000])
+@pytest.mark.parametrize("n", [255, 256, 257, 1000, 5000])
 def test_band_matches_dense_reference_at_scale(n):
     params = ModelParams(n=n, p=0.2, alpha=0.05, q=0.02, q_period=5)
     steps = hitting_prob_lb(n, 0.2, 0.05, 0.5).T
     check_band_against_reference(params, steps, 0.5)
     check_tail_dominates_bound(params, 0.5 / 0.75)
+
+
+def test_spread_start_matches_dense_reference():
+    """A start distribution on every state, its tails falling to 1e-30 at
+    the ends, reaches every block of rows; the engine skips the outer
+    blocks, which hold about 1e-17 each, and must stay within err of the
+    full push."""
+    params = ModelParams(n=2000, p=0.2, alpha=0.05, q=0.02, q_period=2)
+    x = np.arange(params.n + 1)
+    start = np.exp(-math.log(1e30) * ((x - 1000) / 1000) ** 2)
+    start /= start.sum()
+    assert start.min() < 1e-29 and start[:256].sum() < 1e-16
+    reference = DenseReference(params)
+    ref_mass, _, _ = reference.run(5, params.n, start)
+    dist = evolve(build_kernel(params), StateDistribution(t=0, mass=start), 5)
+    # total variation err on each side: L1 at most twice the sum
+    assert np.abs(dist.mass - ref_mass).sum() <= 2 * (dist.err + reference.skipped) + ROUNDING
+
+
+def test_hitting_law_after_taboo_mass_dies_out():
+    """After epoch 8 the mass left below n / 2 is about 1e-32, under the
+    5e-17 a push may skip, so the pushes skip every block; the law still
+    accounts for all mass and err still counts every phase."""
+    kernel = build_kernel(ModelParams(n=4000, p=0.2, alpha=0.05))
+    law = hitting_time_distribution(kernel, 2000, t_max=60)
+    assert law.survival == 0.0
+    assert law.pmf.sum() + law.survival == pytest.approx(1.0, abs=1e-12)
+    assert law.err == 60 * kernel.truncation

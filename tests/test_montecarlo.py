@@ -163,6 +163,32 @@ def test_oracle_check_at_verify_size(monkeypatch, seed, defect):
     assert ok == (defect is None), detail
 
 
+def test_binomial_misses_is_exact_at_the_edges():
+    truth = np.array([0.5, 0.5, -1e-17, -1e-17, 1.0 + 2e-16, 1e-9])
+    counts = np.array([500, 700, 0, 1, 1000, 1])
+    # 700 of 1000 is 12.6 sigma out; one hit of a 1e-17 (clipped to 0)
+    # event is impossible; one hit at 1e-9 has probability 1e-6
+    assert checks.binomial_misses(counts, 1000, truth, 5.0) == 2
+    assert checks.binomial_misses(counts, 1000, truth, 4.0) == 3
+
+
+HITTING = next(row for row in checks.CHECKS if row.criterion == 3)
+
+
+@pytest.mark.parametrize("defect", ["none", "no correction", "budget of n = 1000"])
+def test_hitting_law_check_at_verify_size(monkeypatch, defect):
+    """Criterion 3 passes as it is and rejects Monte Carlo that skips the
+    correction, or that corrects floor(1000 alpha) at every n. Each moves
+    a median by one epoch, which the median conditions allow."""
+    alphas = {"none": lambda params: params.alpha, "no correction": lambda params: 0.0,
+              "budget of n = 1000": lambda params: params.alpha * 1000 / params.n}
+    real = checks.run_batch
+    monkeypatch.setattr(checks, "run_batch", lambda spec, threshold: real(replace(
+        spec, params=replace(spec.params, alpha=alphas[defect](spec.params))), threshold))
+    ok, detail = HITTING.at_verify_size(11)
+    assert ok == (defect == "none"), detail
+
+
 def test_steady_fraction_converges():
     params = ModelParams(n=2000, p=0.2, alpha=0.1)
     spec = TrajectoryBatch(params=params, n_traj=60, t_max=60, master_seed=23)

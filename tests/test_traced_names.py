@@ -4,11 +4,19 @@ run (`perfbench/run.py --trace 1`) wraps functions by the names in
 `montecarlo.RecordMode.LOCATIONS` from the qecbatch modules they import. A
 renamed or deleted name would only surface when the benchmark runs, so
 these tests read the names with `ast`, without importing the benchmark,
-and check that each one still resolves."""
+and check that each one still resolves. The attributes the tracer's
+counter hooks read off return values escape that scan, so the kernel
+hook is loaded by path and run on built kernels."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
+
+from qecbatch.chain import ModelParams
+from qecbatch.exact import build_kernel
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = BENCH / "tracer.py"
@@ -94,3 +102,18 @@ def test_every_qecbatch_name_the_benchmark_takes_resolves():
         "qecbatch.cli.main", "qecbatch.chain.ModelParams", "qecbatch.run_batch",
     } <= reached
     assert sorted(name for name in reached if not _resolves(name)) == []
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02])
+def test_kernel_counter_hook_reads_built_kernels(q):
+    """The traced run's `exact.build_kernel` hook reads `probs` and
+    `static_probs` of the kernel it gets back, attributes the scan above
+    does not see because they are read off a return value."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    params = ModelParams(n=600, p=0.2, alpha=0.05, q=q, q_period=5)
+    counts = tracer.COUNTER_HOOKS["exact.build_kernel"]({"params": params}, build_kernel(params))
+    assert counts["exact.kernel_bytes"] > 0
+    assert counts["exact.kernel_entries"] > 0
+    assert 0 < counts["exact.useful_entries"] <= counts["exact.kernel_entries"]
