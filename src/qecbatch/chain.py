@@ -28,6 +28,7 @@ __all__ = [
     "inject_static_noise",
     "inject_count",
     "static_phase_due",
+    "check_integer",
 ]
 
 # Absolute slack when flooring n * alpha, so that decimal inputs such as
@@ -43,6 +44,13 @@ class Noise(Enum):
 
     ERASURE = "erasure"
     DEPOLARIZING = "depolarizing"
+
+
+def check_integer(name: str, value: object) -> None:
+    """Refuse a value that is not an integer, bools included, rather than
+    let it be rounded or read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -71,9 +79,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("n", "q_period"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if self.n >= 2**63:

@@ -3,7 +3,9 @@
 Builds the one-epoch transition kernel of the error-count chain and
 pushes state distributions through it, with no sampling involved. This
 is the reference that the Monte Carlo engine, the mean-field iteration
-and the closed-form bounds are checked against.
+and the closed-form bounds are checked against. `build_kernel(params)`
+is the only way to get a kernel, and it refuses n beyond the fixed
+EXACT_N_CAP.
 
 Each kernel row is stored as a band: row x keeps the Binomial(n - x, prob)
 pmf of the fresh errors only between its two _TAIL_EPS / 4 tail
@@ -16,6 +18,8 @@ combined mass is at most half the kernel's truncation. One phase thus
 moves a distribution by at most the truncation, _TAIL_EPS, in total
 variation: half for the row tails and half for the skipped blocks. Every
 phase a distribution goes through adds it to the distribution's `err`.
+Static phases run on the schedule of `chain.static_phase_due`, the same
+one the Monte Carlo fleet follows.
 """
 
 from __future__ import annotations
@@ -23,16 +27,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array
 from scipy.special import bdtr, gammaln
 from scipy.stats import binom
 
-from .chain import ModelParams
+from .chain import ModelParams, static_phase_due
 
 __all__ = [
     "EXACT_N_CAP",
@@ -49,15 +52,14 @@ __all__ = [
     "mean_curve",
 ]
 
-# Default ceiling on n for building a kernel. Band rows are up to
+# Ceiling on n for building a kernel. Band rows are up to
 # w ~ 8.4 sqrt(n) entries wide at p = 1/2, the widest case, and a built
 # block stores each row's own width only. At n = 2 * 10^4 a phase whose
 # every block has been built holds 15.8 million entries: 127 MB of float64
 # plus 63 MB of int32 landing states, the worst case. Blocks are built
 # only where mass arrives: 60 epochs from zero errors at p = 0.2,
 # alpha = 0.05 build 46 of the 79 blocks. Reading probs materialises the
-# full 20001 x 1187 band, another 190 MB. Raise explicitly via n_cap if
-# you have the memory for it.
+# full 20001 x 1187 band, another 190 MB.
 EXACT_N_CAP = 20_000
 
 # Total-variation budget of one phase, build_kernel's truncation. Each
@@ -76,10 +78,9 @@ _ROW_SUM_TOL = 1e-12
 _MASS_TOL = 1e-12
 
 
-_Rowband = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _band(n: int, prob: float, budget: int, x0: int, x1: int) -> _Rowband:
+def _band(
+    n: int, prob: float, budget: int, x0: int, x1: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows x0 .. x1 - 1 of one phase of the chain as a band: (probs,
     offset, width).
 
@@ -136,25 +137,21 @@ def _band(n: int, prob: float, budget: int, x0: int, x1: int) -> _Rowband:
 class _Block(NamedTuple):
     """Some rows of a phase: a sparse operator from their mass to the
     landing states first .. first + op.shape[0] - 1, whose column x holds
-    row x's own width of band entries, and their offsets."""
+    row x's own width of band entries."""
 
     op: csc_array
     first: int
-    offset: np.ndarray
 
 
 class _Rows:
-    """The rows of one phase, a correction epoch or a static phase, built
-    in aligned blocks of _BLOCK states the first time a block is needed.
-
-    build(x0, x1) gives rows x0 .. x1 - 1 as (probs, offset, width) in the
-    band form of TransitionKernel, entries past a row's width being zero;
-    each block is checked as it is built.
+    """The rows of one phase, a correction epoch (budget k_batch, prob p)
+    or a static phase (budget 0, prob q), built by _band in aligned blocks
+    of _BLOCK states the first time a block is needed; each block is
+    checked as it is built.
     """
 
-    def __init__(self, n: int, build: Callable[[int, int], _Rowband]):
-        self.n = n
-        self._build = build
+    def __init__(self, n: int, prob: float, budget: int):
+        self.n, self.prob, self.budget = n, prob, budget
         self._starts = np.arange(0, n + 1, _BLOCK)
         self._blocks: list[_Block | None] = [None] * self._starts.size
 
@@ -162,7 +159,8 @@ class _Rows:
         block = self._blocks[b]
         if block is None:
             x0 = b * _BLOCK
-            band, offset, width = self._build(x0, min(x0 + _BLOCK, self.n + 1))
+            band, offset, width = _band(self.n, self.prob, self.budget, x0,
+                                        min(x0 + _BLOCK, self.n + 1))
             if band.min() < 0.0:
                 raise ValueError("kernel rows have negative entries")
             drift = np.abs(band.sum(axis=1) - 1.0).max()
@@ -175,7 +173,7 @@ class _Rows:
             indptr = np.concatenate(([0], np.cumsum(width))).astype(np.int32)
             op = csc_array((band[keep], (dest - first).astype(np.int32), indptr),
                            shape=(int(dest.max()) - first + 1, offset.size))
-            block = self._blocks[b] = _Block(op, first, offset)
+            block = self._blocks[b] = _Block(op, first)
         return block
 
     def push(self, mass: np.ndarray, skip: float) -> np.ndarray:
@@ -191,84 +189,47 @@ class _Rows:
             stop -= 1
         out = np.zeros(mass.size)
         for b in range(lead, stop):
-            op, first, _ = self.block(b)
+            op, first = self.block(b)
             out[first : first + op.shape[0]] += op @ mass[b * _BLOCK : (b + 1) * _BLOCK]
         return out
 
-    def band(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row as one (n+1) x w band and its offsets."""
+    def band(self) -> np.ndarray:
+        """Every row as one (n+1) x w band, entries past a row's own width
+        being zero."""
         blocks = [self.block(b) for b in range(len(self._blocks))]
         widths = [np.diff(block.op.indptr) for block in blocks]
         probs = np.zeros((self.n + 1, max(width.max() for width in widths)))
         for x0, block, width in zip(self._starts, blocks, widths):
             rows = probs[x0 : x0 + width.size]
             rows[np.arange(probs.shape[1]) < width[:, None]] = block.op.data
-        return probs, np.concatenate([block.offset for block in blocks])
+        return probs
 
     def dense(self) -> np.ndarray:
         dense = np.zeros((self.n + 1, self.n + 1))
         for b, x0 in enumerate(self._starts):
-            op, first, offset = self.block(b)
-            dense[x0 : x0 + offset.size, first : first + op.shape[0]] = op.T.toarray()
+            op, first = self.block(b)
+            dense[x0 : x0 + op.shape[1], first : first + op.shape[0]] = op.T.toarray()
         return dense
 
 
-def _given_rows(n: int, band: np.ndarray, offset: np.ndarray | None, name: str) -> _Rows:
-    """Rows read from a band given in full; every block is built and checked now."""
-    band = np.asarray(band, dtype=float)
-    if band.ndim != 2 or band.shape[0] != n + 1 or band.shape[1] < 1:
-        raise ValueError(f"{name} must have shape ({n + 1}, w), got {band.shape}")
-    if offset is None:
-        offset = np.zeros(n + 1, dtype=np.int64)
-    if offset.shape != (n + 1,):
-        raise ValueError(f"the offsets of {name} must have shape ({n + 1},), got {offset.shape}")
-    width = np.full(n + 1, band.shape[1])
-    rows = _Rows(n, lambda x0, x1: (band[x0:x1], offset[x0:x1], width[x0:x1]))
-    rows.band()
-    return rows
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """Banded one-epoch kernel, plus the static-phase kernel when q > 0.
+    """Banded one-epoch kernel of `params`, plus the static-phase kernel
+    when q > 0; build_kernel makes it.
 
-    A kernel is given in band form: probs[x, j] is the probability that
-    one correction epoch maps x uncorrected errors to
-    clip(offset[x] + j, 0, n); offset defaults to 0, which makes an
-    (n+1) x (n+1) probs a plain dense kernel. static_probs and
-    static_offset, present only for q > 0, are the same for one static
-    phase; evolve interleaves it every q_period correction epochs.
-    build_kernel gives `rows` and `static_rows` instead, which build their
-    blocks on first use; reading probs or static_probs builds them all.
+    rows holds the correction epoch and static_rows, None when q = 0, one
+    static phase; both build their blocks on first use. probs and
+    static_probs read every row back as one band, building all blocks:
+    entry j of row x is the probability of the j-th fresh-error count
+    that row keeps.
     truncation bounds the total-variation distance one phase adds to a
     distribution pushed through it, row tails and skipped blocks together.
     """
 
-    n: int
-    k_batch: int
+    params: ModelParams
     rows: _Rows = field(repr=False)
     static_rows: _Rows | None = field(repr=False)
-    q_period: int
     truncation: float
-
-    def __init__(
-        self, n: int, k_batch: int, probs: np.ndarray | None = None,
-        offset: np.ndarray | None = None, static_probs: np.ndarray | None = None,
-        static_offset: np.ndarray | None = None, q_period: int = 1, truncation: float = 0.0,
-        *, rows: _Rows | None = None, static_rows: _Rows | None = None,
-    ) -> None:
-        if q_period < 1:
-            raise ValueError(f"q_period must be >= 1, got {q_period}")
-        if not truncation >= 0.0:
-            raise ValueError(f"truncation must be >= 0, got {truncation}")
-        if rows is None:
-            rows = _given_rows(n, probs, offset, "probs")
-        if static_rows is None and static_probs is not None:
-            static_rows = _given_rows(n, static_probs, static_offset, "static_probs")
-        for name, value in (("n", n), ("k_batch", k_batch), ("rows", rows),
-                            ("static_rows", static_rows), ("q_period", q_period),
-                            ("truncation", truncation)):
-            object.__setattr__(self, name, value)
 
     def _phase(self, static: bool) -> _Rows:
         rows = self.static_rows if static else self.rows
@@ -279,11 +240,11 @@ class TransitionKernel:
     @property
     def probs(self) -> np.ndarray:
         """The correction-epoch rows as one band, every block built."""
-        return self.rows.band()[0]
+        return self.rows.band()
 
     @property
     def static_probs(self) -> np.ndarray | None:
-        return None if self.static_rows is None else self.static_rows.band()[0]
+        return None if self.static_rows is None else self.static_rows.band()
 
     def dense(self, static: bool = False) -> np.ndarray:
         """The correction-epoch (or static-phase) kernel as an (n+1) x (n+1) matrix."""
@@ -295,26 +256,20 @@ class TransitionKernel:
         return self._phase(static).push(mass, self.truncation / 2)
 
 
-def build_kernel(params: ModelParams, n_cap: int = EXACT_N_CAP) -> TransitionKernel:
+def build_kernel(params: ModelParams) -> TransitionKernel:
     """Build the banded one-epoch kernel for these parameters.
 
     Row x spreads Binomial(n - x, p) fresh errors y over the landing
     states max(x + y - k_batch, 0), keeping y between the row's two tail
     quantiles; the static phase does the same with q and no correction.
     Rows are built block by block as pushes reach them. Refuses n beyond
-    n_cap.
+    EXACT_N_CAP.
     """
-    if params.n > n_cap:
-        raise ValueError(
-            f"n={params.n} exceeds the exact-mode cap of {n_cap}; "
-            "pass a larger n_cap explicitly if the memory budget allows it"
-        )
-    n, k = params.n, params.k_batch
-    static = _Rows(n, partial(_band, n, params.q, 0)) if params.q > 0.0 else None
-    return TransitionKernel(
-        n=n, k_batch=k, q_period=params.q_period, truncation=_TAIL_EPS,
-        rows=_Rows(n, partial(_band, n, params.p, k)), static_rows=static,
-    )
+    if params.n > EXACT_N_CAP:
+        raise ValueError(f"n={params.n} exceeds the exact-mode cap of {EXACT_N_CAP}")
+    static = _Rows(params.n, params.q, 0) if params.q > 0.0 else None
+    return TransitionKernel(params=params, rows=_Rows(params.n, params.p, params.k_batch),
+                            static_rows=static, truncation=_TAIL_EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,16 +319,16 @@ def _pushes(
     """Push mass through correction epochs t0 .. t0 + steps - 1.
 
     Yields (mass, phases) after each epoch, phases counting the phases
-    applied so far. When the kernel carries a static phase, it runs before
-    every epoch whose absolute index is a multiple of q_period, mirroring
-    the simulator's schedule. After each epoch the states from `first` up
+    applied so far. A static phase runs before every epoch t for which
+    chain.static_phase_due(t, kernel.params) holds, the simulator's own
+    schedule. After each epoch the states from `first` up
     are emptied; first = n + 1 empties none. This is the only code that
     pushes mass through a kernel, and each push builds only the blocks of
     rows that carry mass, so the cost follows the distribution's support.
     """
     phases = 0
     for t in range(t0, t0 + steps):
-        if kernel.static_rows is not None and t % kernel.q_period == 0:
+        if static_phase_due(t, kernel.params):
             mass = kernel.push(mass, static=True)
             phases += 1
         mass = kernel.push(mass)
@@ -387,15 +342,16 @@ def epochs(
 ) -> Iterator[StateDistribution]:
     """The distributions at epochs dist0.t .. dist0.t + steps, dist0 first.
 
-    A static phase, when the kernel has one, precedes every epoch whose
-    absolute index is a multiple of q_period. Each distribution's err is
+    A static phase precedes every epoch t for which
+    chain.static_phase_due(t, kernel.params) holds. Each distribution's err is
     dist0.err plus the kernel's truncation once per phase since dist0.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if dist0.n != kernel.n:
-        raise ValueError(f"distribution is over {dist0.n + 1} states, kernel over {kernel.n + 1}")
-    pushes = _pushes(kernel, dist0.mass, dist0.t, steps, kernel.n + 1)
+    n = kernel.params.n
+    if dist0.n != n:
+        raise ValueError(f"distribution is over {dist0.n + 1} states, kernel over {n + 1}")
+    pushes = _pushes(kernel, dist0.mass, dist0.t, steps, n + 1)
     return chain([dist0], (
         StateDistribution(t=t, mass=mass, err=dist0.err + phases * kernel.truncation)
         for t, (mass, phases) in enumerate(pushes, start=dist0.t + 1)
@@ -494,7 +450,7 @@ def hitting_time_distribution(
         # threshold below zero: the fresh memory already exceeds it
         pmf[0] = 1.0
         return HittingTimeDistribution(threshold=threshold, pmf=pmf, survival=0.0)
-    start = StateDistribution.point_mass(kernel.n).mass
+    start = StateDistribution.point_mass(kernel.params.n).mass
     sums, counts = zip(*((mass.sum(), phases) for mass, phases in _pushes(
         kernel, start, 0, t_max, first)))
     survival = np.array((1.0, *sums))  # survival[t] = P[tau > t]

@@ -72,12 +72,14 @@ class TrajectoryBatch:
     record: RecordMode = RecordMode.COUNTS
 
     def __post_init__(self) -> None:
+        for name in ("n_traj", "t_max", "master_seed"):
+            chain.check_integer(name, getattr(self, name))
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < _SEED_LIMIT:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -224,17 +226,15 @@ class SteadyFraction:
     t_max: int
 
 
-def steady_fraction(spec: TrajectoryBatch, burn_in: int | None = None) -> SteadyFraction:
-    """Mean of X_t / n over t in (burn_in, t_max], averaged over trajectories.
+def steady_fraction(spec: TrajectoryBatch) -> SteadyFraction:
+    """Mean of X_t / n over t in (burn_in, t_max], averaged over trajectories,
+    with burn_in = t_max // 2.
 
-    burn_in defaults to t_max // 2. The standard error comes from the
-    spread of per-trajectory time averages; epochs within one trajectory
-    are correlated, trajectories are not.
+    The standard error comes from the spread of per-trajectory time
+    averages; epochs within one trajectory are correlated, trajectories
+    are not.
     """
-    if burn_in is None:
-        burn_in = spec.t_max // 2
-    if not 0 <= burn_in < spec.t_max:
-        raise ValueError(f"burn_in must lie in [0, t_max), got {burn_in}")
+    burn_in = spec.t_max // 2
     parts = []
     for t, x in _fleet(spec.params, spec.n_traj, spec.t_max, spec.master_seed):
         if t == 0:

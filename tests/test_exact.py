@@ -15,7 +15,6 @@ from qecbatch.exact import (
     EXACT_N_CAP,
     HittingTimeDistribution,
     StateDistribution,
-    TransitionKernel,
     build_kernel,
     check_h_monotone,
     epochs,
@@ -42,7 +41,7 @@ def kernel_n2():
 
 def test_kernel_hand_rows_n2():
     kernel = kernel_n2()
-    assert kernel.k_batch == 1
+    assert kernel.params.k_batch == 1
     np.testing.assert_allclose(kernel.dense(), HAND_ROWS_N2, atol=1e-15)
 
 
@@ -81,7 +80,7 @@ def test_kernel_cannot_drop_below_budget_floor():
         kernel = build_kernel(ModelParams(n=n, p=p, alpha=alpha))
         dense = kernel.dense()
         for x in range(n + 1):
-            floor = max(0, x - kernel.k_batch)
+            floor = max(0, x - kernel.params.k_batch)
             assert not dense[x, :floor].any()
 
 
@@ -92,10 +91,11 @@ def test_kernel_full_budget_resets_every_state():
 
 
 def test_size_cap():
-    with pytest.raises(ValueError, match="exceeds the exact-mode cap"):
-        build_kernel(ModelParams(n=101, p=0.2, alpha=0.1), n_cap=100)
-    build_kernel(ModelParams(n=101, p=0.2, alpha=0.1), n_cap=101)
     assert EXACT_N_CAP == 20_000
+    with pytest.raises(ValueError, match="n=20001 exceeds the exact-mode cap of 20000$"):
+        build_kernel(ModelParams(n=EXACT_N_CAP + 1, p=0.2, alpha=0.1))
+    # blocks are built on first use, so a kernel at the cap costs nothing yet
+    assert build_kernel(ModelParams(n=EXACT_N_CAP, p=0.2, alpha=0.1)).params.n == EXACT_N_CAP
 
 
 def test_static_kernel_only_adds_errors():
@@ -198,12 +198,27 @@ def test_distribution_validation():
         StateDistribution.point_mass(3, x=4)
 
 
-def test_kernel_validation():
-    bad = np.array([[0.5, 0.4], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="rows sum"):
-        TransitionKernel(n=1, k_batch=0, probs=bad)
-    with pytest.raises(ValueError, match="shape"):
-        TransitionKernel(n=2, k_batch=0, probs=np.eye(2))
+@pytest.mark.parametrize("defect, match", [
+    ("negative entry", "negative entries"),
+    ("rows sum to 1 + 1e-9", "rows sum to 1"),
+])
+def test_blocks_are_checked_as_they_are_built(monkeypatch, defect, match):
+    """A block whose rows hold a negative entry, or sum to 1 + 1e-9, must
+    not be built: the first push that reaches it raises."""
+    band = exact._band
+
+    def broken_band(*args):
+        probs, offset, width = band(*args)
+        if defect == "negative entry":
+            probs[0, :2] += [-0.1, 0.1]  # the row still sums to 1
+        else:
+            probs *= 1.0 + 1e-9
+        return probs, offset, width
+
+    monkeypatch.setattr(exact, "_band", broken_band)
+    kernel = build_kernel(ModelParams(n=300, p=0.2, alpha=0.05))
+    with pytest.raises(ValueError, match=match):
+        evolve(kernel, StateDistribution.point_mass(300), 1)
 
 
 def test_monotonicity_holds_on_model_kernels():
@@ -218,7 +233,7 @@ def test_monotonicity_holds_on_model_kernels():
 def test_monotonicity_detects_violation():
     # a swap chain: from 0 always to 1, from 1 always to 0; reaching
     # state >= 1 in one step is certain from 0 and impossible from 1
-    flip = TransitionKernel(n=1, k_batch=0, probs=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    flip = SimpleNamespace(dense=lambda: np.array([[0.0, 1.0], [1.0, 0.0]]))
     report = check_h_monotone(flip, 1)
     assert not report.ok
     assert (1, 0) in report.violations

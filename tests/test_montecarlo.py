@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2, kstest
 
-from qecbatch import checks
+from qecbatch import checks, montecarlo
 from qecbatch.chain import ModelParams, correct
 from qecbatch.checks import oracle_vs_monte_carlo
 from qecbatch.exact import StateDistribution, build_kernel, epochs, evolve, tail_prob
@@ -203,16 +203,19 @@ def test_steady_fraction_over_corrected():
     # empties every epoch instead of settling at a positive fraction
     params = ModelParams(n=10_000, p=0.2, alpha=0.3)
     spec = TrajectoryBatch(params=params, n_traj=40, t_max=40, master_seed=7)
-    result = steady_fraction(spec, burn_in=20)
+    result = steady_fraction(spec)
+    assert result.burn_in == 20
     assert result.mean_fraction < 0.01
 
 
-def test_steady_fraction_burn_in_validation():
-    spec = TrajectoryBatch(params=PARAMS, n_traj=5, t_max=10, master_seed=1)
-    with pytest.raises(ValueError):
-        steady_fraction(spec, burn_in=10)
-    with pytest.raises(ValueError):
-        steady_fraction(spec, burn_in=-1)
+def test_steady_fraction_averages_past_half_the_horizon():
+    """With t_max = 11 the burn-in is 5, and every trajectory of the fleet
+    is averaged over epochs 6..11."""
+    spec = TrajectoryBatch(params=PARAMS, n_traj=5, t_max=11, master_seed=1)
+    result = steady_fraction(spec)
+    assert result.burn_in == 5
+    counts = np.array([x for t, x in montecarlo._fleet(PARAMS, 5, 11, 1) if t > 5])
+    assert result.mean_fraction == pytest.approx(counts.mean() / PARAMS.n, rel=1e-12)
 
 
 def test_coupled_dominance_healthy():
@@ -404,3 +407,19 @@ def test_batch_spec_validation():
         TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=-1)
     with pytest.raises(ValueError, match="master_seed"):
         run_batch(TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=2**64), 1.0)
+
+
+def test_batch_spec_refuses_what_it_would_reinterpret():
+    """Checked when the batch is built, by ModelParams' integer rule: True
+    would run one trajectory, 5.5 epochs would fail inside numpy, and a
+    seed of 2^64 would fail only when the first block draws."""
+    cases = [
+        ({"n_traj": True}, "n_traj must be an integer, got True"),
+        ({"t_max": 5.5}, "t_max must be an integer, got 5.5"),
+        ({"master_seed": 2**64}, r"master_seed must lie in \[0, 2\^64\)"),
+        ({"master_seed": 1.0}, "master_seed must be an integer"),
+    ]
+    for change, match in cases:
+        with pytest.raises(ValueError, match=match):
+            TrajectoryBatch(**{"params": PARAMS, "n_traj": 5, "t_max": 5, "master_seed": 1,
+                               **change})

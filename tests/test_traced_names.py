@@ -6,12 +6,17 @@ renamed or deleted name would only surface when the benchmark runs, so
 these tests read the names with `ast`, without importing the benchmark,
 and check that each one still resolves. The attributes the tracer's
 counter hooks read off return values escape that scan, so the kernel
-hook is loaded by path and run on built kernels."""
+hook is loaded by path and run on built kernels. The `exact_oracle` jobs
+run here too, so that a library change that breaks one fails this suite
+rather than only the benchmark run."""
 
 import ast
 import importlib
 import importlib.util
+import sys
+from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -117,3 +122,18 @@ def test_kernel_counter_hook_reads_built_kernels(q):
     assert counts["exact.kernel_bytes"] > 0
     assert counts["exact.kernel_entries"] > 0
     assert 0 < counts["exact.useful_entries"] <= counts["exact.kernel_entries"]
+
+
+def test_exact_oracle_jobs_pass(tmp_path, monkeypatch):
+    """One cycle of the benchmark's `exact_oracle` mix, untraced."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    ctx = workloads.Context(trace=SimpleNamespace(span=lambda name, **attrs: nullcontext()),
+                            workdir=tmp_path)
+    jobs = workloads.MIXES["exact_oracle"]
+    assert jobs
+    for seed, (label, job) in enumerate(jobs):
+        assert job(seed, ctx).failures == [], label
