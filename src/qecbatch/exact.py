@@ -18,6 +18,9 @@ combined mass is at most half the kernel's truncation. One phase thus
 moves a distribution by at most the truncation, _TAIL_EPS, in total
 variation: half for the row tails and half for the skipped blocks. Every
 phase a distribution goes through adds it to the distribution's `err`.
+Kernels alive at the same time share the rows of each phase they have in
+common, so a block is built once however many of them reach it; the rows
+go with the last kernel that holds them.
 Static phases run on the schedule of `chain.static_phase_due`, the same
 one the Monte Carlo fleet follows.
 """
@@ -25,6 +28,7 @@ one the Monte Carlo fleet follows.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -35,7 +39,7 @@ from scipy.sparse import csc_array
 from scipy.special import bdtr, gammaln
 from scipy.stats import binom
 
-from .chain import ModelParams, static_phase_due
+from .chain import ModelParams, check_integer, static_phase_due
 
 __all__ = [
     "EXACT_N_CAP",
@@ -56,7 +60,8 @@ __all__ = [
 # w ~ 8.4 sqrt(n) entries wide at p = 1/2, the widest case, and a built
 # block stores each row's own width only. At n = 2 * 10^4 a phase whose
 # every block has been built holds 15.8 million entries: 127 MB of float64
-# plus 63 MB of int32 landing states, the worst case. Blocks are built
+# plus 63 MB of int32 landing states, the worst case, held once however
+# many live kernels share the phase. Blocks are built
 # only where mass arrives: 60 epochs from zero errors at p = 0.2,
 # alpha = 0.05 build 46 of the 79 blocks. Reading probs materialises the
 # full 20001 x 1187 band, another 190 MB.
@@ -212,6 +217,19 @@ class _Rows:
         return dense
 
 
+# The phases live kernels hold, keyed by (n, prob, budget), so that each
+# block is built once however many kernels push through it. A phase leaves
+# with its last kernel: nothing here outlives its callers.
+_LIVE: weakref.WeakValueDictionary[tuple[int, float, int], _Rows] = weakref.WeakValueDictionary()
+
+
+def _live_rows(n: int, prob: float, budget: int) -> _Rows:
+    rows = _LIVE.get((n, prob, budget))
+    if rows is None:
+        rows = _LIVE[n, prob, budget] = _Rows(n, prob, budget)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
     """Banded one-epoch kernel of `params`, plus the static-phase kernel
@@ -262,13 +280,15 @@ def build_kernel(params: ModelParams) -> TransitionKernel:
     Row x spreads Binomial(n - x, p) fresh errors y over the landing
     states max(x + y - k_batch, 0), keeping y between the row's two tail
     quantiles; the static phase does the same with q and no correction.
-    Rows are built block by block as pushes reach them. Refuses n beyond
-    EXACT_N_CAP.
+    Rows are built block by block as pushes reach them, and a phase is
+    shared with every live kernel that has it: equal params, or a kernel
+    differing only in q or q_period for the correction rows. Refuses n
+    beyond EXACT_N_CAP.
     """
     if params.n > EXACT_N_CAP:
         raise ValueError(f"n={params.n} exceeds the exact-mode cap of {EXACT_N_CAP}")
-    static = _Rows(params.n, params.q, 0) if params.q > 0.0 else None
-    return TransitionKernel(params=params, rows=_Rows(params.n, params.p, params.k_batch),
+    static = _live_rows(params.n, params.q, 0) if params.q > 0.0 else None
+    return TransitionKernel(params=params, rows=_live_rows(params.n, params.p, params.k_batch),
                             static_rows=static, truncation=_TAIL_EPS)
 
 
@@ -346,6 +366,7 @@ def epochs(
     chain.static_phase_due(t, kernel.params) holds. Each distribution's err is
     dist0.err plus the kernel's truncation once per phase since dist0.
     """
+    check_integer("steps", steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     n = kernel.params.n
@@ -397,6 +418,7 @@ def check_h_monotone(kernel: TransitionKernel, m: int, tol: float = 1e-10) -> Mo
     when moving from x to x+1 by more than tol) indicates a kernel bug.
     Uses the correction-epoch kernel alone, ignoring static phases.
     """
+    check_integer("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     power = np.linalg.matrix_power(kernel.dense(), m)
@@ -442,6 +464,7 @@ def hitting_time_distribution(
     matches what a sampled trajectory of post-correction counts sees.
     The remainder after t_max epochs is the survival probability.
     """
+    check_integer("t_max", t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     first = int(math.floor(threshold)) + 1
@@ -462,7 +485,12 @@ def hitting_time_distribution(
 
 
 def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
-    """Exact E[X_t] for t = 0..t_max, starting from zero errors."""
+    """Exact E[X_t] for t = 0..t_max, starting from zero errors.
+
+    Its kernel shares the blocks of any live kernel of the same params, so
+    a caller that holds one pays only for blocks it has not built yet.
+    """
+    check_integer("t_max", t_max)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), t_max)

@@ -303,8 +303,7 @@ def run_coupled(
         raise ValueError(
             f"need 0 <= q_low <= q_high <= 1, got q_low={q_low}, q_high={q_high}"
         )
-    if n_traj < 1 or t_max < 1:
-        raise ValueError("n_traj and t_max must be >= 1")
+    TrajectoryBatch(params, n_traj, t_max, master_seed)  # refuses a fleet it would reinterpret
     n = params.n
     inclusion_violations = 0
     count_violations = 0
@@ -394,6 +393,7 @@ def location_counts(spec: TrajectoryBatch, t_probe: int) -> tuple[np.ndarray, np
     the fleet, and each trajectory's number of errors."""
     if spec.record is not RecordMode.LOCATIONS:
         raise ValueError("location_counts needs a batch with record=LOCATIONS")
+    chain.check_integer("t_probe", t_probe)
     if not 0 <= t_probe <= spec.t_max:
         raise ValueError(f"t_probe must lie in [0, t_max], got {t_probe}")
     n = spec.params.n

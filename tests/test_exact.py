@@ -167,6 +167,24 @@ def test_evolve_validation():
         evolve(kernel, StateDistribution.point_mass(2), -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda kernel, start: evolve(kernel, start, True),
+    lambda kernel, start: evolve(kernel, start, 2.5),
+    lambda kernel, start: epochs(kernel, start, 2.0),
+    lambda kernel, start: hitting_time_distribution(kernel, 1, True),
+    lambda kernel, start: hitting_time_distribution(kernel, 1, 2.0),
+    lambda kernel, start: mean_curve(kernel.params, 2.0),
+    lambda kernel, start: mean_curve(kernel.params, True),
+    lambda kernel, start: check_h_monotone(kernel, True),
+    lambda kernel, start: check_h_monotone(kernel, 1.5),
+], ids=["evolve True", "evolve 2.5", "epochs 2.0", "hitting True", "hitting 2.0",
+        "mean_curve 2.0", "mean_curve True", "monotone True", "monotone 1.5"])
+def test_epoch_counts_take_integers_only(call):
+    """True would run one epoch and a float would die inside range."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(kernel_n2(), StateDistribution.point_mass(2))
+
+
 def test_tail_prob_is_strict():
     dist = StateDistribution(t=0, mass=np.array([0.2, 0.3, 0.5]))
     assert tail_prob(dist, 1) == pytest.approx(0.5)
@@ -219,6 +237,65 @@ def test_blocks_are_checked_as_they_are_built(monkeypatch, defect, match):
     kernel = build_kernel(ModelParams(n=300, p=0.2, alpha=0.05))
     with pytest.raises(ValueError, match=match):
         evolve(kernel, StateDistribution.point_mass(300), 1)
+
+
+@pytest.fixture
+def band_calls(monkeypatch):
+    """The (n, prob, budget, x0, x1) of every block built from here on."""
+    calls = []
+    band = exact._band
+
+    def counted(*args):
+        calls.append(args)
+        return band(*args)
+
+    monkeypatch.setattr(exact, "_band", counted)
+    return calls
+
+
+def test_live_kernels_share_their_blocks(band_calls):
+    params = ModelParams(n=600, p=0.2, alpha=0.05, q=0.02, q_period=3)
+    start = StateDistribution.point_mass(600)
+    kernel = build_kernel(params)
+    alone = evolve(kernel, start, 5)
+    built = len(band_calls)
+    assert built > 0
+    again = evolve(build_kernel(params), start, 5)
+    means = mean_curve(params, 5)
+    assert len(band_calls) == built
+    np.testing.assert_array_equal(again.mass, alone.mass)
+    assert means[-1] == alone.mean()
+
+
+def test_blocks_leave_with_the_last_kernel(band_calls):
+    params = ModelParams(n=600, p=0.2, alpha=0.05)
+    start = StateDistribution.point_mass(600)
+    kernel = build_kernel(params)
+    evolve(kernel, start, 5)
+    built = len(band_calls)
+    del kernel
+    assert len(exact._LIVE) == 0
+    evolve(build_kernel(params), start, 5)
+    assert len(band_calls) == 2 * built
+
+
+def test_kernels_with_other_budgets_share_nothing(band_calls):
+    kernels = [build_kernel(ModelParams(n=300, p=0.2, alpha=alpha)) for alpha in (0.05, 0.1)]
+    for kernel in kernels:
+        kernel.dense()
+    assert kernels[0].rows is not kernels[1].rows
+    assert sorted(call[2] for call in band_calls) == [15, 15, 30, 30]
+
+
+def test_static_kernel_shares_the_correction_blocks(band_calls):
+    params = ModelParams(n=300, p=0.2, alpha=0.05)
+    plain, static = build_kernel(params), build_kernel(replace(params, q=0.02))
+    plain.dense()
+    assert len(band_calls) == 2
+    static.dense()
+    assert len(band_calls) == 2
+    static.dense(static=True)
+    assert [call[1:3] for call in band_calls[2:]] == [(0.02, 0), (0.02, 0)]
 
 
 def test_monotonicity_holds_on_model_kernels():

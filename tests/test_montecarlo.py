@@ -262,6 +262,12 @@ def test_coupled_validation():
     for seed in (-3, 2**64 + 5):
         with pytest.raises(ValueError, match="master_seed"):
             run_coupled(PARAMS, 0.01, 0.05, n_traj=10, t_max=5, master_seed=seed)
+    # by the batch's integer rule: True would run one pair of trajectories,
+    # and 2.5 epochs would die inside range
+    for name, value in (("n_traj", True), ("t_max", 2.5), ("master_seed", 1.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            run_coupled(PARAMS, 0.01, 0.05, **{"n_traj": 10, "t_max": 5, "master_seed": 1,
+                                               name: value})
 
 
 def _randomized_pit(value, trials, prob, rng):
@@ -343,6 +349,14 @@ def test_uniformity_check_healthy():
     assert not result.degenerate
     assert result.dof == 29
     assert result.pvalue > 1e-3
+
+
+@pytest.mark.parametrize("t_probe", [True, 2.5])
+def test_probe_epoch_takes_integers_only(t_probe):
+    spec = TrajectoryBatch(params=PARAMS, n_traj=5, t_max=3, master_seed=1,
+                           record=RecordMode.LOCATIONS)
+    with pytest.raises(ValueError, match="t_probe must be an integer"):
+        uniformity_check(spec, t_probe)
 
 
 def test_uniformity_pvalues_are_calibrated():

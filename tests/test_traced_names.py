@@ -8,7 +8,8 @@ and check that each one still resolves. The attributes the tracer's
 counter hooks read off return values escape that scan, so the kernel
 hook is loaded by path and run on built kernels. The `exact_oracle` jobs
 run here too, so that a library change that breaks one fails this suite
-rather than only the benchmark run."""
+rather than only the benchmark run, and the kernel blocks each job builds
+are counted."""
 
 import ast
 import importlib
@@ -20,6 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qecbatch import exact
 from qecbatch.chain import ModelParams
 from qecbatch.exact import build_kernel
 
@@ -124,8 +126,8 @@ def test_kernel_counter_hook_reads_built_kernels(q):
     assert 0 < counts["exact.useful_entries"] <= counts["exact.kernel_entries"]
 
 
-def test_exact_oracle_jobs_pass(tmp_path, monkeypatch):
-    """One cycle of the benchmark's `exact_oracle` mix, untraced."""
+def _oracle_jobs(tmp_path, monkeypatch):
+    """The benchmark's `exact_oracle` jobs and an untraced context for them."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # the module's dataclasses look their module up in sys.modules
@@ -133,7 +135,34 @@ def test_exact_oracle_jobs_pass(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     ctx = workloads.Context(trace=SimpleNamespace(span=lambda name, **attrs: nullcontext()),
                             workdir=tmp_path)
-    jobs = workloads.MIXES["exact_oracle"]
+    return workloads.MIXES["exact_oracle"], ctx
+
+
+def test_exact_oracle_jobs_pass(tmp_path, monkeypatch):
+    """One cycle of the benchmark's `exact_oracle` mix, untraced."""
+    jobs, ctx = _oracle_jobs(tmp_path, monkeypatch)
     assert jobs
     for seed, (label, job) in enumerate(jobs):
         assert job(seed, ctx).failures == [], label
+
+
+def test_exact_oracle_jobs_build_each_block_once(tmp_path, monkeypatch):
+    """Within a job, `mean_curve` and the job's own kernel share their
+    blocks; across jobs nothing is kept, so the second cycle builds as
+    many blocks as the first."""
+    jobs, ctx = _oracle_jobs(tmp_path, monkeypatch)
+    calls = [0]
+    band = exact._band
+
+    def counted(*args):
+        calls[0] += 1
+        return band(*args)
+
+    monkeypatch.setattr(exact, "_band", counted)
+    for _ in range(2):
+        built = []
+        for seed, (label, job) in enumerate(jobs):
+            calls[0] = 0
+            assert job(seed, ctx).failures == [], label
+            built.append(calls[0])
+        assert built == [3, 5, 7, 12]
