@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chain import Noise
+from .chain import Noise, check_integer
 from .meanfield import (
     Rule, _broken, _crossings, _points, _raise_first, _rate_rules, epochs_to_cross,
 )
@@ -54,8 +54,7 @@ def hitting_prob_lb(n: int, p: float, alpha: float, beta: float) -> HittingBound
     (1 - exp(-2 n (1-beta) delta^2))^T, and stays above it in the same
     sense forever after. Requires beta below (p - alpha)/p.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_integer("n", n, least=1)
     crossing = epochs_to_cross(p, alpha, beta)
     per_epoch = -math.expm1(-2.0 * n * (1.0 - beta) * crossing.delta**2)
     return HittingBound(value=per_epoch**crossing.T, T=crossing.T, delta=crossing.delta)
@@ -303,6 +302,7 @@ def overhead_bound(
     default); erasure noise takes its exact capacity. This is the
     one-point case of overhead_columns.
     """
+    check_integer("l", l)  # its range is a domain rule, shared with overhead_columns
     columns = overhead_columns(l, p, alpha, theta, noise, q, capacity)
     values = {name: float(getattr(columns, name)[0]) for name in (
         "alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha",

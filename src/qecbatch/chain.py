@@ -6,8 +6,9 @@ is corrected, with no prioritization among them. Both supported noise
 kinds are absorbing on a single qubit (a second hit changes nothing),
 so the memory is fully described by how many, or which, qubits
 currently carry an error: count mode advances arrays of error counts,
-mask mode boolean error masks. `correct` is the one place the
-correction rule is written.
+mask mode boolean error masks. `correct` is the one written correction
+rule; the check_* functions and `first_above` are the one written rule
+for each scalar input.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ __all__ = [
     "inject_count",
     "static_phase_due",
     "check_integer",
+    "check_seed",
+    "check_fraction",
+    "first_above",
 ]
 
 # Absolute slack when flooring n * alpha, so that decimal inputs such as
@@ -46,16 +50,40 @@ class Noise(Enum):
     DEPOLARIZING = "depolarizing"
 
 
-def check_integer(name: str, value: object) -> None:
+def check_integer(name: str, value: object, least: int | None = None,
+                  below: int | None = None) -> None:
     """Refuse a value that is not an integer, bools included, rather than
-    let it be rounded or read as 0 or 1."""
+    let it be rounded or read as 0 or 1; with bounds, refuse one below
+    `least` or at or above `below`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if below is not None and value >= below:
+        shown = "2^63" if below == 2**63 else below  # the int64 limit of n
+        raise ValueError(f"{name} must be below {shown}, got {value}")
 
 
-def _check_prob(name: str, value: float) -> None:
+def check_seed(name: str, value: object) -> None:
+    """Refuse anything but an integer in [0, 2^64), one generator key word."""
+    check_integer(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+
+
+def check_fraction(name: str, value: float) -> None:
+    """Refuse a probability or fraction outside [0, 1], nan included."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def first_above(threshold: float, n: int) -> int:
+    """The least error count strictly above `threshold`, clamped to
+    0 .. n + 1: states from it up exceed the threshold, and n + 1 means
+    none does. Defined at +-inf; nan is refused."""
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
+    return math.floor(min(max(threshold, -1), n)) + 1
 
 
 @dataclass(frozen=True)
@@ -78,18 +106,10 @@ class ModelParams:
     q_period: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n", "q_period"):
-            check_integer(name, getattr(self, name))
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.n >= 2**63:
-            raise ValueError(f"n must be below 2^63, got {self.n}")
-        _check_prob("p", self.p)
-        _check_prob("q", self.q)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.q_period < 1:
-            raise ValueError(f"q_period must be >= 1, got {self.q_period}")
+        check_integer("n", self.n, least=1, below=2**63)
+        check_integer("q_period", self.q_period, least=1)
+        for name in ("p", "alpha", "q"):
+            check_fraction(name, getattr(self, name))
 
     @property
     def k_batch(self) -> int:

@@ -39,7 +39,7 @@ from . import checks as checks_mod
 from . import exact as exact_mod
 from . import meanfield as mf_mod
 from . import montecarlo as mc_mod
-from .chain import ModelParams, Noise
+from .chain import ModelParams, Noise, check_fraction, check_integer, check_seed
 
 __all__ = ["GridAxis", "ExperimentConfig", "parse_config", "config_from_mapping", "run", "main"]
 
@@ -203,10 +203,8 @@ class ExperimentConfig:
             value, choices = getattr(self, f.name), f.metadata.get("choices")
             if choices and value is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {', '.join(choices)}, got '{value}'")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        check_integer("threads", self.threads, least=1)
+        check_seed("master_seed", self.master_seed)
         for name, what in _ignored(self):
             if getattr(self, name) != _KEYS[name].default:
                 raise UsageError(f"--{name.replace('_', '-')} does not apply to {what}")
@@ -346,8 +344,7 @@ def _csv_lines(rows: Iterable[Sequence[object]]) -> Iterator[str]:
 
 def _threshold(config: ExperimentConfig) -> float:
     """The error-count threshold n * beta of simulate and exact."""
-    if not 0.0 <= config.beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {config.beta}")
+    check_fraction("beta", config.beta)
     return config.n * config.beta
 
 

@@ -39,7 +39,7 @@ from scipy.sparse import csc_array
 from scipy.special import bdtr, gammaln
 from scipy.stats import binom
 
-from .chain import ModelParams, check_integer, static_phase_due
+from .chain import ModelParams, check_integer, first_above, static_phase_due
 
 __all__ = [
     "EXACT_N_CAP",
@@ -240,14 +240,17 @@ class TransitionKernel:
     static_probs read every row back as one band, building all blocks:
     entry j of row x is the probability of the j-th fresh-error count
     that row keeps.
-    truncation bounds the total-variation distance one phase adds to a
-    distribution pushed through it, row tails and skipped blocks together.
     """
 
     params: ModelParams
     rows: _Rows = field(repr=False)
     static_rows: _Rows | None = field(repr=False)
-    truncation: float
+
+    @property
+    def truncation(self) -> float:
+        """The one budget _TAIL_EPS: the total-variation distance one phase
+        adds, row tails and skipped blocks together."""
+        return _TAIL_EPS
 
     def _phase(self, static: bool) -> _Rows:
         rows = self.static_rows if static else self.rows
@@ -289,7 +292,7 @@ def build_kernel(params: ModelParams) -> TransitionKernel:
         raise ValueError(f"n={params.n} exceeds the exact-mode cap of {EXACT_N_CAP}")
     static = _live_rows(params.n, params.q, 0) if params.q > 0.0 else None
     return TransitionKernel(params=params, rows=_live_rows(params.n, params.p, params.k_batch),
-                            static_rows=static, truncation=_TAIL_EPS)
+                            static_rows=static)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +308,7 @@ class StateDistribution:
     err: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        check_integer("t", self.t, least=0)
         if self.mass.ndim != 1 or self.mass.size < 1:
             raise ValueError("mass must be a nonempty 1-d array")
         if (self.mass < 0.0).any():
@@ -323,8 +325,7 @@ class StateDistribution:
 
     @classmethod
     def point_mass(cls, n: int, x: int = 0, t: int = 0) -> "StateDistribution":
-        if not 0 <= x <= n:
-            raise ValueError(f"x={x} outside [0, {n}]")
+        check_integer("x", x, least=0, below=n + 1)
         mass = np.zeros(n + 1)
         mass[x] = 1.0
         return cls(t=t, mass=mass)
@@ -335,16 +336,17 @@ class StateDistribution:
 
 def _pushes(
     kernel: TransitionKernel, mass: np.ndarray, t0: int, steps: int, first: int
-) -> Iterator[tuple[np.ndarray, int]]:
+) -> Iterator[tuple[np.ndarray, int, float]]:
     """Push mass through correction epochs t0 .. t0 + steps - 1.
 
-    Yields (mass, phases) after each epoch, phases counting the phases
-    applied so far. A static phase runs before every epoch t for which
-    chain.static_phase_due(t, kernel.params) holds, the simulator's own
-    schedule. After each epoch the states from `first` up
-    are emptied; first = n + 1 empties none. This is the only code that
-    pushes mass through a kernel, and each push builds only the blocks of
-    rows that carry mass, so the cost follows the distribution's support.
+    Yields (mass, phases, cut) after each epoch, phases counting the
+    phases applied so far. A static phase runs before every epoch t for
+    which chain.static_phase_due(t, kernel.params) holds, the simulator's
+    own schedule. After each epoch the states from `first` up are
+    emptied, and cut is the mass they held; first = n + 1 empties none.
+    This is the only code that pushes mass through a kernel, and each push
+    builds only the blocks of rows that carry mass, so the cost follows
+    the distribution's support.
     """
     phases = 0
     for t in range(t0, t0 + steps):
@@ -353,8 +355,9 @@ def _pushes(
             phases += 1
         mass = kernel.push(mass)
         phases += 1
+        cut = float(mass[first:].sum())
         mass[first:] = 0.0
-        yield mass, phases
+        yield mass, phases, cut
 
 
 def epochs(
@@ -366,16 +369,14 @@ def epochs(
     chain.static_phase_due(t, kernel.params) holds. Each distribution's err is
     dist0.err plus the kernel's truncation once per phase since dist0.
     """
-    check_integer("steps", steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_integer("steps", steps, least=0)
     n = kernel.params.n
     if dist0.n != n:
         raise ValueError(f"distribution is over {dist0.n + 1} states, kernel over {n + 1}")
     pushes = _pushes(kernel, dist0.mass, dist0.t, steps, n + 1)
     return chain([dist0], (
         StateDistribution(t=t, mass=mass, err=dist0.err + phases * kernel.truncation)
-        for t, (mass, phases) in enumerate(pushes, start=dist0.t + 1)
+        for t, (mass, phases, _) in enumerate(pushes, start=dist0.t + 1)
     ))
 
 
@@ -387,8 +388,8 @@ def evolve(kernel: TransitionKernel, dist0: StateDistribution, steps: int) -> St
 
 def tail_prob(dist: StateDistribution, threshold: float) -> float:
     """P[X > threshold] under this distribution (strictly above)."""
-    first = int(math.floor(threshold)) + 1
-    if first <= 0:
+    first = first_above(threshold, dist.n)
+    if first == 0:
         return 1.0
     if first > dist.n:
         return 0.0
@@ -418,9 +419,7 @@ def check_h_monotone(kernel: TransitionKernel, m: int, tol: float = 1e-10) -> Mo
     when moving from x to x+1 by more than tol) indicates a kernel bug.
     Uses the correction-epoch kernel alone, ignoring static phases.
     """
-    check_integer("m", m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_integer("m", m, least=1)
     power = np.linalg.matrix_power(kernel.dense(), m)
     # tails[x, k] = P[X_{t+m} >= k | X_t = x]
     tails = np.cumsum(power[:, ::-1], axis=1)[:, ::-1]
@@ -458,29 +457,26 @@ def hitting_time_distribution(
     """Exact first-passage law via taboo evolution.
 
     The chain starts at zero errors and is observed at epoch boundaries,
-    after correction; mass sitting above the threshold at the end of
-    epoch t is credited to P[tau = t]. A static excursion that the same
-    epoch's correction repairs therefore does not count as a hit, which
-    matches what a sampled trajectory of post-correction counts sees.
-    The remainder after t_max epochs is the survival probability.
+    after correction; the mass cut above the threshold at the end of
+    epoch t is P[tau = t], never negative. A static excursion that the
+    same epoch's correction repairs therefore does not count as a hit,
+    which matches what a sampled trajectory of post-correction counts
+    sees. The mass left after t_max epochs is the survival probability.
     """
-    check_integer("t_max", t_max)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    first = int(math.floor(threshold)) + 1
+    check_integer("t_max", t_max, least=1)
+    n = kernel.params.n
+    first = first_above(threshold, n)
     pmf = np.zeros(t_max + 1)
-    if first <= 0:
+    if first == 0:
         # threshold below zero: the fresh memory already exceeds it
         pmf[0] = 1.0
         return HittingTimeDistribution(threshold=threshold, pmf=pmf, survival=0.0)
-    start = StateDistribution.point_mass(kernel.params.n).mass
-    sums, counts = zip(*((mass.sum(), phases) for mass, phases in _pushes(
-        kernel, start, 0, t_max, first)))
-    survival = np.array((1.0, *sums))  # survival[t] = P[tau > t]
-    pmf[1:] = survival[:-1] - survival[1:]
+    pushes = _pushes(kernel, StateDistribution.point_mass(n).mass, 0, t_max, first)
+    for t, (mass, phases, cut) in enumerate(pushes, start=1):
+        pmf[t] = cut
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=float(survival[-1]),
-        err=counts[-1] * kernel.truncation,
+        threshold=threshold, pmf=pmf, survival=float(mass.sum()),
+        err=phases * kernel.truncation,
     )
 
 
@@ -490,8 +486,6 @@ def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
     Its kernel shares the blocks of any live kernel of the same params, so
     a caller that holds one pays only for blocks it has not built yet.
     """
-    check_integer("t_max", t_max)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    check_integer("t_max", t_max, least=0)
     dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), t_max)
     return np.array([dist.mean() for dist in dists])

@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 _PIT_BINS = 20
-_SEED_LIMIT = 1 << 64
 
 # Trajectories per block: a fixed count in count mode, and about 64 KiB of
 # mask (one byte per qubit) in mask mode, so a block stays small for any n.
@@ -72,14 +71,9 @@ class TrajectoryBatch:
     record: RecordMode = RecordMode.COUNTS
 
     def __post_init__(self) -> None:
-        for name in ("n_traj", "t_max", "master_seed"):
-            chain.check_integer(name, getattr(self, name))
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if not 0 <= self.master_seed < _SEED_LIMIT:
-            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        chain.check_integer("n_traj", self.n_traj, least=1)
+        chain.check_integer("t_max", self.t_max, least=1)
+        chain.check_seed("master_seed", self.master_seed)
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -91,13 +85,10 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     independent streams regardless of worker layout. Both must lie in
     [0, 2^64), so that no two pairs share a stream.
     """
-    # Python ints: a numpy integer would overflow in the shift below.
-    master_seed, index = operator.index(master_seed), operator.index(index)
-    if not 0 <= master_seed < _SEED_LIMIT:
-        raise ValueError(f"master_seed must lie in [0, 2^64), got {master_seed}")
-    if not 0 <= index < _SEED_LIMIT:
-        raise ValueError(f"index must lie in [0, 2^64), got {index}")
-    key = (master_seed << 64) | index
+    chain.check_seed("master_seed", master_seed)
+    chain.check_seed("index", index)
+    # Python ints: a numpy integer would overflow in the shift.
+    key = (operator.index(master_seed) << 64) | operator.index(index)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -179,9 +170,8 @@ def run_batch(
     count mode. Each worker gets whole blocks and aggregation is a sum of
     integer counters, hence the result is invariant to n_workers.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    first_exceed = int(math.floor(threshold)) + 1
+    chain.check_integer("n_workers", n_workers, least=1)
+    first_exceed = chain.first_above(threshold, spec.params.n)
     n_blocks = -(-spec.n_traj // _COUNT_BLOCK)
     args = [(spec, first_exceed, part)
             for part in np.array_split(np.arange(n_blocks), min(n_workers, n_blocks))]
@@ -393,9 +383,7 @@ def location_counts(spec: TrajectoryBatch, t_probe: int) -> tuple[np.ndarray, np
     the fleet, and each trajectory's number of errors."""
     if spec.record is not RecordMode.LOCATIONS:
         raise ValueError("location_counts needs a batch with record=LOCATIONS")
-    chain.check_integer("t_probe", t_probe)
-    if not 0 <= t_probe <= spec.t_max:
-        raise ValueError(f"t_probe must lie in [0, t_max], got {t_probe}")
+    chain.check_integer("t_probe", t_probe, least=0, below=spec.t_max + 1)
     n = spec.params.n
     counts = np.zeros(n, dtype=np.int64)
     errors = []

@@ -205,6 +205,13 @@ def test_overhead_bound_validation():
         overhead_bound(100, 0.2, 0.12, 0.45)  # theta above (p - alpha)/p
     with pytest.raises(ValueError):
         overhead_bound(100, 0.2, 0.12, 0.0)
+    # n and l are counts: a float or a bool is refused, not read as a number
+    for l in (2.5, True):
+        with pytest.raises(ValueError, match="l must be an integer"):
+            overhead_bound(l, 0.2, 0.15, 0.05)
+    for n in (True, 100.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            hitting_prob_lb(n, 0.2, 0.05, 0.5)
 
 
 def test_kappa_surface_frozen_case():

@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qecbatch
 from qecbatch.chain import (
     ModelParams,
     Noise,
@@ -179,3 +183,15 @@ def test_correct_clears_the_smallest_keys(data, rows, n):
             if cleared[r].any() and after[r].any():
                 assert keys[r, cleared[r]].max() < keys[r, after[r]].min()
     assert not np.any(correct(low, keys, budget) & ~correct(high, keys, budget))
+
+
+def test_input_rules_have_one_home():
+    """The seed range and the strict-crossing cut are written in chain alone
+    (check_seed, first_above); a copy elsewhere can drift from them."""
+    copy = re.compile(r"2\s*\*\*\s*64|1\s*<<\s*64|floor\(threshold\)")
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted(Path(qecbatch.__file__).parent.glob("*.py"))
+             if path.name != "chain.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             if copy.search(line)]
+    assert found == []

@@ -115,8 +115,9 @@ def test_evolve_interleaves_static_phases():
     (q_period 2), from t = 0 and from t = 1, where the schedule is offset;
     err grows by the truncation once per phase."""
     params = ModelParams(n=3, p=0.4, alpha=1.0 / 3.0, q=0.3, q_period=2)
-    # rows this short keep every entry; a declared truncation makes err move
-    kernel = replace(build_kernel(params), truncation=3e-17)
+    kernel = build_kernel(params)
+    with pytest.raises(TypeError):  # the one budget cannot be swapped for another
+        replace(kernel, truncation=0.0)
     static, probs = kernel.dense(static=True), kernel.dense()
     masses = [StateDistribution.point_mass(3).mass]
     masses.append(masses[-1] @ static @ probs)                # epoch 0
@@ -177,10 +178,16 @@ def test_evolve_validation():
     lambda kernel, start: mean_curve(kernel.params, True),
     lambda kernel, start: check_h_monotone(kernel, True),
     lambda kernel, start: check_h_monotone(kernel, 1.5),
+    lambda kernel, start: StateDistribution(t=2.5, mass=start.mass),
+    lambda kernel, start: StateDistribution(t=True, mass=start.mass),
+    lambda kernel, start: StateDistribution.point_mass(2, x=1.5),
+    lambda kernel, start: StateDistribution.point_mass(2, x=True),
 ], ids=["evolve True", "evolve 2.5", "epochs 2.0", "hitting True", "hitting 2.0",
-        "mean_curve 2.0", "mean_curve True", "monotone True", "monotone 1.5"])
+        "mean_curve 2.0", "mean_curve True", "monotone True", "monotone 1.5",
+        "t 2.5", "t True", "x 1.5", "x True"])
 def test_epoch_counts_take_integers_only(call):
-    """True would run one epoch and a float would die inside range."""
+    """True would run one epoch and a float would die inside range; as a
+    start state, 1.5 would fail to index and True would fill every state."""
     with pytest.raises(ValueError, match="must be an integer"):
         call(kernel_n2(), StateDistribution.point_mass(2))
 
@@ -216,6 +223,15 @@ def test_distribution_validation():
         StateDistribution.point_mass(3, x=4)
 
 
+def no_live_phase(params):
+    """params, once no live kernel holds its correction phase: a fault test
+    must build its blocks itself, not borrow blocks another kernel built."""
+    assert (params.n, params.p, params.k_batch) not in exact._LIVE, (
+        f"a live kernel, perhaps held by an earlier failure's traceback, already "
+        f"shares the blocks of {params}")
+    return params
+
+
 @pytest.mark.parametrize("defect, match", [
     ("negative entry", "negative entries"),
     ("rows sum to 1 + 1e-9", "rows sum to 1"),
@@ -234,7 +250,7 @@ def test_blocks_are_checked_as_they_are_built(monkeypatch, defect, match):
         return probs, offset, width
 
     monkeypatch.setattr(exact, "_band", broken_band)
-    kernel = build_kernel(ModelParams(n=300, p=0.2, alpha=0.05))
+    kernel = build_kernel(no_live_phase(ModelParams(n=300, p=0.2, alpha=0.05)))
     with pytest.raises(ValueError, match=match):
         evolve(kernel, StateDistribution.point_mass(300), 1)
 
@@ -345,11 +361,17 @@ def test_hitting_time_edge_thresholds():
 
 
 def test_hitting_time_mass_accounting():
-    params = ModelParams(n=25, p=0.3, alpha=0.1, q=0.05, q_period=2)
-    kernel = build_kernel(params)
-    law = hitting_time_distribution(kernel, 6, t_max=40)
-    assert law.pmf.sum() + law.survival == pytest.approx(1.0, abs=1e-12)
-    assert law.pmf.min() >= 0.0
+    """Each pmf entry is the mass cut above the threshold, never negative.
+    As a difference of rounded survival sums, the n = 500 point and the
+    unreachable n = 20 one had pmf[1] = -2.2e-16."""
+    for params, threshold, t_max in (
+        (ModelParams(n=25, p=0.3, alpha=0.1, q=0.05, q_period=2), 6, 40),
+        (ModelParams(n=500, p=0.2, alpha=0.05), 250, 60),
+        (ModelParams(n=20, p=0.2, alpha=0.1), 19.5, 40),
+    ):
+        law = hitting_time_distribution(build_kernel(params), threshold, t_max=t_max)
+        assert law.pmf.sum() + law.survival == pytest.approx(1.0, abs=1e-12)
+        assert law.pmf.min() >= 0.0
 
 
 def test_hitting_time_first_epoch_matches_direct_calc():
@@ -396,7 +418,7 @@ def test_band_refuses_rows_that_leave_out_too_much(monkeypatch):
     out on a side; the block that holds such rows must not be built."""
     ppf = exact.binom.ppf
     monkeypatch.setattr(exact, "binom", SimpleNamespace(ppf=lambda q, m, p: ppf(q, m, p) + 1))
-    kernel = build_kernel(ModelParams(n=300, p=0.2, alpha=0.05))
+    kernel = build_kernel(no_live_phase(ModelParams(n=300, p=0.2, alpha=0.05)))
     with pytest.raises(ValueError, match="leaves out a tail"):
         evolve(kernel, StateDistribution.point_mass(300), 1)
 

@@ -8,7 +8,9 @@ from scipy.stats import binom, chi2, kstest
 from qecbatch import checks, montecarlo
 from qecbatch.chain import ModelParams, correct
 from qecbatch.checks import oracle_vs_monte_carlo
-from qecbatch.exact import StateDistribution, build_kernel, epochs, evolve, tail_prob
+from qecbatch.exact import (
+    StateDistribution, build_kernel, epochs, evolve, hitting_time_distribution, tail_prob,
+)
 from qecbatch.montecarlo import (
     RecordMode,
     TrajectoryBatch,
@@ -421,6 +423,44 @@ def test_batch_spec_validation():
         TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=-1)
     with pytest.raises(ValueError, match="master_seed"):
         run_batch(TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=2**64), 1.0)
+    for workers in (2.5, True):  # both used to run as one worker
+        with pytest.raises(ValueError, match="n_workers must be an integer"):
+            run_batch(TrajectoryBatch(params=PARAMS, n_traj=5, t_max=5, master_seed=1), 1.0,
+                      n_workers=workers)
+
+
+EDGE_N = 3
+
+
+@pytest.mark.parametrize("threshold", [-math.inf, -0.5, EDGE_N - 0.5, EDGE_N, math.inf, math.nan])
+def test_threshold_edges_agree(threshold):
+    """tail_prob, the hitting law and run_batch cut a threshold the same way,
+    at +-inf too, and all three refuse nan. With no budget the count never
+    drops, so P[tau <= t] = P[X_t > threshold]; a Monte Carlo curve matches
+    the exact one where that is 0 or 1 and covers it elsewhere."""
+    params = ModelParams(n=EDGE_N, p=0.5, alpha=0.0)
+    kernel = build_kernel(params)
+    start = StateDistribution.point_mass(EDGE_N)
+    spec = TrajectoryBatch(params=params, n_traj=400, t_max=4, master_seed=5)
+    if math.isnan(threshold):
+        for call in (lambda: tail_prob(start, threshold),
+                     lambda: hitting_time_distribution(kernel, threshold, 4),
+                     lambda: run_batch(spec, threshold)):
+            with pytest.raises(ValueError, match="nan"):
+                call()
+        return
+    tails = np.array([tail_prob(dist, threshold) for dist in epochs(kernel, start, 4)])
+    law = hitting_time_distribution(kernel, threshold, 4)
+    np.testing.assert_allclose(np.cumsum(law.pmf), tails, atol=1e-12)
+    assert law.pmf.sum() + law.survival == pytest.approx(1.0, abs=1e-12)
+    est = run_batch(spec, threshold)
+    sure = (tails == 0.0) | (tails == 1.0)
+    np.testing.assert_array_equal(est.p_hat_by_t[sure], tails[sure])
+    assert np.all((est.ci_low_by_t <= tails) & (tails <= est.ci_high_by_t))
+    if threshold < 0:
+        assert tails.min() == 1.0 and law.pmf[0] == 1.0
+    elif threshold >= EDGE_N:
+        assert tails.max() == 0.0 and law.pmf.max() == 0.0
 
 
 def test_batch_spec_refuses_what_it_would_reinterpret():
