@@ -10,7 +10,7 @@ verdicts rather than sentinel infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -220,26 +220,29 @@ def _domain_rules(l, p, alpha, theta, q) -> tuple[Rule, ...]:
 
 @dataclass(frozen=True)
 class BoundColumns:
-    """overhead_bound at every point of equal-length 1-d arrays.
+    """overhead_bound at every point of equal-length 1-d arrays: the one
+    table of the overhead answer, which overhead_bound and the sweep read.
 
-    out_of_domain marks the points where overhead_bound raises, feasible
-    those with a finite bound; the rest of the domain holds impossibility
-    verdicts. Values that do not apply to a point are nan, or 0 for
-    crossing_epochs. capacity is the capacity actually used, by the bound
-    and the full-parallel baseline alike.
+    status is "out-of-domain" where overhead_bound raises, "ok" where the
+    bound is finite and "impossible" where it gives a verdict. A figure is
+    NaN wherever it does not apply: each one out of the domain, n_min,
+    overhead_lb and crossing_epochs unless the status is ok, and the
+    baseline where the capacity vanishes at the effective idle rate.
+    crossing_epochs holds the exact int64 counts as Python ints, as an
+    int64 has no NaN. capacity_mode, the capacity of the bound and the
+    baseline alike, is empty out of the domain.
     """
 
-    capacity: CapacityKind
-    out_of_domain: np.ndarray
-    feasible: np.ndarray
+    capacity_mode: np.ndarray
+    status: np.ndarray
+    n_min: np.ndarray
+    overhead_lb: np.ndarray
+    crossing_epochs: np.ndarray
     alpha_threshold: np.ndarray
     noise_threshold: np.ndarray
     residual_rate: np.ndarray
     crossover_alpha: np.ndarray
     baseline_full_parallel: np.ndarray
-    n_min: np.ndarray
-    overhead_lb: np.ndarray
-    crossing_epochs: np.ndarray
 
 
 def overhead_columns(
@@ -248,34 +251,37 @@ def overhead_columns(
 ) -> BoundColumns:
     """overhead_bound over scalars or arrays, broadcast to one 1-d length.
 
-    Points where overhead_bound would raise come back marked
-    out_of_domain instead. The capacity is evaluated only at the points
-    where overhead_bound evaluates it.
+    Points where overhead_bound would raise come back out-of-domain
+    instead. The capacity is evaluated only at the points where
+    overhead_bound evaluates it.
     """
     l, p, alpha, theta, q = _points(l, p, alpha, theta, q)
     capacity = _capacity_for(noise, capacity)
-    out_of_domain = _broken(_domain_rules(l, p, alpha, theta, q))
-    inside = ~out_of_domain
+    inside = ~_broken(_domain_rules(l, p, alpha, theta, q))
     alpha_thr = _alpha_threshold(p, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = (p - alpha) / p - theta
-    base_rate = _capacity_where(capacity, _effective_rate(p, q), inside)
     rated = inside & (alpha >= alpha_thr)
     rate = _capacity_where(capacity, residual, rated)
     live = (rated & (rate > 0.0)).nonzero()[0]
-    crossing_epochs = np.zeros(p.shape, dtype=np.int64)
-    crossing_epochs[live], _, unreachable = _crossings(p[live], alpha[live], residual[live])
-    out_of_domain[live[unreachable]] = True
-    feasible = np.zeros(p.shape, dtype=bool)
-    feasible[live[~unreachable]] = True
-    n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=feasible)
+    epochs, _, unreachable = _crossings(p[live], alpha[live], residual[live])
+    inside[live[unreachable]] = False
+    ok = live[~unreachable]
+    crossing_epochs = np.full(p.shape, np.nan, dtype=object)
+    crossing_epochs[ok] = epochs[~unreachable]
+    status = np.where(inside, "impossible", "out-of-domain")
+    status[ok] = "ok"
+    n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=status == "ok")
+    base_rate = _capacity_where(capacity, _effective_rate(p, q), inside)
+    alpha_thr, noise_thr, residual, crossover = (np.where(inside, v, np.nan) for v in (
+        alpha_thr, _noise_threshold(alpha, noise), residual, p * (1.0 - p) * (1.0 - q)))
     return BoundColumns(
-        capacity=capacity, out_of_domain=out_of_domain, feasible=feasible,
-        alpha_threshold=alpha_thr, noise_threshold=_noise_threshold(alpha, noise),
-        residual_rate=residual, crossover_alpha=p * (1.0 - p) * (1.0 - q),
+        capacity_mode=np.where(inside, capacity.value, ""), status=status,
+        n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
+        alpha_threshold=alpha_thr, noise_threshold=noise_thr, residual_rate=residual,
+        crossover_alpha=crossover,
         baseline_full_parallel=np.divide(l, base_rate, out=np.full(p.shape, np.nan),
                                          where=base_rate > 0.0),
-        n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
     )
 
 
@@ -299,49 +305,44 @@ def overhead_bound(
     yield an impossibility verdict. The bound is evaluated at q = 0 and
     only tightens for q > 0; q enters the reported baseline and
     crossover directly. capacity picks the depolarizing mode (hashing by
-    default); erasure noise takes its exact capacity. This is the
-    one-point case of overhead_columns.
+    default); erasure noise takes its exact capacity. This is row 0 of
+    overhead_columns, with each NaN as None.
     """
     check_integer("l", l)  # its range is a domain rule, shared with overhead_columns
     columns = overhead_columns(l, p, alpha, theta, noise, q, capacity)
-    values = {name: float(getattr(columns, name)[0]) for name in (
-        "alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha",
-        "baseline_full_parallel", "n_min", "overhead_lb")}
-    if columns.out_of_domain[0]:
+    row = {f.name: getattr(columns, f.name).item(0) for f in fields(columns)}
+    status = row.pop("status")
+    if status == "out-of-domain":
         _raise_first(_domain_rules(*_points(l, p, alpha, theta, q)))
         # inside the domain, only the crossing epoch can be missing
-        epochs_to_cross(p, alpha, values["residual_rate"])
-    capacity = columns.capacity
-    if math.isnan(values["baseline_full_parallel"]):
-        values["baseline_full_parallel"] = Impossibility(
+        epochs_to_cross(p, alpha, (p - alpha) / p - theta)
+    # each NaN, the one value unequal to itself, becomes None
+    row = {name: None if value != value else value for name, value in row.items()}
+    capacity = CapacityKind(row["capacity_mode"])
+    if row["baseline_full_parallel"] is None:
+        row["baseline_full_parallel"] = Impossibility(
             reason="capacity vanishes at the effective idle error rate",
             threshold_name="effective_error_rate",
             threshold_value=_capacity_zero_hint(capacity),
             actual=_effective_rate(p, q),
         )
-    feasible = bool(columns.feasible[0])
     verdict = None
-    if alpha < values["alpha_threshold"]:
+    if alpha < row["alpha_threshold"]:
         verdict = Impossibility(
             reason="correction budget below the fraction of p where any finite memory survives",
             threshold_name="alpha_threshold",
-            threshold_value=values["alpha_threshold"],
+            threshold_value=row["alpha_threshold"],
             actual=alpha,
         )
-    elif not feasible:
+    elif status == "impossible":
         verdict = Impossibility(
             reason=f"capacity mode '{capacity.value}' vanishes at the residual error rate",
             threshold_name="capacity_zero",
             threshold_value=_capacity_zero_hint(capacity),
-            actual=values["residual_rate"],
+            actual=row["residual_rate"],
         )
-    if not feasible:
-        values.update(n_min=None, overhead_lb=None)
-    return BoundReport(
-        l=l, p=p, alpha=alpha, theta=theta, q=q, noise=noise,
-        capacity_mode=capacity.value, feasible=feasible, verdict=verdict,
-        crossing_epochs=int(columns.crossing_epochs[0]) if feasible else None, **values,
-    )
+    return BoundReport(l=l, p=p, alpha=alpha, theta=theta, q=q, noise=noise,
+                       feasible=status == "ok", verdict=verdict, **row)
 
 
 @dataclass(frozen=True)

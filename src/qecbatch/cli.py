@@ -361,7 +361,7 @@ def _run_simulate(config: ExperimentConfig, fmt: str) -> _Document:
     curves = {"p_hat": est.p_hat_by_t.tolist(), "ci_low": est.ci_low_by_t.tolist(),
               "ci_high": est.ci_high_by_t.tolist()}
     if fmt == "csv":
-        rows = ((t, *map(repr, cells)) for t, cells in enumerate(zip(*curves.values())))
+        rows = ((t, *cells) for t, cells in enumerate(zip(*curves.values())))
         return _Document("qecbatch.simulate.v2", summary, header=("t", *curves),
                          lines=_csv_lines(rows))
     return _Document("qecbatch.simulate.v2", summary, {
@@ -385,7 +385,7 @@ def _run_exact(config: ExperimentConfig, fmt: str) -> _Document:
         summary = f"exact: P[X > {threshold:g}] at t={config.t_max} is {curve[-1]:.6g}"
         if fmt == "csv":
             return _Document("qecbatch.exact-tail.v1", summary, header=("t", "tail_prob"),
-                             lines=_csv_lines((t, repr(v)) for t, v in enumerate(curve)))
+                             lines=_csv_lines(enumerate(curve)))
         return _Document("qecbatch.exact-tail.v1", summary, {
             "threshold": threshold,
             "t": list(range(config.t_max + 1)),
@@ -395,9 +395,8 @@ def _run_exact(config: ExperimentConfig, fmt: str) -> _Document:
         })
     summary = f"exact: mean error count at t={config.t_max} is {dist.mean():.4f}"
     if fmt == "csv":
-        rows = ((x, repr(float(dist.mass[x]))) for x in range(dist.n + 1))
         return _Document("qecbatch.exact-dist.v1", summary, header=("state", "probability"),
-                         lines=_csv_lines(rows))
+                         lines=_csv_lines(enumerate(dist.mass.tolist())))
     return _Document("qecbatch.exact-dist.v1", summary, {
         "t": dist.t,
         "mass": dist.mass.tolist(),
@@ -413,9 +412,8 @@ def _run_meanfield(config: ExperimentConfig, fmt: str) -> _Document:
     if fmt == "csv":
         iterates = mf_mod.mf_iterate(1.0, config.p, config.alpha, crossing.delta,
                                      np.arange(crossing.T + 1))
-        rows = ((k, repr(x)) for k, x in enumerate(iterates.tolist()))
         return _Document("qecbatch.meanfield.v1", summary, header=("k", "x_k"),
-                         lines=_csv_lines(rows))
+                         lines=_csv_lines(enumerate(iterates.tolist())))
     return _Document("qecbatch.meanfield.v1", summary, {
         "T": crossing.T,
         "delta": crossing.delta,
@@ -464,29 +462,22 @@ def _run_couple(config: ExperimentConfig, fmt: str) -> _Document:
                f"{report.pairs_checked} pairs, faithfulness p-value {report.pit_chi2_pvalue}")
     if fmt == "csv":
         record = asdict(report)
-        row = tuple(repr(v) if isinstance(v, float) else v for v in record.values())
         return _Document("qecbatch.couple.v1", summary, header=tuple(record),
-                         lines=_csv_lines([row]))
+                         lines=_csv_lines([record.values()]))
     return _Document("qecbatch.couple.v1", summary, {"report": report})
 
 
-_SWEEP_COLUMNS = _SWEEPABLE + (
-    "noise", "capacity_mode", "status",
-    "n_min", "overhead_lb", "crossing_epochs", "alpha_threshold",
-    "noise_threshold", "residual_rate", "crossover_alpha", "baseline_full_parallel",
-)
-
-
 def _cells(
-    values: object, shown: np.ndarray, convert: Callable[[object], object], missing: object,
+    values: object, count: int, convert: Callable[[object], object], missing: object,
 ) -> np.ndarray:
-    """One sweep column: convert(v) in the rows `shown` selects, `missing` elsewhere.
+    """One sweep column of `count` cells: `missing` for a NaN, convert(v) otherwise.
 
     `values` is one scalar for the whole column or an array with a value
     per point. convert runs once per distinct value (distinct as bits, so
     -0.0 and 0.0 stay apart), on the value as a Python scalar.
     """
-    cells = np.full(shown.shape, missing, dtype=object)
+    shown = np.broadcast_to(values == values, count)  # NaN alone is unequal to itself
+    cells = np.full(count, missing, dtype=object)
     if np.ndim(values) == 0:
         cells[shown] = convert(values)
         return cells
@@ -523,38 +514,25 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
         **{name: point[name] for name in _SWEEPABLE}, noise=Noise(config.noise),
         capacity=_capacity(config),
     )
-    inside = ~columns.out_of_domain
-    everywhere = np.ones(count, dtype=bool)
-    # each column's values and the rows that show them; the other rows are empty
-    table = {name: (point[name], everywhere) for name in _SWEEPABLE}
-    table.update(
-        noise=(config.noise, everywhere),
-        capacity_mode=(np.where(inside, columns.capacity.value, ""), everywhere),
-        status=(np.where(columns.out_of_domain, "out-of-domain",
-                         np.where(columns.feasible, "ok", "impossible")), everywhere),
-        baseline_full_parallel=(columns.baseline_full_parallel,
-                                inside & ~np.isnan(columns.baseline_full_parallel)),
-    )
-    for name in ("n_min", "overhead_lb", "crossing_epochs"):
-        table[name] = (getattr(columns, name), columns.feasible)
-    for name in ("alpha_threshold", "noise_threshold", "residual_rate", "crossover_alpha"):
-        table[name] = (getattr(columns, name), inside)
+    # the point, its noise and the bound's own columns, which empty what does not apply
+    table = {**point, "noise": config.noise,
+             **{f.name: getattr(columns, f.name) for f in fields(columns)}}
     # CSV cells are text, JSON cells Python values; l is an integer in both
     if fmt == "csv":
         convert, convert_l, missing = str, (lambda v: str(int(v))), ""
     else:
         convert, convert_l, missing = (lambda v: v), int, None
-    cells = [_cells(*table[name], convert_l if name == "l" else convert, missing)
-             for name in _SWEEP_COLUMNS]
+    cells = [_cells(values, count, convert_l if name == "l" else convert, missing)
+             for name, values in table.items()]
     if "theta" not in names:
         _note_theta_preset(config.theta)
-    feasible = int(np.count_nonzero(columns.feasible))
+    feasible = int(np.count_nonzero(columns.status == "ok"))
     summary = f"sweep: {count} grid points, {feasible} with finite bounds"
     if fmt == "csv":
-        return _Document("qecbatch.sweep.v1", summary, header=_SWEEP_COLUMNS,
+        return _Document("qecbatch.sweep.v1", summary, header=tuple(table),
                          lines=map(",".join, zip(*cells)))
     return _Document("qecbatch.sweep.v1", summary, {
-        "rows": [dict(zip(_SWEEP_COLUMNS, row)) for row in zip(*cells)],
+        "rows": [dict(zip(table, row)) for row in zip(*cells)],
     })
 
 

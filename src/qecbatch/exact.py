@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array
-from scipy.special import bdtr, gammaln
+from scipy.special import bdtr
 from scipy.stats import binom
 
 from .chain import ModelParams, check_integer, first_above, static_phase_due
@@ -130,8 +130,8 @@ def _band(
     band -= peak[:, None]
     np.exp(band, out=band)
     total = band.sum(axis=1)
-    log_first = (gammaln(m + 1.0) - gammaln(lo + 1.0) - gammaln(m - lo + 1.0)
-                 + lo * math.log(prob) + (m - lo) * math.log1p(-prob))
+    # scipy's pmf at lo is the reference that puts the band back on scale
+    log_first = np.log(binom.pmf(lo, m, prob))
     drift = np.abs(total * np.exp(log_first + peak) - (1.0 - left - right)).max()
     if drift > _RAW_ROW_TOL:
         raise ValueError(f"binomial band misses its mass by {drift}, construction is off")
@@ -325,6 +325,7 @@ class StateDistribution:
 
     @classmethod
     def point_mass(cls, n: int, x: int = 0, t: int = 0) -> "StateDistribution":
+        check_integer("n", n, least=0)
         check_integer("x", x, least=0, below=n + 1)
         mass = np.zeros(n + 1)
         mass[x] = 1.0
@@ -474,8 +475,9 @@ def hitting_time_distribution(
     pushes = _pushes(kernel, StateDistribution.point_mass(n).mass, 0, t_max, first)
     for t, (mass, phases, cut) in enumerate(pushes, start=1):
         pmf[t] = cut
+    # the pushed mass can sum a few ulps above 1, as in tail_prob
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=float(mass.sum()),
+        threshold=threshold, pmf=pmf, survival=min(1.0, float(mass.sum())),
         err=phases * kernel.truncation,
     )
 

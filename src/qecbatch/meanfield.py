@@ -71,6 +71,10 @@ def _rate_rules(p: np.ndarray, alpha: np.ndarray) -> tuple[Rule, ...]:
     )
 
 
+# Crossing epochs must lie below this, so that stepping past one stays in int64.
+_LAST_EPOCH = 2**62
+
+
 def _room(p, alpha, beta):
     """Largest slack p - alpha/(1 - beta) that keeps the fixed point above beta."""
     return p - alpha / (1.0 - beta)
@@ -158,10 +162,10 @@ def _crossings(p, alpha, beta, delta=None) -> tuple[np.ndarray, np.ndarray, np.n
     points where epochs_to_cross raises: a broken rule, or no crossing
     epoch representable in floating point. T = 0 there.
 
-    The candidate comes from the logarithm of the closed form. It can
-    straddle an integer by a rounding error, so each point is nudged in
-    masked steps against closed-form evaluations of x_k. The result is
-    exact for the strict crossing x_k > beta.
+    The candidate comes from the logarithm of the closed form, which
+    rounding can put far from where the evaluated closed form crosses, so
+    that crossing is bracketed by steps doubling away from the candidate
+    and bisected: exact for x_k > beta, in at most about 2 * 62 passes.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         if delta is None:
@@ -174,21 +178,33 @@ def _crossings(p, alpha, beta, delta=None) -> tuple[np.ndarray, np.ndarray, np.n
         guess = np.ceil(numerator / np.log(1.0 - p + delta))
     # no candidate (a log of a non-positive number or a zero divisor), or
     # iterates that stay put or never exceed the target in floating point
-    broken |= ~(np.isfinite(guess) & (guess < 2.0**62) & (1.0 - rate < 1.0) & (fixed > beta))
-    T = np.where(broken, 0, np.maximum(guess, 1.0)).astype(np.int64)
+    broken |= ~(np.isfinite(guess) & (guess < _LAST_EPOCH) & (1.0 - rate < 1.0) & (fixed > beta))
+    live = (~broken).nonzero()[0]
 
     def crossed(idx: np.ndarray, at: np.ndarray) -> np.ndarray:
-        return _closed_form(fixed[idx], rate[idx], at) > beta[idx]
+        point = live[idx]
+        return _closed_form(fixed[point], rate[point], at) > beta[point]
 
-    down = (T > 1).nonzero()[0]
-    while down.size:
-        down = down[crossed(down, T[down] - 1)]
-        T[down] -= 1
-        down = down[T[down] > 1]
-    up = (~broken).nonzero()[0]
-    while up.size:
-        up = up[~crossed(up, T[up])]
-        T[up] += 1
+    # widen (lo, hi] by doubling steps until x_lo <= beta < x_hi (x_0 = 0), then halve it
+    hi = np.maximum(guess[live], 1.0).astype(np.int64)
+    lo, step, loose = hi - 1, 1, np.arange(live.size)
+    while loose.size:
+        early = crossed(loose, lo[loose])
+        late = ~early & ~crossed(loose, hi[loose])
+        down, up = loose[early], loose[late]
+        hi[down], lo[down] = lo[down], np.maximum(lo[down] - step, 0)
+        lo[up], hi[up] = hi[up], hi[up] + step
+        step, loose = 2 * step, loose[(early | late) & (hi[loose] < _LAST_EPOCH)]
+    broken[live[hi >= _LAST_EPOCH]] = True
+    wide = ((hi - lo > 1) & (hi < _LAST_EPOCH)).nonzero()[0]
+    while wide.size:
+        mid = lo[wide] + (hi[wide] - lo[wide]) // 2
+        below = crossed(wide, mid)
+        hi[wide[below]], lo[wide[~below]] = mid[below], mid[~below]
+        wide = wide[hi[wide] - lo[wide] > 1]
+    T = np.zeros(p.shape, dtype=np.int64)
+    T[live] = hi
+    T[broken] = 0
     return T, delta, broken
 
 
@@ -196,12 +212,14 @@ def epochs_to_cross(p, alpha, beta, delta=None) -> CrossingTime:
     """Epochs for the mean-field iterates to exceed the fraction beta.
 
     delta defaults to half the available room, (p - alpha/(1-beta)) / 2.
-    The count depends only on the rates, not on the memory size. Raises
-    InfeasibleThresholdError when beta >= (p - alpha) / p, where the
-    fixed point itself sits at or below the target, and ValueError where
-    that holds only after rounding, so that no epoch crosses. Takes
-    scalars or 1-d arrays broadcast to one length, like mf_iterate; a
-    point outside the domain raises its first rule's error.
+    The count depends only on the rates, not on the memory size: the
+    first epoch whose closed form, as evaluated, exceeds beta, found in a
+    bounded number of passes. Raises InfeasibleThresholdError when
+    beta >= (p - alpha) / p, where the fixed point itself sits at or below
+    the target, and ValueError where that holds only after rounding or
+    the epoch lies at or past 2^62. Takes scalars or 1-d arrays broadcast
+    to one length, like mf_iterate; a point outside the domain raises its
+    first rule's error.
     """
     values = (p, alpha, beta) if delta is None else (p, alpha, beta, delta)
     p_, alpha_, beta_, *given = _points(*values)

@@ -1,15 +1,18 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from qecbatch.bounds import (
+    BoundColumns,
     CapacityKind,
     Impossibility,
     hitting_prob_lb,
     kappa_surface,
     overhead_bound,
+    overhead_columns,
 )
 from qecbatch.chain import Noise
 
@@ -192,6 +195,25 @@ def test_overhead_bound_q_only_moves_baseline():
     assert noisy.crossing_epochs == quiet.crossing_epochs
     assert noisy.baseline_full_parallel > quiet.baseline_full_parallel
     assert noisy.crossover_alpha < quiet.crossover_alpha
+
+
+def test_bound_columns_leave_empty_what_does_not_apply():
+    """Out of the domain every figure is NaN and the capacity mode empty; an
+    impossible point has no n_min, overhead or crossing epoch; the baseline
+    is NaN where the capacity vanishes at the effective idle rate."""
+    columns = overhead_columns(100, 0.2, np.array([0.25, 0.05, 0.12, 0.12]), 0.1,
+                               q=np.array([0.0, 0.0, 0.0, 1.0]))
+    assert columns.status.tolist() == ["out-of-domain", "impossible", "ok", "ok"]
+    assert columns.capacity_mode.tolist() == ["", *["erasure-exact"] * 3]
+    figures = [f.name for f in fields(BoundColumns) if f.name not in ("status", "capacity_mode")]
+    empty = {name: [value != value for value in getattr(columns, name).tolist()]
+             for name in figures}
+    for name in ("n_min", "overhead_lb", "crossing_epochs"):
+        assert empty.pop(name) == [True, True, False, False], name
+    assert empty.pop("baseline_full_parallel") == [True, False, False, True]
+    for name, flags in empty.items():
+        assert flags == [True, False, False, False], name
+    assert [type(value) for value in columns.crossing_epochs[2:]] == [int, int]
 
 
 def test_overhead_bound_validation():

@@ -28,7 +28,7 @@ from qecbatch.cli import (
     _run_verify,
 )
 from qecbatch.exact import build_kernel
-from qecbatch.meanfield import iterate_recursion
+from qecbatch.meanfield import iterate_recursion, mf_iterate
 from qecbatch.montecarlo import CouplingReport
 
 CONFIG_TEXT = """
@@ -604,7 +604,8 @@ _UNIT = st.floats(0.0, 1.0)
 
 @st.composite
 def bound_points(draw):
-    p = draw(st.sampled_from([1.0, 1e-9, 0.0]) | st.floats(0.0, 1.0))
+    # at 3e-16, 1 - rate rounds by a large part of the rate
+    p = draw(st.sampled_from([1.0, 1e-9, 3e-16, 0.0]) | st.floats(0.0, 1.0))
     alpha = draw(st.sampled_from([0.5, 2.0 / 3.0, 1.0]) | st.floats(-0.1, 1.2)) * p
     cap = (p - alpha) / p if p > 0 else 1.0
     theta = draw(st.sampled_from([1e-17, 0.5, 1.0 - 1e-16]) | st.floats(-0.1, 1.1)) * cap
@@ -646,6 +647,48 @@ def test_one_point_sweep_matches_bounds(tmp_path, point, noise, cutoff):
                  "overhead_lb", "crossing_epochs", "alpha_threshold", "noise_threshold",
                  "residual_rate", "crossover_alpha", "baseline_full_parallel"):
         assert row[name] == ("" if report[name] is None else str(report[name])), name
+
+
+def _least_crossing(p: float, alpha: float, beta: float, T: int) -> bool:
+    """T is the first epoch whose mean-field iterate, at half the room,
+    exceeds beta."""
+    delta = 0.5 * (p - alpha / (1.0 - beta))
+    return mf_iterate(1.0, p, alpha, delta, T) > beta >= mf_iterate(1.0, p, alpha, delta, T - 1)
+
+
+def test_crossings_far_from_their_log_candidate_finish(tmp_path):
+    """At p = 3e-16, alpha = 1.65e-16, 1 - rate rounds from 1 - 2.77e-16 to
+    1 - 2.2e-16, so the iterates cross near 9.05e15, a third above the log
+    candidate. Stepping one epoch at a time from the candidate never ended."""
+    point = ["--p", "3e-16", "--alpha", "1.65e-16"]
+    assert main(["bounds", "--l", "100", *point, "--theta", "0.1",
+                 "--out", str(tmp_path / "bounds.json")]) == 0
+    report = json.loads((tmp_path / "bounds.json").read_text())["report"]
+    T = report["crossing_epochs"]
+    assert T > 2**53 and _least_crossing(3e-16, 1.65e-16, report["residual_rate"], T)
+    assert main(["sweep", "--l", "100", *point, "--theta", "0.1", "--grid", "q:0:0.1:2",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    rows = _read_sweep(tmp_path / "sweep.csv")
+    assert [(row["status"], row["crossing_epochs"]) for row in rows] == [("ok", str(T))] * 2
+    assert main(["meanfield", *point, "--beta", "0.35",
+                 "--out", str(tmp_path / "meanfield.json")]) == 0
+    doc = json.loads((tmp_path / "meanfield.json").read_text())
+    assert _least_crossing(3e-16, 1.65e-16, 0.35, doc["T"])
+
+
+def test_crossing_epochs_stay_exact_above_2_to_53(tmp_path):
+    """A count above 2^53 is printed as the exact integer; through a float
+    it would end in ...144."""
+    T = 12221539834570143
+    assert overhead_bound(100, 3e-16, 2.1e-16, 0.01).crossing_epochs == T
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--l", "100", "--p", "3e-16", "--alpha", "2.1e-16",
+                 "--theta", "0.01", "--grid", "q:0:0.1:2", "--out", str(out)]) == 0
+    assert [row["crossing_epochs"] for row in _read_sweep(out)] == [str(T)] * 2
+    assert main(["sweep", "--l", "100", "--p", "3e-16", "--alpha", "2.1e-16",
+                 "--theta", "0.01", "--grid", "q:0:0.1:2", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert [row["crossing_epochs"] for row in json.loads(out.read_text())["rows"]] == [T] * 2
 
 
 def test_sweep_rejects_non_integer_l(tmp_path, capsys):

@@ -182,12 +182,15 @@ def test_evolve_validation():
     lambda kernel, start: StateDistribution(t=True, mass=start.mass),
     lambda kernel, start: StateDistribution.point_mass(2, x=1.5),
     lambda kernel, start: StateDistribution.point_mass(2, x=True),
+    lambda kernel, start: StateDistribution.point_mass(True),
+    lambda kernel, start: StateDistribution.point_mass(2.5),
 ], ids=["evolve True", "evolve 2.5", "epochs 2.0", "hitting True", "hitting 2.0",
         "mean_curve 2.0", "mean_curve True", "monotone True", "monotone 1.5",
-        "t 2.5", "t True", "x 1.5", "x True"])
+        "t 2.5", "t True", "x 1.5", "x True", "n True", "n 2.5"])
 def test_epoch_counts_take_integers_only(call):
     """True would run one epoch and a float would die inside range; as a
-    start state, 1.5 would fail to index and True would fill every state."""
+    start state, 1.5 would fail to index and True would fill every state.
+    As a size, True would give two states and 2.5 would die inside numpy."""
     with pytest.raises(ValueError, match="must be an integer"):
         call(kernel_n2(), StateDistribution.point_mass(2))
 
@@ -290,7 +293,8 @@ def test_blocks_leave_with_the_last_kernel(band_calls):
     evolve(kernel, start, 5)
     built = len(band_calls)
     del kernel
-    assert len(exact._LIVE) == 0
+    # only this phase: a kernel an earlier failure left alive must not count
+    assert (params.n, params.p, params.k_batch) not in exact._LIVE
     evolve(build_kernel(params), start, 5)
     assert len(band_calls) == 2 * built
 
@@ -361,9 +365,10 @@ def test_hitting_time_edge_thresholds():
 
 
 def test_hitting_time_mass_accounting():
-    """Each pmf entry is the mass cut above the threshold, never negative.
-    As a difference of rounded survival sums, the n = 500 point and the
-    unreachable n = 20 one had pmf[1] = -2.2e-16."""
+    """Each pmf entry is the mass cut above the threshold, never negative,
+    and the survival is at most 1. As a difference of rounded survival
+    sums, the n = 500 point and the unreachable n = 20 one had
+    pmf[1] = -2.2e-16; unclamped, the n = 20 survival is 1 + 1.3e-15."""
     for params, threshold, t_max in (
         (ModelParams(n=25, p=0.3, alpha=0.1, q=0.05, q_period=2), 6, 40),
         (ModelParams(n=500, p=0.2, alpha=0.05), 250, 60),
@@ -372,6 +377,7 @@ def test_hitting_time_mass_accounting():
         law = hitting_time_distribution(build_kernel(params), threshold, t_max=t_max)
         assert law.pmf.sum() + law.survival == pytest.approx(1.0, abs=1e-12)
         assert law.pmf.min() >= 0.0
+        assert law.survival <= 1.0
 
 
 def test_hitting_time_first_epoch_matches_direct_calc():
@@ -411,6 +417,16 @@ def test_mean_curve_with_static_phases():
     for t in range(13):
         assert means[t] == pytest.approx(dist.mean(), abs=1e-10)
         dist = evolve(kernel, dist, 1)
+
+
+def test_band_raw_mass_is_checked_against_the_exact_pmf():
+    """The raw band mass is put back on scale by scipy's pmf at the lower
+    quantile. A sum of log-gamma terms drifted by 3.5e-9 at n = 10^6, past
+    _RAW_ROW_TOL, and refused these correct blocks."""
+    n = 10**6
+    for x0 in (0, n // 2 // exact._BLOCK * exact._BLOCK):
+        probs, _, _ = exact._band(n, 0.2, 0, x0, x0 + exact._BLOCK)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_band_refuses_rows_that_leave_out_too_much(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecbatch import meanfield
 from qecbatch.checks import crossing_formula_vs_iteration
 from qecbatch.meanfield import (
     CrossingTime,
@@ -135,6 +136,21 @@ def test_crossing_without_a_representable_epoch_raises():
     with pytest.raises(ValueError, match="no crossing epoch is representable"):
         epochs_to_cross(p, alpha, beta)
     assert _crossings(*np.array([[p], [alpha], [beta]]))[2].tolist() == [True]
+
+
+def test_crossing_far_above_its_candidate_is_found_or_refused(monkeypatch):
+    """At p = 3e-16, alpha = 1.65e-16, beta = 0.35 the log candidate is
+    6.03e15 and the iterates first pass beta at 9.05e15. The doubling steps
+    find that epoch; with the last epoch below it, they give up and the
+    point is refused."""
+    p, alpha, beta = 3e-16, 1.65e-16, 0.35
+    crossing = epochs_to_cross(p, alpha, beta)
+    assert crossing.T == 9051161687627578
+    assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T) > beta
+    assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T - 1) <= beta
+    monkeypatch.setattr(meanfield, "_LAST_EPOCH", 8 * 10**15)
+    with pytest.raises(ValueError, match="no crossing epoch is representable"):
+        epochs_to_cross(p, alpha, beta)
 
 
 def test_crossing_size_independent():
