@@ -166,13 +166,13 @@ def reach_probabilities_are_monotone(
     max_n: int, ps: Sequence[float], alpha_fracs: Sequence[float], horizons: Sequence[int],
     curves: Sequence[tuple[float, float]], t_max: int, tol: float,
 ) -> tuple[bool, str]:
-    """check_h_monotone at every horizon for every kernel with n <= max_n,
+    """check_h_monotone, to tol, at every horizon for every kernel with n <= max_n,
     p in ps and alpha = fa p; and for each (p, alpha) in curves, the exact
     tail of an n = max_n memory beyond half its steady headroom may not
     drop by more than tol from one epoch to the next, up to t_max."""
     kernels = [build_kernel(ModelParams(n=n, p=p, alpha=fa * p))
                for n in range(1, max_n + 1) for p in ps for fa in alpha_fracs]
-    kernel_violations = sum(not check_h_monotone(k, m).ok for k in kernels for m in horizons)
+    kernel_violations = sum(not check_h_monotone(k, m, tol).ok for k in kernels for m in horizons)
     curve_violations = 0
     for p, alpha in curves:
         threshold = max_n * 0.5 * (p - alpha) / p

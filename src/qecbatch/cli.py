@@ -49,8 +49,9 @@ COMMANDS = ("simulate", "exact", "meanfield", "bounds", "couple", "sweep", "veri
 
 _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
 
-# Largest grid `sweep` evaluates. Peak memory grows by about 0.75 kB per
-# point (75 MiB for a 10^5-point CSV sweep), so the cap is near 0.8 GB.
+# Largest grid `sweep` evaluates, and the most rows a `meanfield` CSV holds.
+# Sweep peak memory grows by about 0.75 kB per point (75 MiB for a 10^5-point
+# CSV sweep), so the cap is near 0.8 GB.
 SWEEP_POINT_CAP = 10**6
 
 
@@ -410,6 +411,10 @@ def _run_meanfield(config: ExperimentConfig, fmt: str) -> _Document:
     crossing = mf_mod.epochs_to_cross(config.p, config.alpha, config.beta, config.delta)
     summary = f"meanfield: crossing epoch T={crossing.T} at delta={crossing.delta:.6g}"
     if fmt == "csv":
+        if crossing.T >= SWEEP_POINT_CAP:
+            raise UsageError(f"meanfield CSV would hold T + 1 = {crossing.T + 1} rows for crossing "
+                             f"epoch T={crossing.T}, more than the {SWEEP_POINT_CAP} allowed; "
+                             f"use --format json")
         iterates = mf_mod.mf_iterate(1.0, config.p, config.alpha, crossing.delta,
                                      np.arange(crossing.T + 1))
         return _Document("qecbatch.meanfield.v1", summary, header=("k", "x_k"),
@@ -566,23 +571,28 @@ def run(config: ExperimentConfig) -> int:
 
     A writing run's document goes to --out, else to {command}.{format}
     in $QECBATCH_OUT_DIR or the working directory, headed by its schema
-    and the keys the run read.
+    and the keys the run read. Documents are strict JSON, so a NaN or
+    infinite key or figure is refused and no file is written.
     """
     if config.command == "verify":
         return _run_verify(config)
     runner, default = _WRITERS[config.command]
     fmt = config.format or default
     doc = runner(config, fmt)
+    mapping = config.to_mapping()
+    for key, value in mapping.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key '{key}' is {value}, which strict JSON cannot hold")
     path = (Path(config.out) if config.out is not None
             else Path(os.environ.get(OUT_DIR_ENV, ".")) / f"{config.command}.{fmt}")
     if fmt == "csv":
         head = [f"# schema={doc.schema}",
-                f"# config={json.dumps(config.to_mapping(), sort_keys=True)}",
+                f"# config={json.dumps(mapping, sort_keys=True, allow_nan=False)}",
                 ",".join(doc.header)]
         text = "\n".join([*head, *doc.lines]) + "\n"
     else:
-        body = {"schema": doc.schema, "config": config.to_mapping(), **doc.payload}
-        text = json.dumps(body, indent=2, sort_keys=True, default=_encode) + "\n"
+        body = {"schema": doc.schema, "config": mapping, **doc.payload}
+        text = json.dumps(body, indent=2, sort_keys=True, default=_encode, allow_nan=False) + "\n"
     _write_atomic(path, text)
     print(f"{doc.summary}; wrote {path}")
     return 0

@@ -86,6 +86,8 @@ def _iterate_rules(p, alpha, delta, k) -> tuple[Rule, ...]:
         (~((0.0 <= delta) & (delta < p - alpha)), lambda i: ValueError(
             f"delta must lie in [0, p - alpha), got delta={delta[i]}, "
             f"p - alpha={p[i] - alpha[i]}")),
+        ((k.dtype == bool) | ~(np.isfinite(k) & (np.floor(k) == k)),
+         lambda i: ValueError(f"k must be an integer, got {k[i]}")),
         (k < 0, lambda i: ValueError(f"k must be >= 0, got {k[i]}")),
     )
 
@@ -126,9 +128,10 @@ def mf_iterate(n, p, alpha, delta, k) -> float | np.ndarray:
         x_k = n * (p - delta - alpha) / (p - delta) * (1 - (1 - p + delta)**k)
 
     Requires 0 <= delta < p - alpha so the sequence is increasing, and
-    k >= 0. Takes scalars or 1-d arrays broadcast to one length; returns a
-    float when all are scalars and an array otherwise. A point outside
-    the domain raises its first rule's error.
+    an integer k >= 0 (a bool is refused, an integral float taken). Takes
+    scalars or 1-d arrays broadcast to one length; returns a float when
+    all are scalars and an array otherwise. A point outside the domain
+    raises its first rule's error.
     """
     n_, p_, alpha_, delta_, k_ = np.broadcast_arrays(*_points(n, p, alpha, delta),
                                                       np.atleast_1d(k))
@@ -139,10 +142,11 @@ def mf_iterate(n, p, alpha, delta, k) -> float | np.ndarray:
 
 
 def iterate_recursion(n: float, p: float, alpha: float, delta: float, k: int) -> float:
-    """k explicit applications of g, the cross-check route for mf_iterate."""
-    _raise_first(_rate_rules(*_points(p, alpha)))
+    """k explicit applications of g, the cross-check route for mf_iterate;
+    it refuses what mf_iterate refuses."""
+    _raise_first(_iterate_rules(*_points(p, alpha, delta), np.atleast_1d(k)))
     x = 0.0
-    for _ in range(k):
+    for _ in range(int(k)):
         x = x + (n - x) * (p - delta) - n * alpha
     return x
 
@@ -160,12 +164,11 @@ def _crossings(p, alpha, beta, delta=None) -> tuple[np.ndarray, np.ndarray, np.n
     """Crossing epochs T, the smallest k with x_k > beta (n = 1), over 1-d
     arrays; the slack used (half the room unless given); and the mask of
     points where epochs_to_cross raises: a broken rule, or no crossing
-    epoch representable in floating point. T = 0 there.
+    epoch below _LAST_EPOCH. T = 0 there.
 
-    The candidate comes from the logarithm of the closed form, which
-    rounding can put far from where the evaluated closed form crosses, so
-    that crossing is bracketed by steps doubling away from the candidate
-    and bisected: exact for x_k > beta, in at most about 2 * 62 passes.
+    From x_0 = 0 <= beta, hi doubles from 1 until the evaluated closed form
+    passes beta, lo keeping the last k that did not; bisecting (lo, hi]
+    then gives T exactly, in at most 2 * 62 passes of the closed form.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         if delta is None:
@@ -173,35 +176,26 @@ def _crossings(p, alpha, beta, delta=None) -> tuple[np.ndarray, np.ndarray, np.n
         broken = _broken(_crossing_rules(p, alpha, beta, delta))
         rate = p - delta
         fixed = _fixed_point(1.0, rate, alpha)
-        numerator = (np.log(p - alpha - p * beta - delta * (1.0 - beta))
-                     - np.log(p - alpha - delta))
-        guess = np.ceil(numerator / np.log(1.0 - p + delta))
-    # no candidate (a log of a non-positive number or a zero divisor), or
-    # iterates that stay put or never exceed the target in floating point
-    broken |= ~(np.isfinite(guess) & (guess < _LAST_EPOCH) & (1.0 - rate < 1.0) & (fixed > beta))
     live = (~broken).nonzero()[0]
 
     def crossed(idx: np.ndarray, at: np.ndarray) -> np.ndarray:
         point = live[idx]
         return _closed_form(fixed[point], rate[point], at) > beta[point]
 
-    # widen (lo, hi] by doubling steps until x_lo <= beta < x_hi (x_0 = 0), then halve it
-    hi = np.maximum(guess[live], 1.0).astype(np.int64)
-    lo, step, loose = hi - 1, 1, np.arange(live.size)
-    while loose.size:
-        early = crossed(loose, lo[loose])
-        late = ~early & ~crossed(loose, hi[loose])
-        down, up = loose[early], loose[late]
-        hi[down], lo[down] = lo[down], np.maximum(lo[down] - step, 0)
-        lo[up], hi[up] = hi[up], hi[up] + step
-        step, loose = 2 * step, loose[(early | late) & (hi[loose] < _LAST_EPOCH)]
-    broken[live[hi >= _LAST_EPOCH]] = True
-    wide = ((hi - lo > 1) & (hi < _LAST_EPOCH)).nonzero()[0]
+    lo, hi = np.zeros(live.size, dtype=np.int64), np.ones(live.size, dtype=np.int64)
+    short = np.arange(live.size)
+    while short.size:
+        short = short[~crossed(short, hi[short])]
+        lo[short] = hi[short]  # lo = hi where x stays at or below beta up to _LAST_EPOCH
+        short = short[hi[short] < _LAST_EPOCH]
+        hi[short] = np.minimum(2 * hi[short], _LAST_EPOCH)
+    wide = (hi - lo > 1).nonzero()[0]
     while wide.size:
         mid = lo[wide] + (hi[wide] - lo[wide]) // 2
         below = crossed(wide, mid)
         hi[wide[below]], lo[wide[~below]] = mid[below], mid[~below]
         wide = wide[hi[wide] - lo[wide] > 1]
+    broken[live[hi >= _LAST_EPOCH]] = True
     T = np.zeros(p.shape, dtype=np.int64)
     T[live] = hi
     T[broken] = 0

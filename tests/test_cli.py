@@ -656,10 +656,10 @@ def _least_crossing(p: float, alpha: float, beta: float, T: int) -> bool:
     return mf_iterate(1.0, p, alpha, delta, T) > beta >= mf_iterate(1.0, p, alpha, delta, T - 1)
 
 
-def test_crossings_far_from_their_log_candidate_finish(tmp_path):
+def test_crossings_above_2_to_53_are_the_least_in_every_command(tmp_path):
     """At p = 3e-16, alpha = 1.65e-16, 1 - rate rounds from 1 - 2.77e-16 to
-    1 - 2.2e-16, so the iterates cross near 9.05e15, a third above the log
-    candidate. Stepping one epoch at a time from the candidate never ended."""
+    1 - 2.2e-16, so the iterates cross near 9.05e15. bounds, sweep and
+    meanfield each print the first epoch whose iterate passes the target."""
     point = ["--p", "3e-16", "--alpha", "1.65e-16"]
     assert main(["bounds", "--l", "100", *point, "--theta", "0.1",
                  "--out", str(tmp_path / "bounds.json")]) == 0
@@ -674,6 +674,32 @@ def test_crossings_far_from_their_log_candidate_finish(tmp_path):
                  "--out", str(tmp_path / "meanfield.json")]) == 0
     doc = json.loads((tmp_path / "meanfield.json").read_text())
     assert _least_crossing(3e-16, 1.65e-16, 0.35, doc["T"])
+
+
+def test_meanfield_csv_longer_than_the_cap_is_refused(tmp_path, capsys):
+    """T = 9051161687627578 here: one CSV row per epoch would never fit, so
+    the run exits 1, names T and points to JSON, which still answers."""
+    point = ["meanfield", "--p", "3e-16", "--alpha", "1.65e-16", "--beta", "0.35"]
+    out = tmp_path / "meanfield.csv"
+    assert main([*point, "--format", "csv", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "T=9051161687627578" in err and "--format json" in err
+    assert not out.exists()
+    assert main([*point, "--format", "json", "--out", str(tmp_path / "meanfield.json")]) == 0
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--theta", "0.1", "--q", "nan", "--format", "json"], "q"),
+    (["--theta", "inf"], "theta"),
+])
+def test_documents_refuse_non_finite_keys(tmp_path, capsys, flags, key):
+    """A JSON document, or the JSON config head of a CSV, has no token for
+    NaN or infinity, so such a key is refused and nothing is written."""
+    out = tmp_path / "sweep.out"
+    assert main(["sweep", "--l", "100", "--p", "0.2", "--alpha", "0.12", *flags,
+                 "--grid", "l:100:200:2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config key '{key}' is ")
+    assert not out.exists()
 
 
 def test_crossing_epochs_stay_exact_above_2_to_53(tmp_path):

@@ -60,14 +60,29 @@ def test_closed_form_equals_recursion(p, alpha_frac, delta_frac, k, n):
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        mf_iterate(1.0, 0.0, 0.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        mf_iterate(1.0, 0.2, 0.3, 0.0, 1)  # alpha above p
-    with pytest.raises(ValueError):
-        mf_iterate(1.0, 0.2, 0.1, 0.1, 1)  # delta not below p - alpha
-    with pytest.raises(ValueError):
-        mf_iterate(1.0, 0.2, 0.1, 0.05, -1)
+    """The closed form and its cross-check refuse the same inputs."""
+    for args in [
+        (1.0, 0.0, 0.0, 0.0, 1),  # p = 0
+        (1.0, 0.2, 0.3, 0.0, 1),  # alpha above p
+        (1.0, 0.2, 0.1, 0.1, 1),  # delta not below p - alpha
+        (1.0, 0.2, 0.05, 0.3, 3),  # delta past p - alpha, where the loop goes negative
+        (1.0, 0.2, 0.1, 0.05, -1),
+        (1.0, 0.2, 0.05, 0.0, 2.5),
+        (1.0, 0.2, 0.05, 0.0, True),
+        (1.0, 0.2, 0.05, 0.0, math.inf),
+        (1.0, 0.2, 0.05, 0.0, math.nan),
+    ]:
+        for route in (mf_iterate, iterate_recursion):
+            with pytest.raises(ValueError):
+                route(*args)
+
+
+def test_integral_float_epochs_are_taken():
+    k = np.array([0.0, 3.0, 7.0])
+    assert mf_iterate(1.0, 0.2, 0.05, 0.05, k).tolist() == mf_iterate(
+        1.0, 0.2, 0.05, 0.05, k.astype(np.int64)).tolist()
+    assert iterate_recursion(1.0, 0.2, 0.05, 0.05, 3.0) == iterate_recursion(
+        1.0, 0.2, 0.05, 0.05, 3)
 
 
 def test_crossing_frozen_case():
@@ -138,19 +153,47 @@ def test_crossing_without_a_representable_epoch_raises():
     assert _crossings(*np.array([[p], [alpha], [beta]]))[2].tolist() == [True]
 
 
-def test_crossing_far_above_its_candidate_is_found_or_refused(monkeypatch):
-    """At p = 3e-16, alpha = 1.65e-16, beta = 0.35 the log candidate is
-    6.03e15 and the iterates first pass beta at 9.05e15. The doubling steps
-    find that epoch; with the last epoch below it, they give up and the
-    point is refused."""
-    p, alpha, beta = 3e-16, 1.65e-16, 0.35
+def test_crossing_refused_by_a_rounded_log_is_found():
+    """Here beta sits so near the steady fraction that p - alpha - p beta
+    - delta (1 - beta) rounds below zero, so the closed form has no finite
+    logarithm; the iterates still pass beta first at 313."""
+    p, alpha, beta = 0.10820247847978931, 0.09484695583258711, 0.12343083850613294
     crossing = epochs_to_cross(p, alpha, beta)
+    assert crossing.T == 313
+    assert mf_iterate(1.0, p, alpha, crossing.delta, 312) <= beta
+    assert mf_iterate(1.0, p, alpha, crossing.delta, 313) > beta
+
+
+def _counting_closed_form(monkeypatch) -> list[int]:
+    """Count the passes of the closed form, each over an array of points."""
+    calls = [0]
+    closed_form = meanfield._closed_form
+
+    def counted(fixed, rate, k):
+        calls[0] += 1
+        return closed_form(fixed, rate, k)
+
+    monkeypatch.setattr(meanfield, "_closed_form", counted)
+    return calls
+
+
+def test_crossing_near_9e15_is_found_or_refused_in_bounded_passes(monkeypatch):
+    """At p = 3e-16, alpha = 1.65e-16, beta = 0.35 the iterates first pass
+    beta at 9.05e15. Doubling from k = 1 and bisecting find that epoch in at
+    most 2 * 62 + 2 passes; with the last epoch below it, the point is
+    refused in as few."""
+    p, alpha, beta = 3e-16, 1.65e-16, 0.35
+    calls = _counting_closed_form(monkeypatch)
+    crossing = epochs_to_cross(p, alpha, beta)
+    assert 0 < calls[0] <= 2 * 62 + 2
     assert crossing.T == 9051161687627578
     assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T) > beta
     assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T - 1) <= beta
     monkeypatch.setattr(meanfield, "_LAST_EPOCH", 8 * 10**15)
+    calls[0] = 0
     with pytest.raises(ValueError, match="no crossing epoch is representable"):
         epochs_to_cross(p, alpha, beta)
+    assert 0 < calls[0] <= 2 * 62 + 2
 
 
 def test_crossing_size_independent():
