@@ -9,6 +9,7 @@ verdicts rather than sentinel infinities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -77,15 +78,14 @@ def _hashing_rate(gamma: np.ndarray) -> np.ndarray:
 class CapacityKind(Enum):
     """Quantum capacity per channel use as a function of the error rate.
 
-    Members: the exact erasure capacity 1 - 2*gamma, the depolarizing
-    hashing rate, or the hashing rate with a hard zero from gamma = 1/3 on
-    (where the depolarizing capacity is known to vanish). Rates are
-    clamped at zero; a member's value is its mode name in reports.
+    One member per noise: the exact erasure capacity 1 - 2*gamma, and the
+    depolarizing hashing rate, which is zero from gamma near 0.2524 on.
+    Rates are clamped at zero; a member's value is its mode name in
+    reports.
     """
 
     ERASURE_EXACT = "erasure-exact"
     DEPOLARIZING_HASHING = "hashing"
-    DEPOLARIZING_HASHING_CUTOFF = "hashing-cutoff"
 
     def eval(self, gamma: float | np.ndarray) -> float | np.ndarray:
         """Capacity at gamma: a float for a float, an array for an array.
@@ -99,29 +99,14 @@ class CapacityKind(Enum):
             raise ValueError(f"gamma must lie in [0, 1], got {g[outside][0]}")
         if self is CapacityKind.ERASURE_EXACT:
             rate = np.maximum(0.0, 1.0 - 2.0 * g)
-        elif self is CapacityKind.DEPOLARIZING_HASHING:
-            rate = _hashing_rate(g)
         else:
-            rate = np.where(g >= 1.0 / 3.0, 0.0, _hashing_rate(g))
+            rate = _hashing_rate(g)
         return float(rate[0]) if np.ndim(gamma) == 0 else rate.reshape(np.shape(gamma))
 
 
-def _capacity_for(noise: Noise, capacity: CapacityKind | None) -> CapacityKind:
-    """The capacity the bound divides by under this noise.
-
-    Erasure noise has its exact capacity. Depolarizing noise takes the
-    given hashing mode, plain hashing if none is given. A mode of the
-    other noise is an error.
-    """
-    if noise is Noise.ERASURE:
-        modes = (CapacityKind.ERASURE_EXACT,)
-    else:
-        modes = (CapacityKind.DEPOLARIZING_HASHING, CapacityKind.DEPOLARIZING_HASHING_CUTOFF)
-    if capacity is None:
-        return modes[0]
-    if capacity not in modes:
-        raise ValueError(f"capacity mode '{capacity.value}' does not apply to {noise.value} noise")
-    return capacity
+# The capacity the bound divides by under each noise.
+_CAPACITY = {Noise.ERASURE: CapacityKind.ERASURE_EXACT,
+             Noise.DEPOLARIZING: CapacityKind.DEPOLARIZING_HASHING}
 
 
 @dataclass(frozen=True)
@@ -189,12 +174,12 @@ def _capacity_where(capacity: CapacityKind, gamma: np.ndarray, where: np.ndarray
     return rate
 
 
+@functools.cache
 def _capacity_zero_hint(capacity: CapacityKind) -> float:
+    """The least gamma where the capacity is zero, found once per process."""
     if capacity is CapacityKind.ERASURE_EXACT:
         return 0.5
-    if capacity is CapacityKind.DEPOLARIZING_HASHING_CUTOFF:
-        return 1.0 / 3.0
-    # hashing rate crosses zero near 0.2524; report the cutoff actually used
+    # the hashing rate only falls on [0, 1]; it crosses zero near 0.2524
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -245,10 +230,7 @@ class BoundColumns:
     baseline_full_parallel: np.ndarray
 
 
-def overhead_columns(
-    l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0,
-    capacity: CapacityKind | None = None,
-) -> BoundColumns:
+def overhead_columns(l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0) -> BoundColumns:
     """overhead_bound over scalars or arrays, broadcast to one 1-d length.
 
     Points where overhead_bound would raise come back out-of-domain
@@ -256,7 +238,7 @@ def overhead_columns(
     overhead_bound evaluates it.
     """
     l, p, alpha, theta, q = _points(l, p, alpha, theta, q)
-    capacity = _capacity_for(noise, capacity)
+    capacity = _CAPACITY[noise]
     inside = ~_broken(_domain_rules(l, p, alpha, theta, q))
     alpha_thr = _alpha_threshold(p, noise)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,7 +274,6 @@ def overhead_bound(
     theta: float,
     noise: Noise = Noise.ERASURE,
     q: float = 0.0,
-    capacity: CapacityKind | None = None,
 ) -> BoundReport:
     """Physical qubits needed to hold l logical qubits, lower bound.
 
@@ -304,12 +285,12 @@ def overhead_bound(
     erasure, two thirds for depolarizing) admit no finite bound and
     yield an impossibility verdict. The bound is evaluated at q = 0 and
     only tightens for q > 0; q enters the reported baseline and
-    crossover directly. capacity picks the depolarizing mode (hashing by
-    default); erasure noise takes its exact capacity. This is row 0 of
+    crossover directly. The noise picks the capacity: the exact one for
+    erasure, the hashing rate for depolarizing. This is row 0 of
     overhead_columns, with each NaN as None.
     """
     check_integer("l", l)  # its range is a domain rule, shared with overhead_columns
-    columns = overhead_columns(l, p, alpha, theta, noise, q, capacity)
+    columns = overhead_columns(l, p, alpha, theta, noise, q)
     row = {f.name: getattr(columns, f.name).item(0) for f in fields(columns)}
     status = row.pop("status")
     if status == "out-of-domain":
@@ -318,7 +299,7 @@ def overhead_bound(
         epochs_to_cross(p, alpha, (p - alpha) / p - theta)
     # each NaN, the one value unequal to itself, becomes None
     row = {name: None if value != value else value for name, value in row.items()}
-    capacity = CapacityKind(row["capacity_mode"])
+    capacity = _CAPACITY[noise]
     if row["baseline_full_parallel"] is None:
         row["baseline_full_parallel"] = Impossibility(
             reason="capacity vanishes at the effective idle error rate",

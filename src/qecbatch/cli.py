@@ -75,6 +75,9 @@ class GridAxis:
             )
         if self.steps < 2:
             raise ValueError(f"grid axis '{self.name}' needs steps >= 2, got {self.steps}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"grid axis '{self.name}' needs finite start and stop, "
+                             f"got {self.start} and {self.stop}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -176,8 +179,6 @@ class ExperimentConfig:
     q_period: int = _key("correction epochs per static phase", "simulate exact couple", 1)
     noise: str = _key("erasure or depolarizing", "bounds sweep", "erasure",
                       choices=("erasure", "depolarizing"))
-    capacity: str = _key("depolarizing capacity mode: hashing or hashing-cutoff",
-                         "bounds sweep", "hashing", choices=("hashing", "hashing-cutoff"))
     kappa: float | None = _key("decoherence rate (pairs with --t-g)", "bounds")
     t_g: float | None = _key("duration of one correction batch", "bounds")
     beta: float | None = _key("target error fraction", "simulate exact meanfield")
@@ -230,10 +231,8 @@ def _ignored(config: ExperimentConfig) -> Iterator[tuple[str, str]]:
         if config.command not in f.metadata["commands"]:
             yield name, f"command '{config.command}'"
     if config.command == "bounds" and (config.kappa is not None or config.t_g is not None):
-        for name in ("p", "l", "theta", "q", "capacity"):
+        for name in ("p", "l", "theta", "q"):
             yield name, "the --kappa/--t-g surface"
-    if config.command in ("bounds", "sweep") and Noise(config.noise) is Noise.ERASURE:
-        yield "capacity", "erasure noise"
 
 
 def _type_name(key: str) -> str:
@@ -288,13 +287,6 @@ def _require(config: ExperimentConfig, *names: str) -> None:
         raise UsageError(
             f"command '{config.command}' needs {', '.join('--' + m.replace('_', '-') for m in missing)}"
         )
-
-
-def _capacity(config: ExperimentConfig) -> bounds_mod.CapacityKind | None:
-    """The --capacity mode; None under erasure noise, which fixes its own capacity."""
-    if Noise(config.noise) is Noise.ERASURE:
-        return None
-    return bounds_mod.CapacityKind(config.capacity)
 
 
 def _model_params(config: ExperimentConfig) -> ModelParams:
@@ -434,7 +426,7 @@ def _run_bounds(config: ExperimentConfig, fmt: str) -> _Document:
     _require(config, "l", "p", "alpha", "theta")
     report = bounds_mod.overhead_bound(
         l=config.l, p=config.p, alpha=config.alpha, theta=config.theta,
-        noise=Noise(config.noise), q=config.q, capacity=_capacity(config),
+        noise=Noise(config.noise), q=config.q,
     )
     _note_theta_preset(config.theta)
     if report.feasible:
@@ -517,7 +509,6 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
             )
     columns = bounds_mod.overhead_columns(
         **{name: point[name] for name in _SWEEPABLE}, noise=Noise(config.noise),
-        capacity=_capacity(config),
     )
     # the point, its noise and the bound's own columns, which empty what does not apply
     table = {**point, "noise": config.noise,

@@ -314,7 +314,7 @@ class StateDistribution:
         if (self.mass < 0.0).any():
             raise ValueError("mass has negative entries")
         total = float(self.mass.sum())
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:  # NaN mass fails too
             raise ValueError(f"mass sums to {total}, not 1")
         if not self.err >= 0.0:
             raise ValueError(f"err must be >= 0, got {self.err}")

@@ -13,6 +13,7 @@ from qecbatch.bounds import (
     kappa_surface,
     overhead_bound,
     overhead_columns,
+    _capacity_zero_hint,
 )
 from qecbatch.chain import Noise
 
@@ -56,13 +57,6 @@ def test_hashing_capacity_frozen_values():
     assert hashing.eval(0.2525) == 0.0
 
 
-def test_cutoff_capacity():
-    cutoff = CapacityKind.DEPOLARIZING_HASHING_CUTOFF
-    assert cutoff.eval(0.2) == CapacityKind.DEPOLARIZING_HASHING.eval(0.2)
-    assert cutoff.eval(1.0 / 3.0) == 0.0
-    assert cutoff.eval(0.5) == 0.0
-
-
 @pytest.mark.parametrize("capacity", list(CapacityKind))
 def test_capacity_on_arrays_equals_pointwise(capacity):
     """An array evaluation gives bit for bit the scalar value at each element
@@ -80,17 +74,25 @@ def test_capacity_on_arrays_equals_pointwise(capacity):
 
 
 def test_capacity_mode_follows_the_noise():
-    """Erasure noise has its exact capacity, depolarizing noise the given
-    hashing mode (plain hashing by default); another noise's mode is refused."""
+    """Erasure noise has its exact capacity, depolarizing noise the hashing
+    rate; neither function takes a capacity of its own."""
+    assert list(CapacityKind) == [CapacityKind.ERASURE_EXACT, CapacityKind.DEPOLARIZING_HASHING]
     assert overhead_bound(100, 0.2, 0.15, 0.1).capacity_mode == "erasure-exact"
     depolarizing = (100, 0.2, 0.18, 0.05, Noise.DEPOLARIZING)
     assert overhead_bound(*depolarizing).capacity_mode == "hashing"
-    cutoff = CapacityKind.DEPOLARIZING_HASHING_CUTOFF
-    assert overhead_bound(*depolarizing, capacity=cutoff).capacity_mode == "hashing-cutoff"
-    with pytest.raises(ValueError, match="'hashing-cutoff' does not apply to erasure noise"):
-        overhead_bound(100, 0.2, 0.15, 0.1, capacity=cutoff)
-    with pytest.raises(ValueError, match="'erasure-exact' does not apply to depolarizing noise"):
-        overhead_bound(*depolarizing, capacity=CapacityKind.ERASURE_EXACT)
+    assert overhead_columns(*depolarizing).capacity_mode.tolist() == ["hashing"]
+    for function in (overhead_bound, overhead_columns):
+        with pytest.raises(TypeError, match="capacity"):
+            function(*depolarizing, capacity=CapacityKind.DEPOLARIZING_HASHING)
+
+
+@pytest.mark.parametrize("capacity", list(CapacityKind))
+def test_capacity_zero_hint_is_where_the_rate_vanishes(capacity):
+    """The threshold a capacity_zero verdict names is the least gamma where
+    its capacity is zero: zero there, positive one ulp below."""
+    zero = _capacity_zero_hint(capacity)
+    assert capacity.eval(zero) == 0.0
+    assert capacity.eval(math.nextafter(zero, 0.0)) > 0.0
 
 
 def test_baseline_frozen_values():
@@ -180,12 +182,8 @@ def test_overhead_bound_depolarizing_capacity_zero():
     report = overhead_bound(100, 0.2, 0.14, 0.01, noise=Noise.DEPOLARIZING)
     assert not report.feasible
     assert report.verdict.threshold_name == "capacity_zero"
-    assert report.verdict.threshold_value == pytest.approx(0.2524, abs=1e-3)
-    cutoff = overhead_bound(
-        100, 0.2, 0.14, 0.01, noise=Noise.DEPOLARIZING,
-        capacity=CapacityKind.DEPOLARIZING_HASHING_CUTOFF,
-    )
-    assert cutoff.verdict.threshold_value == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert report.verdict.threshold_value == 0.2523861665536424
+    assert report.verdict.threshold_value < report.verdict.actual
 
 
 def test_overhead_bound_q_only_moves_baseline():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qecbatch.bounds import CapacityKind, overhead_bound
+from qecbatch.bounds import overhead_bound
 from qecbatch.chain import ModelParams, Noise
 from qecbatch.checks import CHECKS, Check
 from qecbatch.cli import (
@@ -71,8 +71,6 @@ def test_parse_config_rejects_bad_enums():
         parse_config("simulate", "noise = thermal")
     with pytest.raises(ValueError, match="format"):
         parse_config("simulate", None, {"format": "yaml"})
-    with pytest.raises(ValueError, match="capacity"):
-        parse_config("bounds", None, {"capacity": "magic"})
 
 
 def test_config_round_trip():
@@ -143,13 +141,13 @@ def test_a_document_with_foreign_keys_at_their_defaults_re_parses():
     """A document that also echoes keys its run ignores, at their defaults,
     re-parses; the re-emitted config holds only the keys the run read."""
     read = {"command": "meanfield", "alpha": 0.05, "beta": 0.5, "p": 0.2}
-    config = config_from_mapping({**read, "capacity": "hashing", "master_seed": 20260817,
-                                  "noise": "erasure", "q": 0.0, "q_period": 1, "threads": 1})
+    config = config_from_mapping({**read, "master_seed": 20260817, "noise": "erasure",
+                                  "q": 0.0, "q_period": 1, "threads": 1})
     assert config.to_mapping() == read
 
 
 @pytest.mark.parametrize("command, text, key", [
-    ("meanfield --p 0.2 --alpha 0.05 --beta 0.5", "theta = 0.1\ncapacity = hashing-cutoff\n",
+    ("meanfield --p 0.2 --alpha 0.05 --beta 0.5", "theta = 0.1\n",
      "--theta does not apply to command 'meanfield'"),
     ("bounds --l 100 --p 0.2 --alpha 0.15 --theta 0.05 --noise depolarizing", "q_period = 7\n",
      "--q-period does not apply to command 'bounds'"),
@@ -205,6 +203,18 @@ def test_grid_axis():
         GridAxis.parse("p:0.1:0.5")
 
 
+@pytest.mark.parametrize("token", ["p:0.1:inf:3", "q:0:nan:2", "theta:-inf:0.1:2"])
+def test_grid_axis_ends_must_be_finite(tmp_path, capsys, token):
+    name = token.split(":")[0]
+    with pytest.raises(ValueError, match=f"grid axis '{name}' needs finite start and stop"):
+        GridAxis.parse(token)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--l", "10", "--p", "0.2", "--alpha", "0.15", "--theta", "0.05",
+                 "--grid", token, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: grid axis '{name}' needs finite")
+    assert not out.exists()
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown command"):
         ExperimentConfig(command="discombobulate")
@@ -255,15 +265,40 @@ def test_bounds_impossible_still_exits_zero(tmp_path, monkeypatch):
     assert doc["report"]["noise"] == "erasure"
 
 
+@pytest.mark.parametrize("noise", ["erasure", "depolarizing"])
 @pytest.mark.parametrize("argv", [
     ["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.15", "--theta", "0.1"],
     ["sweep", "--l", "100", "--p", "0.2", "--theta", "0.1", "--grid", "alpha:0.05:0.25:9"],
 ])
-def test_capacity_is_refused_under_erasure(tmp_path, capsys, argv):
+def test_capacity_flag_is_unrecognized(tmp_path, capsys, argv, noise):
+    """The noise alone picks the capacity; there is no flag to pick it."""
     out = tmp_path / "out"
-    assert main([*argv, "--capacity", "hashing-cutoff", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "usage error: --capacity does not apply to erasure noise\n"
+    assert main([*argv, "--noise", noise, "--capacity", "hashing", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --capacity hashing\n"
     assert not out.exists()
+
+
+def test_capacity_is_an_unknown_config_key(tmp_path, capsys):
+    config_path = tmp_path / "run.conf"
+    config_path.write_text("noise = depolarizing\ncapacity = hashing\n")
+    out = tmp_path / "out.json"
+    assert main(["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.15", "--theta", "0.05",
+                 "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'capacity' (line 2)\n"
+    assert not out.exists()
+
+
+def test_depolarizing_bounds_document_names_no_capacity(tmp_path):
+    """The capacity follows the noise: a depolarizing document reports it in
+    capacity_mode, holds no capacity key, and its config re-parses."""
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--l", "100", "--p", "0.2", "--alpha", "0.15", "--theta", "0.05",
+                 "--noise", "depolarizing", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "capacity" not in doc["config"]
+    assert doc["report"]["capacity_mode"] == "hashing"
+    config = config_from_mapping(doc["config"])
+    assert config.to_mapping() == doc["config"]
 
 
 def test_bounds_kappa_surface(tmp_path):
@@ -305,7 +340,6 @@ def test_bounds_kappa_surface_rejects_non_finite_inputs(tmp_path, capsys, kappa,
 @pytest.mark.parametrize("extra, flag", [
     (["--p", "0.2"], "--p"),
     (["--l", "1000"], "--l"), (["--theta", "0.1"], "--theta"), (["--q", "0.3"], "--q"),
-    (["--noise", "depolarizing", "--capacity", "hashing-cutoff"], "--capacity"),
 ])
 def test_bounds_kappa_surface_rejects_flags_it_ignores(tmp_path, capsys, extra, flag):
     out = tmp_path / "surface.json"
@@ -535,15 +569,12 @@ def _read_sweep(path) -> list[dict]:
     return list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
-@pytest.mark.parametrize("noise, capacity", [
-    ("erasure", "hashing"), ("depolarizing", "hashing"), ("depolarizing", "hashing-cutoff"),
-])
-def test_sweep_rows_match_an_independent_oracle(tmp_path, noise, capacity):
+@pytest.mark.parametrize("noise", ["erasure", "depolarizing"])
+def test_sweep_rows_match_an_independent_oracle(tmp_path, noise):
     """Every row of a grid over all five axes against the model's rules and
     closed forms, evaluated here one point at a time."""
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--noise", noise, "--capacity", capacity,
-                 "--grid", "l:0:30:4", "--grid", "p:0:0.9:7", "--grid", "alpha:0:0.6:7",
+    assert main(["sweep", "--noise", noise, "--grid", "l:0:30:4", "--grid", "p:0:0.9:7", "--grid", "alpha:0:0.6:7",
                  "--grid", "theta:0:0.5:6", "--grid", "q:0:1.2:5", "--out", str(out)]) == 0
     rows = _read_sweep(out)
     assert len(rows) == 4 * 7 * 7 * 6 * 5
@@ -560,8 +591,7 @@ def test_sweep_rows_match_an_independent_oracle(tmp_path, noise, capacity):
         if noise == "erasure":
             rate, alpha_min = 1.0 - 2.0 * residual, p / 2.0
         else:
-            cut = capacity == "hashing-cutoff" and residual >= 1.0 / 3.0
-            rate, alpha_min = (0.0 if cut else _hashing(residual)), 2.0 * p / 3.0
+            rate, alpha_min = _hashing(residual), 2.0 * p / 3.0
         want = "impossible" if alpha < alpha_min or rate <= 0.0 else "ok"
         assert row["status"] == want, row
         kinds.add(want)
@@ -615,27 +645,19 @@ def bound_points(draw):
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(point=bound_points(), noise=st.sampled_from(["erasure", "depolarizing"]),
-       cutoff=st.booleans())
-def test_one_point_sweep_matches_bounds(tmp_path, point, noise, cutoff):
+@given(point=bound_points(), noise=st.sampled_from(["erasure", "depolarizing"]))
+def test_one_point_sweep_matches_bounds(tmp_path, point, noise):
     """A sweep row prints the strings of overhead_bound's report for the same
     point, and is out-of-domain exactly where overhead_bound raises."""
     l, p, alpha, theta, q = point
-    # --capacity picks a depolarizing mode; erasure noise refuses it
-    capacity = None
-    if noise == "depolarizing":
-        capacity = CapacityKind("hashing-cutoff" if cutoff else "hashing")
     out = tmp_path / "point.csv"
     # `--key=value` keeps argparse from reading a value like -1e-9 as a flag
     assert main(["sweep", f"--l={l}", f"--p={p!r}", f"--alpha={alpha!r}",
-                 f"--theta={theta!r}", f"--noise={noise}",
-                 *([f"--capacity={capacity.value}"] if capacity else []),
-                 f"--grid=q:{q!r}:{q!r}:2", f"--out={out}"]) == 0
+                 f"--theta={theta!r}", f"--noise={noise}", f"--grid=q:{q!r}:{q!r}:2", f"--out={out}"]) == 0
     row, twin = _read_sweep(out)
     assert row == twin
     try:
-        report = asdict(overhead_bound(l, p, alpha, theta, noise=Noise(noise), q=q,
-                                       capacity=capacity))
+        report = asdict(overhead_bound(l, p, alpha, theta, noise=Noise(noise), q=q))
     except ValueError:
         assert row["status"] == "out-of-domain"
         return

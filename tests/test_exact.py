@@ -222,6 +222,8 @@ def test_distribution_validation():
         StateDistribution(t=0, mass=np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         StateDistribution(t=0, mass=np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="mass sums to nan"):
+        StateDistribution(t=0, mass=np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
         StateDistribution.point_mass(3, x=4)
 
