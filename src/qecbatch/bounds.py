@@ -9,10 +9,9 @@ verdicts rather than sentinel infinities.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
-from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .meanfield import (
 __all__ = [
     "HittingBound",
     "hitting_prob_lb",
-    "CapacityKind",
     "Impossibility",
     "BoundReport",
     "overhead_bound",
@@ -75,38 +73,41 @@ def _hashing_rate(gamma: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - _entropy2(u) - u * _LOG2_3)
 
 
-class CapacityKind(Enum):
-    """Quantum capacity per channel use as a function of the error rate.
+@dataclass(frozen=True)
+class _Law:
+    """Everything the bound takes from the noise.
 
-    One member per noise: the exact erasure capacity 1 - 2*gamma, and the
-    depolarizing hashing rate, which is zero from gamma near 0.2524 on.
-    Rates are clamped at zero; a member's value is its mode name in
-    reports.
+    rate is the capacity per channel use on an array of error rates
+    gamma, clamped at zero, zero the least gamma where it is zero, and
+    mode its name in reports. num/den is one minus the error rate where
+    the channel's quantum capacity vanishes (Bennett, DiVincenzo & Smolin
+    1997): a budget alpha below p * num / den leaves a steady error
+    fraction (p - alpha)/p that no code survives. That is the budget
+    threshold, and alpha * den / num is the noise threshold of a budget.
     """
 
-    ERASURE_EXACT = "erasure-exact"
-    DEPOLARIZING_HASHING = "hashing"
-
-    def eval(self, gamma: float | np.ndarray) -> float | np.ndarray:
-        """Capacity at gamma: a float for a float, an array for an array.
-
-        A float is a one-point array evaluation, so it equals the same
-        point evaluated inside an array.
-        """
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
-        outside = ~((0.0 <= g) & (g <= 1.0))
-        if outside.any():
-            raise ValueError(f"gamma must lie in [0, 1], got {g[outside][0]}")
-        if self is CapacityKind.ERASURE_EXACT:
-            rate = np.maximum(0.0, 1.0 - 2.0 * g)
-        else:
-            rate = _hashing_rate(g)
-        return float(rate[0]) if np.ndim(gamma) == 0 else rate.reshape(np.shape(gamma))
+    mode: str
+    rate: Callable[[np.ndarray], np.ndarray]
+    zero: float
+    num: int
+    den: int
 
 
-# The capacity the bound divides by under each noise.
-_CAPACITY = {Noise.ERASURE: CapacityKind.ERASURE_EXACT,
-             Noise.DEPOLARIZING: CapacityKind.DEPOLARIZING_HASHING}
+# Erasure: the exact capacity, zero from gamma = 1/2 on. Depolarizing:
+# the hashing rate, zero from gamma near 0.2524 on, although the quantum
+# capacity only vanishes at gamma = 1/3.
+_LAWS = {
+    Noise.ERASURE: _Law("erasure-exact", lambda gamma: np.maximum(0.0, 1.0 - 2.0 * gamma),
+                        0.5, 1, 2),
+    Noise.DEPOLARIZING: _Law("hashing", _hashing_rate, 0.2523861665536424, 2, 3),
+}
+
+
+def _law(noise: Noise) -> _Law:
+    """The law of a Noise member; any other value, its string included, is refused."""
+    if not isinstance(noise, Noise):
+        raise ValueError(f"noise must be a Noise member, got {noise!r}")
+    return _LAWS[noise]
 
 
 @dataclass(frozen=True)
@@ -154,40 +155,9 @@ class BoundReport:
     crossing_epochs: int | None
 
 
-def _alpha_threshold(p, noise: Noise):
-    return p / 2.0 if noise is Noise.ERASURE else 2.0 * p / 3.0
-
-
-def _noise_threshold(alpha, noise: Noise):
-    return 2.0 * alpha if noise is Noise.ERASURE else 1.5 * alpha
-
-
 def _effective_rate(p, q):
     """Combined idle error rate 1 - (1-p)(1-q) of the fully parallel memory."""
     return 1.0 - (1.0 - p) * (1.0 - q)
-
-
-def _capacity_where(capacity: CapacityKind, gamma: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """capacity at the points `where` selects, zero elsewhere."""
-    rate = np.zeros_like(gamma)
-    rate[where] = capacity.eval(gamma[where])
-    return rate
-
-
-@functools.cache
-def _capacity_zero_hint(capacity: CapacityKind) -> float:
-    """The least gamma where the capacity is zero, found once per process."""
-    if capacity is CapacityKind.ERASURE_EXACT:
-        return 0.5
-    # the hashing rate only falls on [0, 1]; it crosses zero near 0.2524
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if capacity.eval(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def _domain_rules(l, p, alpha, theta, q) -> tuple[Rule, ...]:
@@ -214,8 +184,8 @@ class BoundColumns:
     overhead_lb and crossing_epochs unless the status is ok, and the
     baseline where the capacity vanishes at the effective idle rate.
     crossing_epochs holds the exact int64 counts as Python ints, as an
-    int64 has no NaN. capacity_mode, the capacity of the bound and the
-    baseline alike, is empty out of the domain.
+    int64 has no NaN. capacity_mode names the noise's capacity, which both
+    the bound and the baseline divide by; it is empty out of the domain.
     """
 
     capacity_mode: np.ndarray
@@ -234,17 +204,16 @@ def overhead_columns(l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0) ->
     """overhead_bound over scalars or arrays, broadcast to one 1-d length.
 
     Points where overhead_bound would raise come back out-of-domain
-    instead. The capacity is evaluated only at the points where
-    overhead_bound evaluates it.
+    instead.
     """
+    law = _law(noise)
     l, p, alpha, theta, q = _points(l, p, alpha, theta, q)
-    capacity = _CAPACITY[noise]
     inside = ~_broken(_domain_rules(l, p, alpha, theta, q))
-    alpha_thr = _alpha_threshold(p, noise)
+    alpha_thr = p * law.num / law.den
     with np.errstate(divide="ignore", invalid="ignore"):
         residual = (p - alpha) / p - theta
     rated = inside & (alpha >= alpha_thr)
-    rate = _capacity_where(capacity, residual, rated)
+    rate = np.where(rated, law.rate(np.where(rated, residual, 0.0)), 0.0)
     live = (rated & (rate > 0.0)).nonzero()[0]
     epochs, _, unreachable = _crossings(p[live], alpha[live], residual[live])
     inside[live[unreachable]] = False
@@ -254,11 +223,11 @@ def overhead_columns(l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0) ->
     status = np.where(inside, "impossible", "out-of-domain")
     status[ok] = "ok"
     n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=status == "ok")
-    base_rate = _capacity_where(capacity, _effective_rate(p, q), inside)
+    base_rate = np.where(inside, law.rate(np.where(inside, _effective_rate(p, q), 0.0)), 0.0)
     alpha_thr, noise_thr, residual, crossover = (np.where(inside, v, np.nan) for v in (
-        alpha_thr, _noise_threshold(alpha, noise), residual, p * (1.0 - p) * (1.0 - q)))
+        alpha_thr, alpha * law.den / law.num, residual, p * (1.0 - p) * (1.0 - q)))
     return BoundColumns(
-        capacity_mode=np.where(inside, capacity.value, ""), status=status,
+        capacity_mode=np.where(inside, law.mode, ""), status=status,
         n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
         alpha_threshold=alpha_thr, noise_threshold=noise_thr, residual_rate=residual,
         crossover_alpha=crossover,
@@ -281,13 +250,14 @@ def overhead_bound(
     size-independent number of epochs, so the code must operate at that
     residual rate: n_min = l / capacity((p - alpha)/p - theta). For
     erasure noise this is the closed form l*p / (2*alpha - p + 2*p*theta).
-    Budgets at or below the threshold fraction of p (one half for
-    erasure, two thirds for depolarizing) admit no finite bound and
-    yield an impossibility verdict. The bound is evaluated at q = 0 and
-    only tightens for q > 0; q enters the reported baseline and
-    crossover directly. The noise picks the capacity: the exact one for
-    erasure, the hashing rate for depolarizing. This is row 0 of
-    overhead_columns, with each NaN as None.
+    The noise fixes one law: the capacity (exact for erasure, the hashing
+    rate for depolarizing), the error rate where it is zero, and the
+    fraction of p (one half for erasure, two thirds for depolarizing)
+    below which a budget admits no finite bound and yields an
+    impossibility verdict; the noise threshold is the budget over that
+    fraction. The bound is evaluated at q = 0 and only tightens for
+    q > 0; q enters the reported baseline and crossover directly. This
+    is row 0 of overhead_columns, with each NaN as None.
     """
     check_integer("l", l)  # its range is a domain rule, shared with overhead_columns
     columns = overhead_columns(l, p, alpha, theta, noise, q)
@@ -299,12 +269,12 @@ def overhead_bound(
         epochs_to_cross(p, alpha, (p - alpha) / p - theta)
     # each NaN, the one value unequal to itself, becomes None
     row = {name: None if value != value else value for name, value in row.items()}
-    capacity = _CAPACITY[noise]
+    law = _law(noise)
     if row["baseline_full_parallel"] is None:
         row["baseline_full_parallel"] = Impossibility(
             reason="capacity vanishes at the effective idle error rate",
             threshold_name="effective_error_rate",
-            threshold_value=_capacity_zero_hint(capacity),
+            threshold_value=law.zero,
             actual=_effective_rate(p, q),
         )
     verdict = None
@@ -317,9 +287,9 @@ def overhead_bound(
         )
     elif status == "impossible":
         verdict = Impossibility(
-            reason=f"capacity mode '{capacity.value}' vanishes at the residual error rate",
+            reason=f"capacity mode '{law.mode}' vanishes at the residual error rate",
             threshold_name="capacity_zero",
-            threshold_value=_capacity_zero_hint(capacity),
+            threshold_value=law.zero,
             actual=row["residual_rate"],
         )
     return BoundReport(l=l, p=p, alpha=alpha, theta=theta, q=q, noise=noise,
@@ -382,8 +352,9 @@ def kappa_surface(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     product = kappa * t_g
     p = -math.expm1(-product)
-    alpha_min = _alpha_threshold(p, noise)
-    hashing = CapacityKind.DEPOLARIZING_HASHING
+    law = _law(noise)
+    alpha_min = p * law.num / law.den
+    rate = law.rate(np.array([max(0.0, (p - alpha) / p) if p > 0 else 0.0])).item()
     if alpha <= alpha_min:
         overhead = Impossibility(
             reason="correction budget at or below the survivable minimum for this device",
@@ -391,12 +362,12 @@ def kappa_surface(
         )
     elif noise is Noise.ERASURE:
         overhead = p / (2.0 * alpha - p)
-    elif (rate := hashing.eval(max(0.0, (p - alpha) / p) if p > 0 else 0.0)) > 0.0:
+    elif rate > 0.0:
         overhead = 1.0 / rate
     else:
         overhead = Impossibility(
-            reason="hashing rate vanishes at the residual error rate",
-            threshold_name="capacity_zero", threshold_value=_capacity_zero_hint(hashing),
+            reason=f"{law.mode} rate vanishes at the residual error rate",
+            threshold_name="capacity_zero", threshold_value=law.zero,
             actual=(p - alpha) / p,
         )
     # an impossible erasure budget has 2*alpha <= p < kappa*t_g, so ratio <= 0

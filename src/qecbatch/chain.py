@@ -44,7 +44,8 @@ _BUDGET_REL_SLACK = 1e-12
 
 class Noise(Enum):
     """Supported single-qubit noise kinds. Both are absorbing per qubit, so the
-    chain is the same for both; only the capacity in `qecbatch.bounds` differs."""
+    chain is the same for both; only the bound's law in `qecbatch.bounds`
+    (capacity, its zero and the thresholds) differs."""
 
     ERASURE = "erasure"
     DEPOLARIZING = "depolarizing"

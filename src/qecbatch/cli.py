@@ -49,7 +49,8 @@ COMMANDS = ("simulate", "exact", "meanfield", "bounds", "couple", "sweep", "veri
 
 _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
 
-# Largest grid `sweep` evaluates, and the most rows a `meanfield` CSV holds.
+# The most rows any document holds: the largest grid `sweep` evaluates, and
+# the longest curve `simulate`, `exact --beta` or a `meanfield` CSV writes.
 # Sweep peak memory grows by about 0.75 kB per point (75 MiB for a 10^5-point
 # CSV sweep), so the cap is near 0.8 GB.
 SWEEP_POINT_CAP = 10**6
@@ -178,7 +179,7 @@ class ExperimentConfig:
     q: float = _key("static-phase decoherence probability", "simulate exact bounds sweep", 0.0)
     q_period: int = _key("correction epochs per static phase", "simulate exact couple", 1)
     noise: str = _key("erasure or depolarizing", "bounds sweep", "erasure",
-                      choices=("erasure", "depolarizing"))
+                      choices=tuple(n.value for n in Noise))
     kappa: float | None = _key("decoherence rate (pairs with --t-g)", "bounds")
     t_g: float | None = _key("duration of one correction batch", "bounds")
     beta: float | None = _key("target error fraction", "simulate exact meanfield")
@@ -336,8 +337,12 @@ def _csv_lines(rows: Iterable[Sequence[object]]) -> Iterator[str]:
 
 
 def _threshold(config: ExperimentConfig) -> float:
-    """The error-count threshold n * beta of simulate and exact."""
+    """The error-count threshold n * beta of simulate and exact, whose
+    curves hold t_max + 1 rows; refuses a curve longer than the cap."""
     check_fraction("beta", config.beta)
+    if config.t_max >= SWEEP_POINT_CAP:
+        raise UsageError(f"{config.command} curve would hold t_max + 1 = {config.t_max + 1} rows, "
+                         f"more than the {SWEEP_POINT_CAP} allowed")
     return config.n * config.beta
 
 

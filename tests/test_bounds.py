@@ -7,13 +7,12 @@ import pytest
 
 from qecbatch.bounds import (
     BoundColumns,
-    CapacityKind,
     Impossibility,
     hitting_prob_lb,
     kappa_surface,
     overhead_bound,
     overhead_columns,
-    _capacity_zero_hint,
+    _LAWS,
 )
 from qecbatch.chain import Noise
 
@@ -34,65 +33,80 @@ def test_hitting_prob_lb_grows_with_n():
     assert 0.0 <= small.value <= 1.0
 
 
+def _rate(noise: Noise, gamma: float) -> float:
+    """The noise's capacity at one error rate."""
+    return _LAWS[noise].rate(np.array([gamma])).item()
+
+
 def test_erasure_capacity():
-    erasure = CapacityKind.ERASURE_EXACT
-    assert erasure.eval(0.0) == 1.0
-    assert erasure.eval(0.25) == pytest.approx(0.5)
-    assert erasure.eval(0.5) == 0.0
-    assert erasure.eval(0.8) == 0.0  # clamped, not negative
-    with pytest.raises(ValueError):
-        erasure.eval(1.2)
-    with pytest.raises(ValueError):
-        erasure.eval(-0.1)
+    assert _rate(Noise.ERASURE, 0.0) == 1.0
+    assert _rate(Noise.ERASURE, 0.25) == pytest.approx(0.5)
+    assert _rate(Noise.ERASURE, 0.5) == 0.0
+    assert _rate(Noise.ERASURE, 0.8) == 0.0  # clamped, not negative
 
 
 def test_hashing_capacity_frozen_values():
-    hashing = CapacityKind.DEPOLARIZING_HASHING
     # frozen from an independent evaluation of 1 - H2(3g/4) - (3g/4) log2 3
-    assert hashing.eval(0.1) == pytest.approx(0.4968162683194162, rel=1e-12)
-    assert hashing.eval(0.2) == pytest.approx(0.15241532017542606, rel=1e-12)
-    assert hashing.eval(0.0) == 1.0
+    assert _rate(Noise.DEPOLARIZING, 0.1) == pytest.approx(0.4968162683194162, rel=1e-12)
+    assert _rate(Noise.DEPOLARIZING, 0.2) == pytest.approx(0.15241532017542606, rel=1e-12)
+    assert _rate(Noise.DEPOLARIZING, 0.0) == 1.0
     # the rate crosses zero near 0.25239
-    assert hashing.eval(0.2523) > 0.0
-    assert hashing.eval(0.2525) == 0.0
-
-
-@pytest.mark.parametrize("capacity", list(CapacityKind))
-def test_capacity_on_arrays_equals_pointwise(capacity):
-    """An array evaluation gives bit for bit the scalar value at each element
-    and keeps the input's shape."""
-    gammas = np.concatenate([
-        np.linspace(0.0, 1.0, 1001), [0.2523, 0.2525, 1.0 / 3.0, 0.5, 5e-324],
-        np.random.default_rng(11).uniform(0.0, 1.0, 2000),
-    ])
-    values = capacity.eval(gammas)
-    assert values.shape == gammas.shape
-    assert values.tolist() == [capacity.eval(g) for g in gammas.tolist()]
-    assert capacity.eval(gammas.reshape(-1, 3)).tolist() == values.reshape(-1, 3).tolist()
-    with pytest.raises(ValueError, match="gamma must lie in"):
-        capacity.eval(np.array([0.2, 1.5]))
+    assert _rate(Noise.DEPOLARIZING, 0.2523) > 0.0
+    assert _rate(Noise.DEPOLARIZING, 0.2525) == 0.0
 
 
 def test_capacity_mode_follows_the_noise():
     """Erasure noise has its exact capacity, depolarizing noise the hashing
     rate; neither function takes a capacity of its own."""
-    assert list(CapacityKind) == [CapacityKind.ERASURE_EXACT, CapacityKind.DEPOLARIZING_HASHING]
+    assert [(noise, law.mode) for noise, law in _LAWS.items()] == [
+        (Noise.ERASURE, "erasure-exact"), (Noise.DEPOLARIZING, "hashing")]
     assert overhead_bound(100, 0.2, 0.15, 0.1).capacity_mode == "erasure-exact"
     depolarizing = (100, 0.2, 0.18, 0.05, Noise.DEPOLARIZING)
     assert overhead_bound(*depolarizing).capacity_mode == "hashing"
     assert overhead_columns(*depolarizing).capacity_mode.tolist() == ["hashing"]
     for function in (overhead_bound, overhead_columns):
         with pytest.raises(TypeError, match="capacity"):
-            function(*depolarizing, capacity=CapacityKind.DEPOLARIZING_HASHING)
+            function(*depolarizing, capacity="hashing")
 
 
-@pytest.mark.parametrize("capacity", list(CapacityKind))
-def test_capacity_zero_hint_is_where_the_rate_vanishes(capacity):
+@pytest.mark.parametrize("noise", list(Noise))
+def test_law_zero_is_where_the_rate_vanishes(noise):
     """The threshold a capacity_zero verdict names is the least gamma where
-    its capacity is zero: zero there, positive one ulp below."""
-    zero = _capacity_zero_hint(capacity)
-    assert capacity.eval(zero) == 0.0
-    assert capacity.eval(math.nextafter(zero, 0.0)) > 0.0
+    the noise's capacity is zero: zero there, positive one ulp below."""
+    zero = _LAWS[noise].zero
+    assert _rate(noise, zero) == 0.0
+    assert _rate(noise, math.nextafter(zero, 0.0)) > 0.0
+
+
+@pytest.mark.parametrize("noise, alpha_threshold, noise_threshold", [
+    (Noise.ERASURE, lambda p: p / 2.0, lambda alpha: 2.0 * alpha),
+    (Noise.DEPOLARIZING, lambda p: 2.0 * p / 3.0, lambda alpha: 1.5 * alpha),
+], ids=["erasure", "depolarizing"])
+def test_thresholds_are_the_fraction_of_p_bit_for_bit(noise, alpha_threshold, noise_threshold):
+    """The law's fraction num/den gives the budget threshold p/2 or 2p/3 and
+    the noise threshold 2*alpha or 1.5*alpha exactly, not just nearly."""
+    rng = np.random.default_rng(19)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 3000), 10.0 ** rng.uniform(-300, 0, 1000)])
+    alpha = p * rng.uniform(0.0, 1.0, p.size)
+    columns = overhead_columns(7, p, alpha, 0.5 * (p - alpha) / p, noise)
+    # a crossing epoch past 2^62 puts some of the tiniest p out of the domain
+    inside = columns.status != "out-of-domain"
+    assert inside.sum() > 3500
+    assert columns.alpha_threshold[inside].tolist() == alpha_threshold(p[inside]).tolist()
+    assert columns.noise_threshold[inside].tolist() == noise_threshold(alpha[inside]).tolist()
+
+
+@pytest.mark.parametrize("function, args", [
+    (overhead_bound, (100, 0.2, 0.15, 0.1)),
+    (overhead_columns, (100, 0.2, 0.15, 0.1)),
+    (kappa_surface, (0.001, 10.0, 0.01)),
+], ids=["overhead_bound", "overhead_columns", "kappa_surface"])
+@pytest.mark.parametrize("noise", ["erasure", None, 1])
+def test_noise_must_be_a_member(function, args, noise):
+    """A noise that is not a Noise member, its string value included, is
+    refused by name rather than read as some other noise."""
+    with pytest.raises(ValueError, match=re.escape(f"noise must be a Noise member, got {noise!r}")):
+        function(*args, noise)
 
 
 def test_baseline_frozen_values():
@@ -266,7 +280,7 @@ def test_kappa_surface_depolarizing():
     assert surface.p == pytest.approx(p, rel=1e-12)
     assert surface.alpha_min == pytest.approx(p / 1.5, rel=1e-12)
     over = surface.overhead
-    assert over == pytest.approx(1.0 / CapacityKind.DEPOLARIZING_HASHING.eval(0.1), rel=1e-12)
+    assert over == pytest.approx(1.0 / _rate(Noise.DEPOLARIZING, 0.1), rel=1e-12)
     assert surface.small_budget_check is None
 
 

@@ -710,6 +710,21 @@ def test_meanfield_csv_longer_than_the_cap_is_refused(tmp_path, capsys):
     assert main([*point, "--format", "json", "--out", str(tmp_path / "meanfield.json")]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-traj", "10"],
+    ["exact"],
+], ids=["simulate", "exact"])
+def test_curve_longer_than_the_cap_is_refused(tmp_path, capsys, argv, fmt):
+    """Both formats hold t_max + 1 rows; at t_max = 10^12 the run exits 1,
+    names t_max and writes nothing, before it allocates a row."""
+    out = tmp_path / f"curve.{fmt}"
+    assert main([*argv, "--n", "10", "--p", "0.2", "--alpha", "0.1", "--beta", "0.5",
+                 "--t-max", str(10**12), "--format", fmt, "--out", str(out)]) == 1
+    assert f"t_max + 1 = {10**12 + 1} rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, key", [
     (["--theta", "0.1", "--q", "nan", "--format", "json"], "q"),
     (["--theta", "inf"], "theta"),
