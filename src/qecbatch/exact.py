@@ -75,8 +75,9 @@ _TAIL_EPS = 1e-16
 # Kernel states per block; a block is built the first time it carries mass.
 _BLOCK = 256
 
-# The band's raw log-space mass must match 1 minus the dropped tails to
-# this tolerance before each row is renormalized.
+# Each band row's raw mass, its running product of pmf ratios scaled by
+# scipy's pmf at the row's first entry, must match 1 minus the dropped tails
+# to this tolerance before the row is renormalized.
 _RAW_ROW_TOL = 1e-9
 
 _ROW_SUM_TOL = 1e-12
@@ -92,9 +93,12 @@ def _band(
     Row x draws y ~ Binomial(m = n - x, prob) fresh errors and lands on
     max(x + y - budget, 0). Only y in [lo, hi], between the two tail
     quantiles, is kept: entry j of row x is the renormalized pmf of
-    y = lo + j and lands on clip(offset[x] + j, 0, n), with
+    y = lo + j and lands on max(offset[x] + j, 0), with
     offset[x] = x + lo - budget. Entries past a row's own width, hi - lo + 1,
-    are zero. Raises if a row leaves out more than _TAIL_EPS / 4 on either side.
+    are zero. A row is built as the running product of the pmf ratios
+    pmf(y + 1) / pmf(y), with one zero ratio at its width, in one multiplicative
+    pass with no log or exp. Raises if a row leaves out more than
+    _TAIL_EPS / 4 on either side, or if its raw mass misses the exact one.
     """
     x = np.arange(x0, x1)
     m = n - x
@@ -113,26 +117,34 @@ def _band(
         raise ValueError(f"binomial band leaves out a tail of {widest}, beyond {_TAIL_EPS / 4}")
     width = hi - lo + 1
     w = int(width.max())
-    # band[x, j] = ln pmf(lo + j) - ln pmf(lo), summed from the ratios
-    # pmf(y + 1) / pmf(y) = (m - y) / (y + 1) * prob / (1 - prob)
-    band = np.zeros((x.size, w))
+    # band[x, j] = pmf(lo + j) / pmf(lo), a running product of the ratios
+    # pmf(y + 1) / pmf(y) = c (m - y) / (y + 1) with c = prob / (1 - prob).
+    # Each is c ((m + 1) / (y + 1) - 1), or c / ((m + 1) / (m - y) - 1) when
+    # prob > 1/2, so that the quotient lies away from 1 and subtracting 1
+    # loses no digits on the side of the mean where the band lies.
+    flip = prob > 0.5
+    c = prob / (1.0 - prob)
+    band = np.empty((x.size, w))
+    band[:, 0] = 1.0
     ratios = band[:, 1:]
-    y1 = lo[:, None] + np.arange(1.0, w)  # y + 1 for y = lo .. lo + w - 2
-    np.subtract(m[:, None] + 1.0, y1, out=ratios)
-    np.maximum(ratios, 1.0, out=ratios)  # padding past m, masked below
-    np.log(ratios, out=ratios)
-    ratios -= np.log(y1, out=y1)
-    del y1
-    ratios += math.log(prob) - math.log1p(-prob)
-    np.cumsum(ratios, axis=1, out=ratios)
-    band[np.arange(w) >= width[:, None]] = -np.inf
-    peak = band.max(axis=1)
-    band -= peak[:, None]
-    np.exp(band, out=band)
+    j = np.arange(1.0, w)  # y = lo + j - 1
+    if flip:
+        np.subtract((m - lo + 1.0)[:, None], j, out=ratios)  # m - y
+    else:
+        np.add(lo[:, None], j, out=ratios)  # y + 1
+    with np.errstate(divide="ignore"):  # m - y is 0 only past a row's width
+        np.divide((m + 1.0)[:, None], ratios, out=ratios)
+    ratios -= 1.0
+    if flip:
+        np.divide(c, ratios, out=ratios)
+    else:
+        ratios *= c
+    short = np.flatnonzero(width < w)
+    band[short, width[short]] = 0.0  # the product is zero from a row's own width on
+    np.cumprod(band, axis=1, out=band)
     total = band.sum(axis=1)
     # scipy's pmf at lo is the reference that puts the band back on scale
-    log_first = np.log(binom.pmf(lo, m, prob))
-    drift = np.abs(total * np.exp(log_first + peak) - (1.0 - left - right)).max()
+    drift = np.abs(total * binom.pmf(lo, m, prob) - (1.0 - left - right)).max()
     if drift > _RAW_ROW_TOL:
         raise ValueError(f"binomial band misses its mass by {drift}, construction is off")
     band /= total[:, None]
@@ -171,13 +183,16 @@ class _Rows:
             drift = np.abs(band.sum(axis=1) - 1.0).max()
             if drift > _ROW_SUM_TOL:
                 raise ValueError(f"kernel rows sum to 1 +/- {drift}, beyond tolerance")
-            # entries that clip onto the same state are summed by the product
-            keep = np.arange(band.shape[1]) < width[:, None]
-            dest = np.clip(offset[:, None] + np.arange(band.shape[1]), 0, self.n)[keep]
-            first = int(dest.min())
+            # entry k of the flat data, j into row x, lands on offset[x] + j,
+            # at most n - budget; entries that clip onto 0 are summed by the product
             indptr = np.concatenate(([0], np.cumsum(width))).astype(np.int32)
-            op = csc_array((band[keep], (dest - first).astype(np.int32), indptr),
-                           shape=(int(dest.max()) - first + 1, offset.size))
+            dest = np.arange(indptr[-1], dtype=np.int32)
+            dest += np.repeat((offset - indptr[:-1]).astype(np.int32), width)
+            np.maximum(dest, 0, out=dest)
+            first, last = int(dest.min()), int(dest.max())
+            dest -= first
+            keep = np.arange(band.shape[1]) < width[:, None]
+            op = csc_array((band[keep], dest, indptr), shape=(last - first + 1, offset.size))
             block = self._blocks[b] = _Block(op, first)
         return block
 

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _PIT_BINS = 20
+# Draws the coupled run's PIT test holds before it folds them into its
+# histogram, so that its memory does not grow with t_max.
+_PIT_CHUNK = 1 << 16
 
 # Trajectories per block: a fixed count in count mode, and about 64 KiB of
 # mask (one byte per qubit) in mask mode, so a block stays small for any n.
@@ -297,20 +300,13 @@ def run_coupled(
     n = params.n
     inclusion_violations = 0
     count_violations = 0
-    # PIT inputs, one array per block and static phase: fresh low-memory
-    # errors, its healthy qubits and a coin. They are transformed in one
-    # vectorized pass at the end.
-    pit_fresh: list[np.ndarray] = []
-    pit_trials: list[np.ndarray] = []
-    pit_coins: list[np.ndarray] = []
+    pit = _PitHistogram(q_low)
 
     def inject(pair, _params, rng):
         draws = rng.random(pair.shape[1:])
         hits, copied = draws < q_high, draws < q_low
         low = pair[1]
-        pit_fresh.append((copied & ~low).sum(axis=1))
-        pit_trials.append(n - low.sum(axis=1))
-        pit_coins.append(rng.random(len(hits)))
+        pit.add((copied & ~low).sum(axis=1), n - low.sum(axis=1), rng.random(len(hits)))
         return pair | np.stack([hits, copied])
 
     for t, (high, low) in _fleet(replace(params, q=q_high), n_traj, t_max, master_seed,
@@ -318,10 +314,7 @@ def run_coupled(
         if t > 0:  # at epoch 0 both memories are empty
             inclusion_violations += int(np.any(low & ~high, axis=1).sum())
             count_violations += int((low.sum(axis=1) > high.sum(axis=1)).sum())
-    fresh, trials, coins = (np.concatenate(part or [np.empty(0)])
-                            for part in (pit_fresh, pit_trials, pit_coins))
-    pit_values = _pit_batch(fresh, trials, q_low, coins)
-    stat, pvalue = _pit_chi2(pit_values)
+    stat, pvalue = pit.chi2()
     return CouplingReport(
         n=n,
         q_low=q_low,
@@ -332,7 +325,7 @@ def run_coupled(
         inclusion_violations=inclusion_violations,
         inclusion_fraction=1.0 - inclusion_violations / (n_traj * t_max),
         count_violations=count_violations,
-        injection_events=len(pit_values),
+        injection_events=pit.events,
         pit_chi2_stat=stat,
         pit_chi2_pvalue=pvalue,
         pit_dof=_PIT_BINS - 1,
@@ -357,13 +350,44 @@ def _pit_batch(
     return lower + np.asarray(coins) * binom_dist.pmf(values, m, prob)
 
 
-def _pit_chi2(values: np.ndarray) -> tuple[float | None, float | None]:
-    if len(values) == 0:
-        return None, None
-    observed, _ = np.histogram(values, bins=_PIT_BINS, range=(0.0, 1.0))
-    expected = len(values) / _PIT_BINS
-    stat = float(((observed - expected) ** 2 / expected).sum())
-    return stat, float(chi2_dist.sf(stat, _PIT_BINS - 1))
+class _PitHistogram:
+    """Chi-square test of uniformity on the randomized PITs of binomial
+    draws of one rate, each draw given with its trial count and coin.
+
+    Draws wait until more than _PIT_CHUNK of them are pending; then they
+    are transformed and counted into _PIT_BINS equal bins on [0, 1], so
+    memory stays bounded however many draws arrive.
+    """
+
+    def __init__(self, prob: float):
+        self.prob = prob
+        self.observed = np.zeros(_PIT_BINS, dtype=np.int64)
+        self.events = 0
+        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._size = 0
+
+    def add(self, fresh: np.ndarray, trials: np.ndarray, coins: np.ndarray) -> None:
+        self._pending.append((fresh, trials, coins))
+        self._size += len(fresh)
+        if self._size > _PIT_CHUNK:
+            self._fold()
+
+    def _fold(self) -> None:
+        if self._pending:
+            fresh, trials, coins = (np.concatenate(part) for part in zip(*self._pending))
+            values = _pit_batch(fresh, trials, self.prob, coins)
+            self.observed += np.histogram(values, bins=_PIT_BINS, range=(0.0, 1.0))[0]
+            self.events += len(values)
+            self._pending, self._size = [], 0
+
+    def chi2(self) -> tuple[float | None, float | None]:
+        """(statistic, p-value) over every draw added, None when there are none."""
+        self._fold()
+        if self.events == 0:
+            return None, None
+        expected = self.events / _PIT_BINS
+        stat = float(((self.observed - expected) ** 2 / expected).sum())
+        return stat, float(chi2_dist.sf(stat, _PIT_BINS - 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -209,12 +209,19 @@ def test_tail_prob_is_strict():
     (ModelParams(n=60, p=0.2, alpha=0.05, q=0.05, q_period=3), 0.375),
 ])
 def test_tail_prob_never_exceeds_one(params, beta):
-    """Pushed mass can sum a few ulps above 1; at these points unclamped
-    tail sums reach 1 + 4e-16 and 1 + 7e-16."""
+    """Pushed mass can sum a few ulps above or below 1, so whether these
+    saturating tails reach the clamp depends on rounding; they never pass 1."""
     dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), 40)
     tails = [tail_prob(dist, params.n * beta) for dist in dists]
     assert max(tails) <= 1.0
-    assert max(tails) == 1.0  # the tail saturates, so the clamp is reached
+
+
+def test_tail_prob_clamps_a_sum_above_one():
+    """A mass that sums to 1 + 9e-16, within _MASS_TOL, has a tail sum above
+    1 that tail_prob reads as 1."""
+    dist = StateDistribution(t=0, mass=np.array([0.0, 0.5, 0.5 + 8e-16]))
+    assert dist.mass[1:].sum() > 1.0
+    assert tail_prob(dist, 0.5) == 1.0
 
 
 def test_distribution_validation():
@@ -429,6 +436,33 @@ def test_band_raw_mass_is_checked_against_the_exact_pmf():
     for x0 in (0, n // 2 // exact._BLOCK * exact._BLOCK):
         probs, _, _ = exact._band(n, 0.2, 0, x0, x0 + exact._BLOCK)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def check_band_rows_against_pmf(n, prob, x0, x1):
+    """Each kept row of _band is scipy's pmf over the same window,
+    renormalized, to 1e-12 of its peak; entries past a row's width are 0."""
+    probs, offset, width = exact._band(n, prob, 0, x0, x1)
+    x = np.arange(x0, x1)
+    y = (offset - x)[:, None] + np.arange(probs.shape[1])
+    keep = np.arange(probs.shape[1]) < width[:, None]
+    ref = np.where(keep, binom.pmf(y, (n - x)[:, None], prob), 0.0)
+    ref /= ref.sum(axis=1, keepdims=True)
+    gap = np.abs(probs - ref).max(axis=1) / ref.max(axis=1)
+    assert gap.max() <= 1e-12
+    assert (probs[~keep] == 0.0).all()
+
+
+@pytest.mark.parametrize("prob", [1e-9, 0.02, 0.2, 0.5, 0.98, 0.999])
+@pytest.mark.parametrize("n", [30, 4000])
+def test_band_rows_match_the_binomial_pmf(n, prob):
+    for x0 in range(0, n + 1, exact._BLOCK):
+        check_band_rows_against_pmf(n, prob, x0, min(x0 + exact._BLOCK, n + 1))
+
+
+def test_band_rows_match_the_binomial_pmf_at_scale():
+    n = 10**6
+    for x0 in (0, n // 2 // exact._BLOCK * exact._BLOCK):
+        check_band_rows_against_pmf(n, 0.2, x0, x0 + exact._BLOCK)
 
 
 def test_band_refuses_rows_that_leave_out_too_much(monkeypatch):

@@ -252,6 +252,20 @@ def test_coupled_respects_q_period():
     assert report.injection_events == 50 * 4
 
 
+def test_coupled_pit_folds_give_the_unchunked_report(monkeypatch):
+    """Folding the pending PIT draws into the histogram every few draws
+    changes nothing in the report, the statistic and p-value included."""
+    params = ModelParams(n=40, p=0.3, alpha=0.1, q_period=2)
+    args = (params, 0.01, 0.05, 300, 25, 47)
+    monkeypatch.setattr(montecarlo, "_PIT_CHUNK", 10**12)
+    whole = run_coupled(*args)
+    monkeypatch.setattr(montecarlo, "_PIT_CHUNK", 5)
+    folded = run_coupled(*args)
+    assert folded == whole
+    assert whole.injection_events == 300 * 13
+    assert whole.pit_chi2_stat is not None
+
+
 def test_coupled_validation():
     with pytest.raises(ValueError):
         run_coupled(PARAMS, 0.06, 0.05, n_traj=10, t_max=5, master_seed=1)
