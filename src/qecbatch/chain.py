@@ -131,21 +131,43 @@ def static_phase_due(epoch: int, params: ModelParams) -> bool:
 def correct(mask: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarray:
     """The correction rule: in each row of `mask` (qubits on the last axis,
     True marks an error), clear the min(#errors, budget) erroneous qubits
-    with the smallest keys.
+    with the smallest keys. Keys must be finite and non-negative; others
+    are refused.
 
     With i.i.d. uniform keys drawn independently of the mask, the cleared
     qubits form a uniform subset of the errors. Keys broadcast against the
     mask, so memories that share keys keep nested error sets nested: a
     qubit cleared from the larger set ranks among the first `budget` of the
     smaller one too.
+
+    Each row is ranked as keys / mask: an error keeps its key, and a healthy
+    qubit gets inf (nan for a zero key), which sorts after every error. One
+    sort along the row gives its budget-th smallest rank, and the errors at
+    or below it are cleared; a row with fewer errors than the budget has no
+    finite threshold and is cleared whole. A row whose budget-th and next
+    ranks are equal and finite ties at the boundary, and only such rows are
+    corrected by argpartition over their keys, so that every row clears
+    exactly min(#errors, budget).
     """
-    budget = min(budget, mask.shape[-1])
+    if not (keys.min(initial=0) >= 0 and keys.max(initial=0) < np.inf):
+        raise ValueError("correction keys must be finite and non-negative")
+    n = mask.shape[-1]
+    if budget >= n:
+        return np.zeros_like(mask)
     if budget == 0:
         return mask
-    ranked = np.where(mask, keys, np.inf)
-    chosen = np.argpartition(ranked, budget - 1, axis=-1)[..., :budget]
-    out = mask.copy()
-    np.put_along_axis(out, chosen, False, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ranked = keys / mask
+    ordered = np.sort(ranked, axis=-1)
+    kth = ordered[..., budget - 1:budget]
+    out = mask & (ranked > kth)
+    tied = np.flatnonzero((kth == ordered[..., budget:budget + 1]) & (kth < np.inf))
+    if tied.size:
+        held = mask.reshape(-1, n)[tied]
+        ranked = np.where(held, np.broadcast_to(keys, mask.shape).reshape(-1, n)[tied], np.inf)
+        chosen = np.argpartition(ranked, budget - 1, axis=-1)[:, :budget]
+        np.put_along_axis(held, chosen, False, axis=-1)
+        out.reshape(-1, n)[tied] = held
     return out
 
 

@@ -104,10 +104,10 @@ def _fleet(params: ModelParams, n_traj: int, t_max: int, master_seed: int,
     primitives: "counts" (an int array of error counts, _COUNT_BLOCK
     trajectories a block), "masks" (a block x n bool error mask of about
     _MASK_CELLS cells) or "pairs" (a 2 x block x n stack of masks that
-    advance under common randomness). Block b draws from
-    trajectory_rng(master_seed, b); `blocks` picks the block indices to
-    run, all of them by default. `inject` replaces the static phase,
-    which runs whenever chain.static_phase_due says so.
+    advance under common randomness, twice the cells of a "masks" block).
+    Block b draws from trajectory_rng(master_seed, b); `blocks` picks the
+    block indices to run, all of them by default. `inject` replaces the
+    static phase, which runs whenever chain.static_phase_due says so.
     """
     masks = kind != "counts"
     size = max(1, _MASK_CELLS // params.n) if masks else _COUNT_BLOCK

@@ -185,6 +185,62 @@ def test_correct_clears_the_smallest_keys(data, rows, n):
     assert not np.any(correct(low, keys, budget) & ~correct(high, keys, budget))
 
 
+def _reference_correct(mask, keys, budget):
+    """Per row, clear the errors whose keys come first in a stable argsort."""
+    keys = np.broadcast_to(keys, mask.shape)
+    out = mask.copy()
+    for row in np.ndindex(mask.shape[:-1]):
+        errors = np.flatnonzero(mask[row])
+        out[row][errors[np.argsort(keys[row][errors], kind="stable")][:budget]] = False
+    return out
+
+
+# (mask shape, keys shape): a 1-D row, 2-D blocks, and a stacked pair of
+# blocks that share (rows, n) keys
+_LAYOUTS = [((9,), (9,)), ((7, 30), (7, 30)), ((2, 5, 16), (5, 16)), ((1, 3), (1, 3))]
+
+
+@pytest.mark.parametrize("mask_shape, key_shape", _LAYOUTS)
+def test_correct_matches_a_reference_rule(mask_shape, key_shape):
+    """With distinct keys `correct` clears what a stable per-row argsort
+    names, for every budget from 0 past the row length."""
+    rng = np.random.default_rng(sum(mask_shape))
+    for _ in range(60):
+        mask = rng.random(mask_shape) < rng.random()
+        keys = rng.random(key_shape)
+        budget = int(rng.integers(0, mask_shape[-1] + 3))
+        np.testing.assert_array_equal(correct(mask, keys, budget),
+                                      _reference_correct(mask, keys, budget))
+
+
+@pytest.mark.parametrize("mask_shape, key_shape", _LAYOUTS)
+def test_correct_breaks_ties_within_the_budget(mask_shape, key_shape):
+    """With keys tied in threes, `correct` still clears exactly min(x, k)
+    errors per row, and none with a key above one it keeps."""
+    rng = np.random.default_rng(sum(mask_shape))
+    for _ in range(60):
+        mask = rng.random(mask_shape) < rng.random()
+        keys = np.floor(rng.random(key_shape) * 3) / 3
+        budget = int(rng.integers(0, mask_shape[-1] + 3))
+        after = correct(mask, keys, budget)
+        cleared = mask & ~after
+        assert not np.any(after & ~mask)
+        np.testing.assert_array_equal(cleared.sum(axis=-1),
+                                      np.minimum(mask.sum(axis=-1), budget))
+        keys = np.broadcast_to(keys, mask_shape)
+        for row in np.ndindex(mask_shape[:-1]):
+            if cleared[row].any() and after[row].any():
+                assert keys[row][cleared[row]].max() <= keys[row][after[row]].min()
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+def test_correct_refuses_keys_it_cannot_rank(bad):
+    keys = np.linspace(0.0, 1.0, 8)
+    keys[3] = bad
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        correct(np.ones(8, dtype=bool), keys, 2)
+
+
 def test_input_rules_have_one_home():
     """The seed range and the strict-crossing cut are written in chain alone
     (check_seed, first_above); a copy elsewhere can drift from them."""
