@@ -8,12 +8,15 @@ is the only way to get a kernel, and it refuses n beyond the fixed
 EXACT_N_CAP.
 
 Each kernel row is stored as a band: row x keeps the Binomial(n - x, prob)
-pmf of the fresh errors only between its two _TAIL_EPS / 4 tail
-quantiles, w of order sqrt(n) entries rather than n + 1. Rows come in
-aligned blocks of _BLOCK states. A block is built, checked and stored as
-its own sparse operator the first time a push carries mass into it, so a
-distribution that sits on a few hundred states touches a few blocks, not
-all of them. Each push also skips the leading and trailing blocks whose
+pmf of the fresh errors only between two cuts that each leave out at most
+_TAIL_EPS / 4, as scipy's bdtr confirms, w of order sqrt(n) entries
+rather than n + 1. The cuts come from a closed-form guess that keeps at
+most two counts more than the tail quantiles on either side, with no
+quantile search. Rows come in aligned blocks of _BLOCK states. A block is
+built, checked and stored as its own sparse operator, every row padded
+with zeros to the block's widest, the first time a push carries mass
+into it, so a distribution that sits on a few hundred states touches a
+few blocks, not all of them. Each push also skips the leading and trailing blocks whose
 combined mass is at most half the kernel's truncation. One phase thus
 moves a distribution by at most the truncation, _TAIL_EPS, in total
 variation: half for the row tails and half for the skipped blocks. Every
@@ -36,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array
-from scipy.special import bdtr
+from scipy.special import bdtr, ndtri
 from scipy.stats import binom
 
 from .chain import ModelParams, check_integer, first_above, static_phase_due
@@ -58,13 +61,13 @@ __all__ = [
 
 # Ceiling on n for building a kernel. Band rows are up to
 # w ~ 8.4 sqrt(n) entries wide at p = 1/2, the widest case, and a built
-# block stores each row's own width only. At n = 2 * 10^4 a phase whose
-# every block has been built holds 15.8 million entries: 127 MB of float64
-# plus 63 MB of int32 landing states, the worst case, held once however
-# many live kernels share the phase. Blocks are built
+# block pads each row with zeros to the block's widest row. At n = 2 * 10^4
+# a phase whose every block has been built holds 16.0 million entries:
+# 128 MB of float64 plus 64 MB of int32 landing states, the worst case,
+# held once however many live kernels share the phase. Blocks are built
 # only where mass arrives: 60 epochs from zero errors at p = 0.2,
 # alpha = 0.05 build 46 of the 79 blocks. Reading probs materialises the
-# full 20001 x 1187 band, another 190 MB.
+# full 20001 x 1188 band, another 190 MB.
 EXACT_N_CAP = 20_000
 
 # Total-variation budget of one phase, build_kernel's truncation. Each
@@ -83,6 +86,74 @@ _RAW_ROW_TOL = 1e-9
 _ROW_SUM_TOL = 1e-12
 _MASS_TOL = 1e-12
 
+# A row's cuts are guessed from the normal quantile _Z of _TAIL_EPS / 4
+# and the Cornish-Fisher terms (z^2 - 1) / 6, (z^3 - 3 z) / 24 and
+# (2 z^3 - 5 z) / 36 of its skew, its kurtosis and its squared skew, while
+# the smaller of its two means is at least _SMALL_MEAN.
+_Z = float(ndtri(_TAIL_EPS / 4))
+_CORNISH_FISHER = ((_Z * _Z - 1.0) / 6.0, (_Z**3 - 3.0 * _Z) / 24.0, (2.0 * _Z**3 - 5.0 * _Z) / 36.0)
+_SMALL_MEAN = 30.0
+
+
+def _upper_cut(m: np.ndarray, s: float) -> np.ndarray:
+    """The least h with P[z > h] <= _TAIL_EPS / 4 for z ~ Binomial(m, s),
+    for rows whose mean m s is below _SMALL_MEAN.
+
+    pmf(k) / pmf(0) is the running product of the pmf ratios, taken far
+    enough that the counts left off hold far less than the tail, and each
+    tail is summed from its small end; pmf(0) = (1 - s)^m scales the bound
+    instead of the products."""
+    mean = float(m.max()) * s
+    k = np.arange(1.0, min(m.max() + 1.0, mean + 10.0 * math.sqrt(mean) + 20.0))
+    ratios = np.subtract.outer(m + 1.0, k)  # pmf(k) / pmf(k - 1) = c (m + 1 - k) / k
+    ratios *= s / (1.0 - s) / k  # the product is 0 from k = m + 1 on
+    np.cumprod(ratios, axis=1, out=ratios)
+    tails = np.cumsum(ratios[:, ::-1], axis=1)  # P[h < z <= k_max] / pmf(0), h from k_max - 1 down
+    bound = _TAIL_EPS / 4 / np.exp(m * math.log1p(-s))
+    return np.count_nonzero(tails > bound[:, None], axis=1)
+
+
+def _guess(m: np.ndarray, prob: float) -> np.ndarray:
+    """A lower cut for each row's Binomial(m, prob) law, at or up to two
+    counts below the largest lo with P[y < lo] <= _TAIL_EPS / 4.
+
+    Where the smaller of the means m prob and m (1 - prob) is at least
+    _SMALL_MEAN, it is the Cornish-Fisher quantile to the kurtosis term,
+    floored. Below that mean the long side, prob > 1/2, gets the exact cut
+    from _upper_cut, and the short side gets 0, where the cut is 0 or 1.
+    """
+    lo = np.zeros(m.size, dtype=np.int64)
+    small = m * min(prob, 1.0 - prob) < _SMALL_MEAN
+    if not small.all():
+        big = ~small
+        sd = np.sqrt(m[big] * (prob * (1.0 - prob)))
+        skew = 1.0 - 2.0 * prob
+        kurt = 1.0 - 6.0 * prob * (1.0 - prob)
+        a, b, c = _CORNISH_FISHER
+        quantile = m[big] * prob + sd * _Z + a * skew + (b * kurt - c * skew * skew) / sd
+        lo[big] = np.clip(np.floor(quantile), 0, m[big])
+    if prob > 0.5 and small.any():
+        lo[small] = m[small] - _upper_cut(m[small], 1.0 - prob)
+    return lo
+
+
+def _cut(m: np.ndarray, prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lower cut lo of each row's Binomial(m, prob) law and its left
+    tail P[y < lo] = bdtr(lo - 1, m, prob), at most _TAIL_EPS / 4.
+
+    lo starts from _guess, and each row whose tail is too large steps down
+    one count until it fits, so a row costs one bdtr unless the guess was
+    too high.
+    """
+    lo = _guess(m, prob)
+    tail = np.where(lo > 0, bdtr(lo - 1, m, prob), 0.0)
+    over = np.flatnonzero(tail > _TAIL_EPS / 4)
+    while over.size:
+        lo[over] -= 1
+        tail[over] = np.where(lo[over] > 0, bdtr(lo[over] - 1, m[over], prob), 0.0)
+        over = over[tail[over] > _TAIL_EPS / 4]
+    return lo, tail
+
 
 def _band(
     n: int, prob: float, budget: int, x0: int, x1: int
@@ -91,8 +162,8 @@ def _band(
     offset, width).
 
     Row x draws y ~ Binomial(m = n - x, prob) fresh errors and lands on
-    max(x + y - budget, 0). Only y in [lo, hi], between the two tail
-    quantiles, is kept: entry j of row x is the renormalized pmf of
+    max(x + y - budget, 0). Only y in [lo, hi], between the two cuts of
+    _cut, is kept: entry j of row x is the renormalized pmf of
     y = lo + j and lands on max(offset[x] + j, 0), with
     offset[x] = x + lo - budget. Entries past a row's own width, hi - lo + 1,
     are zero. A row is built as the running product of the pmf ratios
@@ -105,15 +176,12 @@ def _band(
     if prob in (0.0, 1.0):
         lo = m if prob == 1.0 else np.zeros_like(m)
         return np.ones((x.size, 1)), x + lo - budget, np.ones_like(x)
-    # binom.isf saturates at m for tails this small, so the upper quantile
-    # counts down from m; one ppf call finds both, as its overhead dominates
-    both = binom.ppf(_TAIL_EPS / 4, np.concatenate([m, m]), np.repeat([prob, 1.0 - prob], m.size))
-    lo, hi = both[: m.size].astype(np.int64), m - both[m.size :].astype(np.int64)
-    # P[y < lo] and P[y > hi] = P[m - y < m - hi], as the quantiles were found
-    left = np.where(lo > 0, bdtr(lo - 1, m, prob), 0.0)
-    right = np.where(hi < m, bdtr(m - hi - 1, m, 1.0 - prob), 0.0)
-    widest = max(left.max(), right.max())
-    if widest > _TAIL_EPS / 4:
+    # the upper cut through the mirrored law: P[y > hi] = P[m - y < m - hi]
+    lo, left = _cut(m, prob)
+    mirrored, right = _cut(m, 1.0 - prob)
+    hi = m - mirrored
+    widest = np.maximum(left, right).max()
+    if not widest <= _TAIL_EPS / 4:  # NaN fails too
         raise ValueError(f"binomial band leaves out a tail of {widest}, beyond {_TAIL_EPS / 4}")
     width = hi - lo + 1
     w = int(width.max())
@@ -145,7 +213,7 @@ def _band(
     total = band.sum(axis=1)
     # scipy's pmf at lo is the reference that puts the band back on scale
     drift = np.abs(total * binom.pmf(lo, m, prob) - (1.0 - left - right)).max()
-    if drift > _RAW_ROW_TOL:
+    if not drift <= _RAW_ROW_TOL:
         raise ValueError(f"binomial band misses its mass by {drift}, construction is off")
     band /= total[:, None]
     return band, x + lo - budget, width
@@ -154,7 +222,7 @@ def _band(
 class _Block(NamedTuple):
     """Some rows of a phase: a sparse operator from their mass to the
     landing states first .. first + op.shape[0] - 1, whose column x holds
-    row x's own width of band entries."""
+    the block's w band entries of row x, zero past the row's own width."""
 
     op: csc_array
     first: int
@@ -176,23 +244,24 @@ class _Rows:
         block = self._blocks[b]
         if block is None:
             x0 = b * _BLOCK
-            band, offset, width = _band(self.n, self.prob, self.budget, x0,
-                                        min(x0 + _BLOCK, self.n + 1))
-            if band.min() < 0.0:
-                raise ValueError("kernel rows have negative entries")
+            band, offset, _ = _band(self.n, self.prob, self.budget, x0,
+                                    min(x0 + _BLOCK, self.n + 1))
+            least = band.min()
+            if not least >= 0.0:  # NaN fails too
+                raise ValueError(f"kernel rows have negative entries, the least {least}")
             drift = np.abs(band.sum(axis=1) - 1.0).max()
-            if drift > _ROW_SUM_TOL:
+            if not drift <= _ROW_SUM_TOL:
                 raise ValueError(f"kernel rows sum to 1 +/- {drift}, beyond tolerance")
-            # entry k of the flat data, j into row x, lands on offset[x] + j,
-            # at most n - budget; entries that clip onto 0 are summed by the product
-            indptr = np.concatenate(([0], np.cumsum(width))).astype(np.int32)
-            dest = np.arange(indptr[-1], dtype=np.int32)
-            dest += np.repeat((offset - indptr[:-1]).astype(np.int32), width)
-            np.maximum(dest, 0, out=dest)
-            first, last = int(dest.min()), int(dest.max())
-            dest -= first
-            keep = np.arange(band.shape[1]) < width[:, None]
-            op = csc_array((band[keep], dest, indptr), shape=(last - first + 1, offset.size))
+            # column x holds the w entries of row x's band, j into it landing on
+            # offset[x] + j clipped into 0 .. n: entries clipped onto 0 are summed
+            # by the product, and those past the row's width are zeros
+            rows, w = band.shape
+            first = max(int(offset.min()), 0)
+            last = min(int(offset.max()) + w - 1, self.n)
+            dest = (offset - first).astype(np.int32)[:, None] + np.arange(w, dtype=np.int32)
+            np.clip(dest, 0, last - first, out=dest)
+            indptr = np.arange(0, rows * w + 1, w, dtype=np.int32)
+            op = csc_array((band.ravel(), dest.ravel(), indptr), shape=(last - first + 1, rows))
             block = self._blocks[b] = _Block(op, first)
         return block
 
@@ -216,12 +285,11 @@ class _Rows:
     def band(self) -> np.ndarray:
         """Every row as one (n+1) x w band, entries past a row's own width
         being zero."""
-        blocks = [self.block(b) for b in range(len(self._blocks))]
-        widths = [np.diff(block.op.indptr) for block in blocks]
-        probs = np.zeros((self.n + 1, max(width.max() for width in widths)))
-        for x0, block, width in zip(self._starts, blocks, widths):
-            rows = probs[x0 : x0 + width.size]
-            rows[np.arange(probs.shape[1]) < width[:, None]] = block.op.data
+        blocks = [self.block(b).op for b in range(len(self._blocks))]
+        probs = np.zeros((self.n + 1, max(op.nnz // op.shape[1] for op in blocks)))
+        for x0, op in zip(self._starts, blocks):
+            rows = op.data.reshape(op.shape[1], -1)
+            probs[x0 : x0 + rows.shape[0], : rows.shape[1]] = rows
         return probs
 
     def dense(self) -> np.ndarray:
@@ -490,9 +558,10 @@ def hitting_time_distribution(
     pushes = _pushes(kernel, StateDistribution.point_mass(n).mass, 0, t_max, first)
     for t, (mass, phases, cut) in enumerate(pushes, start=1):
         pmf[t] = cut
-    # the pushed mass can sum a few ulps above 1, as in tail_prob
+    # the pushed mass can sum a few ulps above 1, as in tail_prob; unlike
+    # min(1.0, x), np.minimum keeps a NaN
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=min(1.0, float(mass.sum())),
+        threshold=threshold, pmf=pmf, survival=float(np.minimum(mass.sum(), 1.0)),
         err=phases * kernel.truncation,
     )
 

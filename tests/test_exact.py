@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import bdtr
 from scipy.stats import binom
 
 from qecbatch import exact
@@ -244,19 +245,33 @@ def no_live_phase(params):
     return params
 
 
+class NanRowSums(np.ndarray):
+    """A band whose entries pass but whose row sums come out NaN."""
+
+    def sum(self, *args, **kwargs):
+        return np.full(self.shape[0], np.nan)
+
+
 @pytest.mark.parametrize("defect, match", [
     ("negative entry", "negative entries"),
     ("rows sum to 1 + 1e-9", "rows sum to 1"),
+    ("NaN entry", "negative entries, the least nan"),
+    # a NaN entry meets the negative-entry check first
+    ("NaN row sums", "rows sum to 1 \\+/- nan"),
 ])
 def test_blocks_are_checked_as_they_are_built(monkeypatch, defect, match):
-    """A block whose rows hold a negative entry, or sum to 1 + 1e-9, must
-    not be built: the first push that reaches it raises."""
+    """A block whose rows hold a negative or NaN entry, or sum to 1 + 1e-9
+    or to NaN, must not be built: the first push that reaches it raises."""
     band = exact._band
 
     def broken_band(*args):
         probs, offset, width = band(*args)
         if defect == "negative entry":
             probs[0, :2] += [-0.1, 0.1]  # the row still sums to 1
+        elif defect == "NaN entry":
+            probs[0, 0] = np.nan
+        elif defect == "NaN row sums":
+            probs = probs.view(NanRowSums)
         else:
             probs *= 1.0 + 1e-9
         return probs, offset, width
@@ -466,13 +481,108 @@ def test_band_rows_match_the_binomial_pmf_at_scale():
 
 
 def test_band_refuses_rows_that_leave_out_too_much(monkeypatch):
-    """Quantiles one step inside the true ones leave more than _TAIL_EPS / 4
-    out on a side; the block that holds such rows must not be built."""
-    ppf = exact.binom.ppf
-    monkeypatch.setattr(exact, "binom", SimpleNamespace(ppf=lambda q, m, p: ppf(q, m, p) + 1))
+    """Cuts one count inside the ones _cut finds leave more than
+    _TAIL_EPS / 4 out on a side; the block that holds such rows must not be
+    built."""
+    cut = exact._cut
+
+    def inward(m, prob):
+        lo, _ = cut(m, prob)
+        return lo + 1, bdtr(lo, m, prob)
+
+    monkeypatch.setattr(exact, "_cut", inward)
     kernel = build_kernel(no_live_phase(ModelParams(n=300, p=0.2, alpha=0.05)))
     with pytest.raises(ValueError, match="leaves out a tail"):
         evolve(kernel, StateDistribution.point_mass(300), 1)
+
+
+@pytest.mark.parametrize("prob", [1e-12, 1e-9, 1e-3, 0.02, 0.2, 0.5, 0.8, 0.98, 0.999, 1 - 1e-9])
+@pytest.mark.parametrize("n", [30, 1000, 4000, 10**6])
+def test_cuts_keep_the_quantiles_and_at_most_two_more(n, prob):
+    """Every row keeps y from scipy's lower _TAIL_EPS / 4 quantile to m
+    minus the mirrored one, and at most two counts more on either side."""
+    blocks = (0, n // 2 // exact._BLOCK) if n == 10**6 else range(n // exact._BLOCK + 1)
+    eps = exact._TAIL_EPS / 4
+    for b in blocks:
+        m = n - np.arange(b * exact._BLOCK, min((b + 1) * exact._BLOCK, n + 1))
+        _, offset, width = exact._band(n, prob, 0, n - m[0], n - m[-1] + 1)
+        lo = offset - (n - m)
+        below = binom.ppf(eps, m, prob) - lo
+        above = (lo + width - 1) - (m - binom.ppf(eps, m, 1.0 - prob))
+        assert below.min() >= 0 and above.min() >= 0
+        assert below.max() <= 2 and above.max() <= 2
+
+
+@pytest.mark.parametrize("prob", [1e-9, 0.02, 0.2, 0.5, 0.98])
+def test_cuts_step_down_from_a_guess_too_high(monkeypatch, prob):
+    """A guess five counts too high steps down to the largest cut whose
+    tail fits, scipy's quantile, with that cut's own tail."""
+    guess = exact._guess
+    monkeypatch.setattr(exact, "_guess", lambda m, prob: np.minimum(guess(m, prob) + 5, m))
+    m = np.arange(4000, 3000, -7)
+    lo, tail = exact._cut(m, prob)
+    np.testing.assert_array_equal(lo, binom.ppf(exact._TAIL_EPS / 4, m, prob))
+    np.testing.assert_array_equal(tail, np.where(lo > 0, bdtr(lo - 1, m, prob), 0.0))
+
+
+def test_blocks_build_without_a_quantile_call(monkeypatch):
+    """The phases of the benchmark's exact_oracle jobs (p 0.2, alpha 0.05,
+    q 0.02 static phases at n 500 and 1000, and the n = 100 kernel of its
+    monotonicity check) build every block with scipy's binom.ppf unused."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("binom.ppf was called")
+
+    monkeypatch.setattr(binom, "ppf", refuse)
+    for n, q in [(100, 0.0), (500, 0.02), (1000, 0.02), (4000, 0.0)]:
+        kernel = build_kernel(no_live_phase(ModelParams(n=n, p=0.2, alpha=0.05, q=q, q_period=5)))
+        assert kernel.probs.shape[0] == n + 1
+        if q > 0.0:
+            assert kernel.static_probs.shape[0] == n + 1
+
+
+def nan_tail(monkeypatch):
+    cut = exact._cut
+
+    def broken(m, prob):
+        lo, tail = cut(m, prob)
+        if prob > 0.5:  # the upper cut alone, through the mirrored law
+            tail[0] = np.nan
+        return lo, tail
+
+    monkeypatch.setattr(exact, "_cut", broken)
+
+
+def nan_reference_pmf(monkeypatch):
+    def broken(k, m, prob):
+        pmf = binom.pmf(k, m, prob)
+        pmf[0] = np.nan
+        return pmf
+
+    monkeypatch.setattr(exact, "binom", SimpleNamespace(pmf=broken))
+
+
+@pytest.mark.parametrize("defect, match", [
+    (nan_tail, "leaves out a tail of nan"),
+    (nan_reference_pmf, "misses its mass by nan"),
+])
+def test_band_checks_refuse_a_nan(monkeypatch, defect, match):
+    """_band's tail and raw-mass checks refuse a NaN as they would a value
+    past their tolerance, each with its own message; the row checks are in
+    test_blocks_are_checked_as_they_are_built."""
+    defect(monkeypatch)
+    kernel = build_kernel(no_live_phase(ModelParams(n=300, p=0.2, alpha=0.05)))
+    with pytest.raises(ValueError, match=match):
+        hitting_time_distribution(kernel, 150, 10)
+
+
+def test_hitting_survival_keeps_a_nan(monkeypatch):
+    """The clamp that keeps the survival at most 1 lets a NaN mass through
+    rather than reading it as 1."""
+    monkeypatch.setattr(exact.TransitionKernel, "push",
+                        lambda self, mass, static=False: np.full(mass.size, np.nan))
+    law = hitting_time_distribution(build_kernel(ModelParams(n=300, p=0.2, alpha=0.05)), 150, 10)
+    assert math.isnan(law.survival)
 
 
 # ---------------------------------------------------------------- banded
