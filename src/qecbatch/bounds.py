@@ -259,7 +259,7 @@ def overhead_bound(
     q > 0; q enters the reported baseline and crossover directly. This
     is row 0 of overhead_columns, with each NaN as None.
     """
-    check_integer("l", l)  # its range is a domain rule, shared with overhead_columns
+    check_integer("l", l, below=2**63)  # its least value is a domain rule of overhead_columns
     columns = overhead_columns(l, p, alpha, theta, noise, q)
     row = {f.name: getattr(columns, f.name).item(0) for f in fields(columns)}
     status = row.pop("status")

@@ -512,6 +512,8 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
             raise UsageError(
                 f"sweep grid point l={float(point['l'][fractional[0]])!r} is not an integer"
             )
+    else:
+        check_integer("l", config.l, below=2**63)
     columns = bounds_mod.overhead_columns(
         **{name: point[name] for name in _SWEEPABLE}, noise=Noise(config.noise),
     )

@@ -9,17 +9,16 @@ EXACT_N_CAP.
 
 Each kernel row is stored as a band: row x keeps the Binomial(n - x, prob)
 pmf of the fresh errors only between two cuts that each leave out at most
-_TAIL_EPS / 4, as scipy's bdtr confirms, w of order sqrt(n) entries
+_ROW_TAIL, as scipy's bdtr confirms, w of order sqrt(n) entries
 rather than n + 1. The cuts come from a closed-form guess that keeps at
 most two counts more than the tail quantiles on either side, with no
 quantile search. Rows come in aligned blocks of _BLOCK states. A block is
 built, checked and stored as its own sparse operator, every row padded
 with zeros to the block's widest, the first time a push carries mass
 into it, so a distribution that sits on a few hundred states touches a
-few blocks, not all of them. Each push also skips the leading and trailing blocks whose
-combined mass is at most half the kernel's truncation. One phase thus
-moves a distribution by at most the truncation, _TAIL_EPS, in total
-variation: half for the row tails and half for the skipped blocks. Every
+few blocks, not all of them. Each push also skips the leading and
+trailing blocks whose combined mass is at most _SKIP_TAIL. One phase thus
+moves a distribution by at most _TAIL_EPS in total variation, and every
 phase a distribution goes through adds it to the distribution's `err`.
 Kernels alive at the same time share the rows of each phase they have in
 common, so a block is built once however many of them reach it; the rows
@@ -70,10 +69,12 @@ __all__ = [
 # full 20001 x 1188 band, another 190 MB.
 EXACT_N_CAP = 20_000
 
-# Total-variation budget of one phase, build_kernel's truncation. Each
-# band row leaves out at most _TAIL_EPS / 4 on either side, and each push
-# skips blocks holding at most the other _TAIL_EPS / 2 of the mass.
+# Total-variation budget of one phase, build_kernel's truncation, split
+# once: each band row leaves out at most _ROW_TAIL on either side, and each
+# push skips blocks holding at most _SKIP_TAIL of the mass.
 _TAIL_EPS = 1e-16
+_ROW_TAIL = _TAIL_EPS / 4
+_SKIP_TAIL = _TAIL_EPS / 2
 
 # Kernel states per block; a block is built the first time it carries mass.
 _BLOCK = 256
@@ -86,17 +87,17 @@ _RAW_ROW_TOL = 1e-9
 _ROW_SUM_TOL = 1e-12
 _MASS_TOL = 1e-12
 
-# A row's cuts are guessed from the normal quantile _Z of _TAIL_EPS / 4
+# A row's cuts are guessed from the normal quantile _Z of _ROW_TAIL
 # and the Cornish-Fisher terms (z^2 - 1) / 6, (z^3 - 3 z) / 24 and
 # (2 z^3 - 5 z) / 36 of its skew, its kurtosis and its squared skew, while
 # the smaller of its two means is at least _SMALL_MEAN.
-_Z = float(ndtri(_TAIL_EPS / 4))
+_Z = float(ndtri(_ROW_TAIL))
 _CORNISH_FISHER = ((_Z * _Z - 1.0) / 6.0, (_Z**3 - 3.0 * _Z) / 24.0, (2.0 * _Z**3 - 5.0 * _Z) / 36.0)
 _SMALL_MEAN = 30.0
 
 
 def _upper_cut(m: np.ndarray, s: float) -> np.ndarray:
-    """The least h with P[z > h] <= _TAIL_EPS / 4 for z ~ Binomial(m, s),
+    """The least h with P[z > h] <= _ROW_TAIL for z ~ Binomial(m, s),
     for rows whose mean m s is below _SMALL_MEAN.
 
     pmf(k) / pmf(0) is the running product of the pmf ratios, taken far
@@ -109,13 +110,13 @@ def _upper_cut(m: np.ndarray, s: float) -> np.ndarray:
     ratios *= s / (1.0 - s) / k  # the product is 0 from k = m + 1 on
     np.cumprod(ratios, axis=1, out=ratios)
     tails = np.cumsum(ratios[:, ::-1], axis=1)  # P[h < z <= k_max] / pmf(0), h from k_max - 1 down
-    bound = _TAIL_EPS / 4 / np.exp(m * math.log1p(-s))
+    bound = _ROW_TAIL / np.exp(m * math.log1p(-s))
     return np.count_nonzero(tails > bound[:, None], axis=1)
 
 
 def _guess(m: np.ndarray, prob: float) -> np.ndarray:
     """A lower cut for each row's Binomial(m, prob) law, at or up to two
-    counts below the largest lo with P[y < lo] <= _TAIL_EPS / 4.
+    counts below the largest lo with P[y < lo] <= _ROW_TAIL.
 
     Where the smaller of the means m prob and m (1 - prob) is at least
     _SMALL_MEAN, it is the Cornish-Fisher quantile to the kurtosis term,
@@ -139,7 +140,7 @@ def _guess(m: np.ndarray, prob: float) -> np.ndarray:
 
 def _cut(m: np.ndarray, prob: float) -> tuple[np.ndarray, np.ndarray]:
     """The lower cut lo of each row's Binomial(m, prob) law and its left
-    tail P[y < lo] = bdtr(lo - 1, m, prob), at most _TAIL_EPS / 4.
+    tail P[y < lo] = bdtr(lo - 1, m, prob), at most _ROW_TAIL.
 
     lo starts from _guess, and each row whose tail is too large steps down
     one count until it fits, so a row costs one bdtr unless the guess was
@@ -147,11 +148,11 @@ def _cut(m: np.ndarray, prob: float) -> tuple[np.ndarray, np.ndarray]:
     """
     lo = _guess(m, prob)
     tail = np.where(lo > 0, bdtr(lo - 1, m, prob), 0.0)
-    over = np.flatnonzero(tail > _TAIL_EPS / 4)
+    over = np.flatnonzero(tail > _ROW_TAIL)
     while over.size:
         lo[over] -= 1
         tail[over] = np.where(lo[over] > 0, bdtr(lo[over] - 1, m[over], prob), 0.0)
-        over = over[tail[over] > _TAIL_EPS / 4]
+        over = over[tail[over] > _ROW_TAIL]
     return lo, tail
 
 
@@ -169,7 +170,7 @@ def _band(
     are zero. A row is built as the running product of the pmf ratios
     pmf(y + 1) / pmf(y), with one zero ratio at its width, in one multiplicative
     pass with no log or exp. Raises if a row leaves out more than
-    _TAIL_EPS / 4 on either side, or if its raw mass misses the exact one.
+    _ROW_TAIL on either side, or if its raw mass misses the exact one.
     """
     x = np.arange(x0, x1)
     m = n - x
@@ -181,8 +182,8 @@ def _band(
     mirrored, right = _cut(m, 1.0 - prob)
     hi = m - mirrored
     widest = np.maximum(left, right).max()
-    if not widest <= _TAIL_EPS / 4:  # NaN fails too
-        raise ValueError(f"binomial band leaves out a tail of {widest}, beyond {_TAIL_EPS / 4}")
+    if not widest <= _ROW_TAIL:  # NaN fails too
+        raise ValueError(f"binomial band leaves out a tail of {widest}, beyond {_ROW_TAIL}")
     width = hi - lo + 1
     w = int(width.max())
     # band[x, j] = pmf(lo + j) / pmf(lo), a running product of the ratios
@@ -265,11 +266,11 @@ class _Rows:
             block = self._blocks[b] = _Block(op, first)
         return block
 
-    def push(self, mass: np.ndarray, skip: float) -> np.ndarray:
+    def push(self, mass: np.ndarray) -> np.ndarray:
         """mass pushed through this phase, leaving out the leading and
-        trailing blocks whose combined mass is at most skip."""
+        trailing blocks whose combined mass is at most _SKIP_TAIL."""
         sums = np.add.reduceat(mass, self._starts).tolist()
-        lead, stop = 0, len(sums)
+        lead, stop, skip = 0, len(sums), _SKIP_TAIL
         while lead < stop and sums[lead] <= skip:
             skip -= sums[lead]
             lead += 1
@@ -318,11 +319,11 @@ class TransitionKernel:
     """Banded one-epoch kernel of `params`, plus the static-phase kernel
     when q > 0; build_kernel makes it.
 
-    rows holds the correction epoch and static_rows, None when q = 0, one
-    static phase; both build their blocks on first use. probs and
-    static_probs read every row back as one band, building all blocks:
-    entry j of row x is the probability of the j-th fresh-error count
-    that row keeps.
+    A plain record: rows holds the correction epoch and static_rows, None
+    when q = 0, one static phase; both build their blocks on first use,
+    and _pushes pushes mass through them. probs and static_probs read
+    every row back as one band, building all blocks: entry j of row x is
+    the probability of the j-th fresh-error count that row keeps.
     """
 
     params: ModelParams
@@ -331,15 +332,8 @@ class TransitionKernel:
 
     @property
     def truncation(self) -> float:
-        """The one budget _TAIL_EPS: the total-variation distance one phase
-        adds, row tails and skipped blocks together."""
+        """_TAIL_EPS, the total-variation distance one phase adds."""
         return _TAIL_EPS
-
-    def _phase(self, static: bool) -> _Rows:
-        rows = self.static_rows if static else self.rows
-        if rows is None:
-            raise ValueError("kernel has no static phase")
-        return rows
 
     @property
     def probs(self) -> np.ndarray:
@@ -352,12 +346,10 @@ class TransitionKernel:
 
     def dense(self, static: bool = False) -> np.ndarray:
         """The correction-epoch (or static-phase) kernel as an (n+1) x (n+1) matrix."""
-        return self._phase(static).dense()
-
-    def push(self, mass: np.ndarray, static: bool = False) -> np.ndarray:
-        """mass pushed through one correction epoch (or one static phase),
-        skipping blocks that hold at most half the truncation."""
-        return self._phase(static).push(mass, self.truncation / 2)
+        rows = self.static_rows if static else self.rows
+        if rows is None:
+            raise ValueError("kernel has no static phase")
+        return rows.dense()
 
 
 def build_kernel(params: ModelParams) -> TransitionKernel:
@@ -407,12 +399,13 @@ class StateDistribution:
         return self.mass.size - 1
 
     @classmethod
-    def point_mass(cls, n: int, x: int = 0, t: int = 0) -> "StateDistribution":
+    def point_mass(cls, n: int, x: int = 0) -> "StateDistribution":
+        """All mass on x errors at epoch 0."""
         check_integer("n", n, least=0)
         check_integer("x", x, least=0, below=n + 1)
         mass = np.zeros(n + 1)
         mass[x] = 1.0
-        return cls(t=t, mass=mass)
+        return cls(t=0, mass=mass)
 
     def mean(self) -> float:
         return float(self.mass @ np.arange(self.mass.size))
@@ -423,25 +416,25 @@ def _pushes(
 ) -> Iterator[tuple[np.ndarray, int, float]]:
     """Push mass through correction epochs t0 .. t0 + steps - 1.
 
-    Yields (mass, phases, cut) after each epoch, phases counting the
-    phases applied so far. A static phase runs before every epoch t for
-    which chain.static_phase_due(t, kernel.params) holds, the simulator's
-    own schedule. After each epoch the states from `first` up are
-    emptied, and cut is the mass they held; first = n + 1 empties none.
-    This is the only code that pushes mass through a kernel, and each push
-    builds only the blocks of rows that carry mass, so the cost follows
-    the distribution's support.
+    Yields (mass, err, cut) after each epoch, err being _TAIL_EPS times
+    the phases applied so far. A static phase runs before every epoch t
+    for which chain.static_phase_due(t, kernel.params) holds, the
+    simulator's own schedule. After each epoch the states from `first` up
+    are emptied, and cut is the mass they held; first = n + 1 empties
+    none. This is the only code that pushes mass through a kernel's rows,
+    and each push builds only the blocks that carry mass, so the cost
+    follows the distribution's support.
     """
     phases = 0
     for t in range(t0, t0 + steps):
         if static_phase_due(t, kernel.params):
-            mass = kernel.push(mass, static=True)
+            mass = kernel.static_rows.push(mass)
             phases += 1
-        mass = kernel.push(mass)
+        mass = kernel.rows.push(mass)
         phases += 1
         cut = float(mass[first:].sum())
         mass[first:] = 0.0
-        yield mass, phases, cut
+        yield mass, phases * _TAIL_EPS, cut
 
 
 def epochs(
@@ -451,7 +444,7 @@ def epochs(
 
     A static phase precedes every epoch t for which
     chain.static_phase_due(t, kernel.params) holds. Each distribution's err is
-    dist0.err plus the kernel's truncation once per phase since dist0.
+    dist0.err plus _TAIL_EPS once per phase since dist0.
     """
     check_integer("steps", steps, least=0)
     n = kernel.params.n
@@ -459,8 +452,8 @@ def epochs(
         raise ValueError(f"distribution is over {dist0.n + 1} states, kernel over {n + 1}")
     pushes = _pushes(kernel, dist0.mass, dist0.t, steps, n + 1)
     return chain([dist0], (
-        StateDistribution(t=t, mass=mass, err=dist0.err + phases * kernel.truncation)
-        for t, (mass, phases, _) in enumerate(pushes, start=dist0.t + 1)
+        StateDistribution(t=t, mass=mass, err=dist0.err + err)
+        for t, (mass, err, _) in enumerate(pushes, start=dist0.t + 1)
     ))
 
 
@@ -556,13 +549,12 @@ def hitting_time_distribution(
         pmf[0] = 1.0
         return HittingTimeDistribution(threshold=threshold, pmf=pmf, survival=0.0)
     pushes = _pushes(kernel, StateDistribution.point_mass(n).mass, 0, t_max, first)
-    for t, (mass, phases, cut) in enumerate(pushes, start=1):
+    for t, (mass, err, cut) in enumerate(pushes, start=1):
         pmf[t] = cut
     # the pushed mass can sum a few ulps above 1, as in tail_prob; unlike
     # min(1.0, x), np.minimum keeps a NaN
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=float(np.minimum(mass.sum(), 1.0)),
-        err=phases * kernel.truncation,
+        threshold=threshold, pmf=pmf, survival=float(np.minimum(mass.sum(), 1.0)), err=err,
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -171,13 +172,16 @@ def run_batch(
 
     Exceedance only depends on counts, so trajectories always run in
     count mode. Each worker gets whole blocks and aggregation is a sum of
-    integer counters, hence the result is invariant to n_workers.
+    integer counters, hence the result is invariant to n_workers. At most
+    one worker runs per CPU this process may use, however many are asked.
     """
     chain.check_integer("n_workers", n_workers, least=1)
     first_exceed = chain.first_above(threshold, spec.params.n)
     n_blocks = -(-spec.n_traj // _COUNT_BLOCK)
-    args = [(spec, first_exceed, part)
-            for part in np.array_split(np.arange(n_blocks), min(n_workers, n_blocks))]
+    # the CPUs this process may use; sched_getaffinity is Linux-only
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(n_workers, n_blocks, cpus)
+    args = [(spec, first_exceed, part) for part in np.array_split(np.arange(n_blocks), workers)]
     if len(args) == 1:
         results = [_exceed_worker(args[0])]
     else:

@@ -865,3 +865,27 @@ def test_n_beyond_int64_exits_1(tmp_path, capsys, command):
     assert main([*command.split(), "--n", str(2**63), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: n must be below 2^63, got {2**63}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "bounds --p 0.2 --alpha 0.15 --theta 0.05",
+    "sweep --p 0.2 --alpha 0.15 --grid theta:0.01:0.1:3",
+])
+@pytest.mark.parametrize("l", [10**400, 2**63])
+def test_l_beyond_int64_exits_1(tmp_path, capsys, command, l):
+    """An l too large for int64, or for a float, is refused with an error
+    line rather than overflowing when the bound converts it."""
+    out = tmp_path / "out"
+    assert main([*command.split(), "--l", str(l), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: l must be below 2^63, got {l}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "bounds --p 0.2 --alpha 0.15 --theta 0.05",
+    "sweep --p 0.2 --alpha 0.15 --grid theta:0.01:0.1:3",
+])
+def test_l_just_below_int64_runs(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([*command.split(), "--l", str(2**63 - 1), "--out", str(out)]) == 0
+    assert out.exists()

@@ -576,11 +576,36 @@ def test_band_checks_refuse_a_nan(monkeypatch, defect, match):
         hitting_time_distribution(kernel, 150, 10)
 
 
+def test_budget_shares_add_up_to_one_phase():
+    assert 2 * exact._ROW_TAIL + exact._SKIP_TAIL == exact._TAIL_EPS
+
+
+@pytest.mark.parametrize("low, pushed", [(6e-17, True), (4e-17, False)])
+def test_push_skips_at_most_its_share(low, pushed):
+    """Block 0 holds `low` and block 1 the rest. Above _SKIP_TAIL, 5e-17,
+    block 0 is pushed, and only it lands below state 200; at or below, it
+    is skipped and nothing lands there."""
+    mass = np.zeros(601)
+    mass[10], mass[300] = low, 1.0 - low
+    dist = evolve(build_kernel(ModelParams(n=600, p=0.2, alpha=0.05)),
+                  StateDistribution(t=0, mass=mass), 1)
+    below = dist.mass[:200].sum()
+    assert below > 0.0 if pushed else below == 0.0
+
+
+def test_hitting_err_counts_static_phases():
+    """10 correction epochs and the static phases before epochs 0, 3, 6
+    and 9 add _TAIL_EPS each, as evolve counts them."""
+    kernel = build_kernel(ModelParams(n=300, p=0.2, alpha=0.05, q=0.05, q_period=3))
+    law = hitting_time_distribution(kernel, 150, 10)
+    assert law.err == 14 * exact._TAIL_EPS
+    assert law.err == evolve(kernel, StateDistribution.point_mass(300), 10).err
+
+
 def test_hitting_survival_keeps_a_nan(monkeypatch):
     """The clamp that keeps the survival at most 1 lets a NaN mass through
     rather than reading it as 1."""
-    monkeypatch.setattr(exact.TransitionKernel, "push",
-                        lambda self, mass, static=False: np.full(mass.size, np.nan))
+    monkeypatch.setattr(exact._Rows, "push", lambda self, mass: np.full(mass.size, np.nan))
     law = hitting_time_distribution(build_kernel(ModelParams(n=300, p=0.2, alpha=0.05)), 150, 10)
     assert math.isnan(law.survival)
 

@@ -66,6 +66,35 @@ def test_run_batch_worker_invariance_across_blocks():
         np.testing.assert_array_equal(serial.tau_samples, pooled.tau_samples)
 
 
+def test_run_batch_caps_workers_at_usable_cpus(monkeypatch):
+    """A million workers asked for on a fleet of 3 blocks start one per
+    usable CPU, two here, and give the serial answer; the pool is a fake
+    that maps in this process, so no process is started."""
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    spec = TrajectoryBatch(params=PARAMS, n_traj=3 * 4096, t_max=6, master_seed=8)
+    serial = run_batch(spec, 3.0, n_workers=1)
+    capped = run_batch(spec, 3.0, n_workers=10**6)
+    assert opened == [2]
+    np.testing.assert_array_equal(serial.p_hat_by_t, capped.p_hat_by_t)
+    np.testing.assert_array_equal(serial.tau_samples, capped.tau_samples)
+
+
 def test_run_batch_basics():
     spec = TrajectoryBatch(params=PARAMS, n_traj=300, t_max=12, master_seed=3)
     est = run_batch(spec, 4.0)
