@@ -367,6 +367,7 @@ def _run_simulate(config: ExperimentConfig, fmt: str) -> _Document:
         "t": list(range(config.t_max + 1)),
         **curves,
         "median_tau": None if math.isinf(est.median_tau()) else est.median_tau(),
+        "workers": est.workers,
     })
 
 

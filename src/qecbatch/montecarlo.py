@@ -9,9 +9,10 @@ All of them iterate one block engine, the generator `_fleet`. It cuts a
 fleet into blocks of a fixed size that depends only on the fleet size, n
 and the kind of state; a block advances together, as an array of error
 counts, a (block x n) boolean error mask or a stacked pair of masks, and
-draws from its own counter-based generator keyed by (master_seed,
-block_index). Results are therefore identical for the same master seed
-no matter how blocks are scheduled across workers.
+draws from its own SFC64 stream, seeded from the word (master_seed,
+block_index) through numpy's SeedSequence. Results are therefore
+identical for the same master seed no matter how blocks are scheduled
+across workers.
 """
 
 from __future__ import annotations
@@ -84,16 +85,18 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent stream for one block of trajectories; `index` is the
     block index.
 
-    Keys a Philox counter generator with the 128-bit word
-    (master_seed << 64) | index; distinct (seed, index) pairs give
-    independent streams regardless of worker layout. Both must lie in
-    [0, 2^64), so that no two pairs share a stream.
+    Seeds an SFC64 generator through a SeedSequence built from the
+    128-bit word (master_seed << 64) | index. SeedSequence hashes the word
+    into the generator's 256-bit state, so distinct words start streams
+    that are independent for all practical purposes: two of them overlap
+    or coincide only with negligible probability, whatever the worker
+    layout. Both must lie in [0, 2^64), so that no two pairs share a word.
     """
     chain.check_seed("master_seed", master_seed)
     chain.check_seed("index", index)
     # Python ints: a numpy integer would overflow in the shift.
     key = (operator.index(master_seed) << 64) | operator.index(index)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 def _fleet(params: ModelParams, n_traj: int, t_max: int, master_seed: int,
@@ -135,7 +138,8 @@ class HittingEstimate:
     p_hat_by_t[t] estimates P[X_t > threshold] for t = 0..t_max, with
     99% Clopper-Pearson bounds ci_low_by_t[t] <= p_hat_by_t[t] <=
     ci_high_by_t[t] alongside. tau_samples holds each trajectory's first
-    exceedance epoch, -1 when it never crossed.
+    exceedance epoch, -1 when it never crossed. workers is the number of
+    worker processes that ran, 1 when the fleet ran in this process.
     """
 
     threshold: float
@@ -145,6 +149,7 @@ class HittingEstimate:
     ci_low_by_t: np.ndarray
     ci_high_by_t: np.ndarray
     tau_samples: np.ndarray
+    workers: int
 
     def median_tau(self) -> float:
         """Median hitting epoch; never-crossed trajectories count as +inf."""
@@ -198,6 +203,7 @@ def run_batch(
         ci_low_by_t=low,
         ci_high_by_t=high,
         tau_samples=taus,
+        workers=workers,
     )
 
 

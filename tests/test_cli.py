@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qecbatch import montecarlo
 from qecbatch.bounds import overhead_bound
 from qecbatch.chain import ModelParams, Noise
 from qecbatch.checks import CHECKS, Check
@@ -447,6 +448,35 @@ def test_simulate_csv_deterministic(tmp_path):
     assert lines[0] == "# schema=qecbatch.simulate.v2"
     assert lines[2] == "t,p_hat,ci_low,ci_high"
     assert len(lines) == 3 + 9
+
+
+def test_simulate_json_records_the_workers_that_ran(tmp_path, monkeypatch):
+    """--threads 64 on a fleet of 3 blocks, with 2 usable CPUs, keeps 64 in
+    the config and writes the 2 workers that ran; the pool is a fake that
+    maps in this process, so no process is started."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for threads, workers in ((64, 2), (1, 1)):
+        out = tmp_path / f"sim{threads}.json"
+        assert main(["simulate", "--n", "20", "--p", "0.3", "--alpha", "0.1", "--beta", "0.3",
+                     "--n-traj", str(3 * 4096), "--t-max", "2", "--threads", str(threads),
+                     "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["config"]["threads"], doc["workers"]) == (threads, workers)
 
 
 def test_couple_json(tmp_path, monkeypatch):
