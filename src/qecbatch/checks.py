@@ -35,7 +35,11 @@ def binomial_misses(counts: np.ndarray, n_traj: int, truth: np.ndarray, z: float
     A normal test is wrong for a probability within a few 1/n_traj of 0 or
     1, where it scores one straggling trajectory as many sigma. The truth
     is clipped to [0, 1], as exact probabilities can sit an ulp outside.
+    A z that is NaN, infinite or at most 0 is refused: no tail would fall
+    below its level, or almost every one would.
     """
+    if not 0.0 < z < math.inf:  # NaN fails too
+        raise ValueError(f"z must be finite and > 0, got {z}")
     truth = np.clip(truth, 0.0, 1.0)
     tail = np.minimum(binom.cdf(counts, n_traj, truth), binom.sf(counts - 1, n_traj, truth))
     return int(np.count_nonzero(tail < norm.sf(z)))

@@ -12,17 +12,20 @@ pmf of the fresh errors only between two cuts that each leave out at most
 _ROW_TAIL, as scipy's bdtr confirms, w of order sqrt(n) entries
 rather than n + 1. The cuts come from a closed-form guess that keeps at
 most two counts more than the tail quantiles on either side, with no
-quantile search. Rows come in aligned blocks of _BLOCK states. A block is
-built, checked and stored as its own sparse operator, every row padded
-with zeros to the block's widest, the first time a push carries mass
-into it, so a distribution that sits on a few hundred states touches a
-few blocks, not all of them. Each push also skips the leading and
-trailing blocks whose combined mass is at most _SKIP_TAIL. One phase thus
-moves a distribution by at most _TAIL_EPS in total variation, and every
-phase a distribution goes through adds it to the distribution's `err`.
-Kernels alive at the same time share the rows of each phase they have in
-common, so a block is built once however many of them reach it; the rows
-go with the last kernel that holds them.
+quantile search. A row is the running product of its pmf ratios, whose
+operands for a whole block are gathered as each row's window of one
+counting sequence, and its raw mass is checked against scipy's binomial
+pmf kernel, binom._pmf, at its lower cut. Rows come in aligned blocks of
+_BLOCK states. A block is built, checked and stored as its own sparse
+operator, every row padded with zeros to the block's widest, the first
+time a push carries mass into it, so a distribution that sits on a few
+hundred states touches a few blocks, not all of them. Each push also
+skips the leading and trailing blocks whose combined mass is at most
+_SKIP_TAIL. One phase thus moves a distribution by at most _TAIL_EPS in
+total variation, and every phase a distribution goes through adds it to
+the distribution's `err`. Kernels alive at the same time share the rows
+of each phase they have in common, so a block is built once however many
+of them reach it; the rows go with the last kernel that holds them.
 Static phases run on the schedule of `chain.static_phase_due`, the same
 one the Monte Carlo fleet follows.
 """
@@ -37,6 +40,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csc_array
 from scipy.special import bdtr, ndtri
 from scipy.stats import binom
@@ -169,8 +173,11 @@ def _band(
     offset[x] = x + lo - budget. Entries past a row's own width, hi - lo + 1,
     are zero. A row is built as the running product of the pmf ratios
     pmf(y + 1) / pmf(y), with one zero ratio at its width, in one multiplicative
-    pass with no log or exp. Raises if a row leaves out more than
-    _ROW_TAIL on either side, or if its raw mass misses the exact one.
+    pass with no log or exp. The ratios' operands are gathered over the
+    whole contiguous band, each row as its window of one float counting
+    sequence, and column 0 is reset to 1 after the ratio passes. Raises if
+    a row leaves out more than _ROW_TAIL on either side, or if its raw
+    mass, scaled by binom._pmf at lo, misses 1 minus its dropped tails.
     """
     x = np.arange(x0, x1)
     m = n - x
@@ -191,29 +198,32 @@ def _band(
     # Each is c ((m + 1) / (y + 1) - 1), or c / ((m + 1) / (m - y) - 1) when
     # prob > 1/2, so that the quotient lies away from 1 and subtracting 1
     # loses no digits on the side of the mean where the band lies.
+    # Column j's operand, y + 1 = lo + j or, flipped, m - y = m - lo + 1 - j,
+    # is row x's window of a float sequence counting up or down.
     flip = prob > 0.5
     c = prob / (1.0 - prob)
-    band = np.empty((x.size, w))
+    if flip:
+        top = m - lo + 1
+        band = sliding_window_view(np.arange(top.max(), top.min() - w, -1.0), w)[top.max() - top]
+    else:
+        band = sliding_window_view(np.arange(lo.min(), lo.max() + w, 1.0), w)[lo - lo.min()]
+    # column 0, reset to 1 below, divides by lo = 0, or flipped by
+    # (m + 1) / (m + 1) - 1 = 0 where lo = 0; m - y is 0 only past a row's width
+    with np.errstate(divide="ignore"):
+        np.divide((m + 1.0)[:, None], band, out=band)
+        band -= 1.0
+        if flip:
+            np.divide(c, band, out=band)
+        else:
+            band *= c
     band[:, 0] = 1.0
-    ratios = band[:, 1:]
-    j = np.arange(1.0, w)  # y = lo + j - 1
-    if flip:
-        np.subtract((m - lo + 1.0)[:, None], j, out=ratios)  # m - y
-    else:
-        np.add(lo[:, None], j, out=ratios)  # y + 1
-    with np.errstate(divide="ignore"):  # m - y is 0 only past a row's width
-        np.divide((m + 1.0)[:, None], ratios, out=ratios)
-    ratios -= 1.0
-    if flip:
-        np.divide(c, ratios, out=ratios)
-    else:
-        ratios *= c
     short = np.flatnonzero(width < w)
     band[short, width[short]] = 0.0  # the product is zero from a row's own width on
     np.cumprod(band, axis=1, out=band)
     total = band.sum(axis=1)
-    # scipy's pmf at lo is the reference that puts the band back on scale
-    drift = np.abs(total * binom.pmf(lo, m, prob) - (1.0 - left - right)).max()
+    # scipy's pmf at lo is the reference that puts the band back on scale; its
+    # kernel _pmf, as lo is in [0, m] and prob in (0, 1) pass binom.pmf's checks
+    drift = np.abs(total * binom._pmf(lo, m, prob) - (1.0 - left - right)).max()
     if not drift <= _RAW_ROW_TOL:
         raise ValueError(f"binomial band misses its mass by {drift}, construction is off")
     band /= total[:, None]
@@ -257,10 +267,13 @@ class _Rows:
             # offset[x] + j clipped into 0 .. n: entries clipped onto 0 are summed
             # by the product, and those past the row's width are zeros
             rows, w = band.shape
-            first = max(int(offset.min()), 0)
+            low = int(offset.min())
+            first = max(low, 0)
             last = min(int(offset.max()) + w - 1, self.n)
-            dest = (offset - first).astype(np.int32)[:, None] + np.arange(w, dtype=np.int32)
-            np.clip(dest, 0, last - first, out=dest)
+            # row x's dest is its window of one landing sequence, clipped once
+            lands = np.arange(low - first, int(offset.max()) - first + w, dtype=np.int32)
+            np.clip(lands, 0, last - first, out=lands)
+            dest = sliding_window_view(lands, w)[offset - low]
             indptr = np.arange(0, rows * w + 1, w, dtype=np.int32)
             op = csc_array((band.ravel(), dest.ravel(), indptr), shape=(last - first + 1, rows))
             block = self._blocks[b] = _Block(op, first)
@@ -494,9 +507,12 @@ def check_h_monotone(kernel: TransitionKernel, m: int, tol: float = 1e-10) -> Mo
     Holds for every threshold k and step count m on this chain; a
     violation (reported as the pair (k, x) where the probability drops
     when moving from x to x+1 by more than tol) indicates a kernel bug.
-    Uses the correction-epoch kernel alone, ignoring static phases.
+    Uses the correction-epoch kernel alone, ignoring static phases. A tol
+    that is NaN, infinite or negative is refused: no drop would exceed it.
     """
     check_integer("m", m, least=1)
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     power = np.linalg.matrix_power(kernel.dense(), m)
     # tails[x, k] = P[X_{t+m} >= k | X_t = x]
     tails = np.cumsum(power[:, ::-1], axis=1)[:, ::-1]

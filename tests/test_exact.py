@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_array
 from scipy.special import bdtr
 from scipy.stats import binom
 
@@ -194,6 +195,18 @@ def test_epoch_counts_take_integers_only(call):
     As a size, True would give two states and 2.5 would die inside numpy."""
     with pytest.raises(ValueError, match="must be an integer"):
         call(kernel_n2(), StateDistribution.point_mass(2))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_monotone_check_refuses_a_tol_it_cannot_hold(tol):
+    """drops > nan is false everywhere, so a NaN tol would pass any kernel
+    unchecked, as would an infinite one; a negative one fails every kernel."""
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_h_monotone(kernel_n2(), 1, tol)
+
+
+def test_monotone_check_takes_a_zero_tol():
+    assert check_h_monotone(kernel_n2(), 1, 0.0).tol == 0.0
 
 
 def test_tail_prob_is_strict():
@@ -541,6 +554,100 @@ def test_blocks_build_without_a_quantile_call(monkeypatch):
             assert kernel.static_probs.shape[0] == n + 1
 
 
+# The phases of the benchmark's exact_oracle jobs: p 0.2, alpha 0.05 at
+# n 100 (its monotonicity check), 500, 1000 and 4000, and q 0.02 static
+# phases at n 500 and 1000; then the flipped and p = 1/2 phases of the tests
+# below.
+PMF_PHASES = [(100, 0.2), (500, 0.2), (1000, 0.2), (4000, 0.2), (500, 0.02), (1000, 0.02),
+              (2000, 0.5), (20_000, 0.5), (300, 0.7), (8000, 0.98), (300, 0.999)]
+
+
+@pytest.mark.parametrize("n, prob", PMF_PHASES + [(10**6, 0.2)])
+def test_raw_mass_reference_is_binom_pmf_bit_for_bit(n, prob):
+    """_band scales a row's raw mass by binom._pmf, the kernel binom.pmf
+    calls once its argument checks pass; at the lower cut of every row of
+    these phases, and of two n = 10^6 blocks, the two agree to the bit. A
+    scipy release that changes _pmf fails here first."""
+    if n == 10**6:
+        x = np.r_[0 : exact._BLOCK, n // 2 : n // 2 + exact._BLOCK]
+    else:
+        x = np.arange(n + 1)
+    m = n - x
+    lo, _ = exact._cut(m, prob)
+    assert binom._pmf(lo, m, prob).tobytes() == binom.pmf(lo, m, prob).tobytes()
+
+
+def strided_block(n, prob, budget, b):
+    """Block b of a phase as the builder made it before its operands and
+    landing states were windows of counting sequences: the ratio passes on
+    the strided view band[:, 1:], and dest a broadcast add clipped over the
+    whole block. Returns the block and the rows' lower cuts."""
+    x = np.arange(b * exact._BLOCK, min((b + 1) * exact._BLOCK, n + 1))
+    m = n - x
+    lo, _ = exact._cut(m, prob)
+    mirrored, _ = exact._cut(m, 1.0 - prob)
+    width = m - mirrored - lo + 1
+    w = int(width.max())
+    flip = prob > 0.5
+    c = prob / (1.0 - prob)
+    band = np.empty((x.size, w))
+    band[:, 0] = 1.0
+    ratios = band[:, 1:]
+    j = np.arange(1.0, w)
+    if flip:
+        np.subtract((m - lo + 1.0)[:, None], j, out=ratios)
+    else:
+        np.add(lo[:, None], j, out=ratios)
+    with np.errstate(divide="ignore"):
+        np.divide((m + 1.0)[:, None], ratios, out=ratios)
+    ratios -= 1.0
+    if flip:
+        np.divide(c, ratios, out=ratios)
+    else:
+        ratios *= c
+    short = np.flatnonzero(width < w)
+    band[short, width[short]] = 0.0
+    np.cumprod(band, axis=1, out=band)
+    band /= band.sum(axis=1)[:, None]
+    offset = x + lo - budget
+    first = max(int(offset.min()), 0)
+    last = min(int(offset.max()) + w - 1, n)
+    dest = (offset - first).astype(np.int32)[:, None] + np.arange(w, dtype=np.int32)
+    np.clip(dest, 0, last - first, out=dest)
+    indptr = np.arange(0, x.size * w + 1, w, dtype=np.int32)
+    op = csc_array((band.ravel(), dest.ravel(), indptr), shape=(last - first + 1, x.size))
+    return exact._Block(op, first), lo
+
+
+def block_bytes(block):
+    op, first = block
+    return [op.data.tobytes(), op.indices.tobytes(), op.indptr.tobytes(), first, op.shape]
+
+
+@pytest.mark.parametrize("n, prob, budget, blocks, clamps", [
+    (300, 0.7, 15, None, False),
+    (8000, 0.98, 400, None, False),
+    (300, 0.999, 15, None, False),
+    (1000, 0.02, 0, None, False),
+    (100, 0.2, 5, [0], True),
+    (6, 0.2, 6, None, True),
+    (20_000, 0.5, 1000, [0, 39, 78], False),
+])
+def test_blocks_are_byte_identical_to_the_strided_build(n, prob, budget, blocks, clamps):
+    """Every stored bit of a block, its data, landing states, column
+    pointers, first landing state and shape, equals the strided build's:
+    flipped laws with rows at lo = 0, a static phase, blocks whose landing
+    states clamp at 0, and n = 2 * 10^4 at p = 1/2."""
+    rows = exact._Rows(n, prob, budget)
+    for b in range(len(rows._blocks)) if blocks is None else blocks:
+        reference, lo = strided_block(n, prob, budget, b)
+        assert block_bytes(rows.block(b)) == block_bytes(reference)
+        if prob > 0.5 and b == len(rows._blocks) - 1:
+            assert lo[-1] == 0  # row m = 0 divides by 0 before column 0 is reset
+        if clamps and b == 0:
+            assert lo[0] < budget  # row 0's first entries land below 0
+
+
 def nan_tail(monkeypatch):
     cut = exact._cut
 
@@ -555,11 +662,11 @@ def nan_tail(monkeypatch):
 
 def nan_reference_pmf(monkeypatch):
     def broken(k, m, prob):
-        pmf = binom.pmf(k, m, prob)
+        pmf = binom._pmf(k, m, prob)
         pmf[0] = np.nan
         return pmf
 
-    monkeypatch.setattr(exact, "binom", SimpleNamespace(pmf=broken))
+    monkeypatch.setattr(exact, "binom", SimpleNamespace(_pmf=broken))
 
 
 @pytest.mark.parametrize("defect, match", [

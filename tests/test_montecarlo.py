@@ -218,6 +218,14 @@ def test_binomial_misses_is_exact_at_the_edges():
     assert checks.binomial_misses(counts, 1000, truth, 4.0) == 3
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_binomial_misses_refuses_a_z_it_cannot_test_at(z):
+    """tail < norm.sf(nan) is false everywhere, so a NaN z would pass any
+    curve unchecked, as would z = inf; z <= 0 would fail almost every one."""
+    with pytest.raises(ValueError, match="z must be finite and > 0"):
+        checks.binomial_misses(np.array([500]), 1000, np.array([0.5]), z)
+
+
 HITTING = next(row for row in checks.CHECKS if row.criterion == 3)
 
 
