@@ -342,6 +342,10 @@ def kappa_surface(
     The erasure overhead is compared with its kappa*t_g << 1 form
     1 / (2*alpha/(kappa*t_g) - 1), whose ratio 2*alpha/(kappa*t_g) > 1 is
     exactly the survivability condition.
+
+    The laws, not the paper's abstract, set the domain alpha_min < alpha < p,
+    where (p - alpha)/p > 0. At alpha >= p that rate is clamped at 0, so
+    erasure gives p/(2 alpha - p) <= 1 (0 at kappa*t_g = 0), depolarizing 1.
     """
     for name, value in (("kappa", kappa), ("t_g", t_g), ("kappa * t_g", kappa * t_g)):
         if not math.isfinite(value):

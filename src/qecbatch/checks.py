@@ -9,7 +9,6 @@ seconds; tests/test_acceptance.py runs them at acceptance size.
 from __future__ import annotations
 
 import math
-from inspect import signature
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -154,9 +153,7 @@ def median_hitting_time_is_size_free(
         medians[n] = est.median_tau()
         if n == ns[0] or n <= EXACT_N_CAP:
             law = hitting_time_distribution(build_kernel(params), n * beta, t_max)
-            taus = est.tau_samples
-            counts = np.bincount(taus[taus >= 0], minlength=t_max + 1)
-            misses[n] = binomial_misses(counts, n_traj, law.pmf, z)
+            misses[n] = binomial_misses(est.first_passage_by_t, n_traj, law.pmf, z)
             exact_medians[n] = law.median()
     exact_median = exact_medians[ns[0]]
     ok = (max(medians.values()) - min(medians.values()) <= 1.0
@@ -262,8 +259,8 @@ class Check(NamedTuple):
     acceptance: Mapping[str, object]
 
     def at_verify_size(self, master_seed: int) -> tuple[bool, str]:
-        """The check at verify size; one that takes a seed gets master_seed."""
-        seed = {"seed": master_seed} if "seed" in signature(self.check).parameters else {}
+        """The check at verify size; master_seed replaces a seed frozen at acceptance size."""
+        seed = {"seed": master_seed} if "seed" in self.acceptance else {}
         return self.check(**self.verify, **seed)
 
     def at_acceptance_size(self) -> tuple[bool, str]:

@@ -362,11 +362,12 @@ def _run_simulate(config: ExperimentConfig, fmt: str) -> _Document:
         rows = ((t, *cells) for t, cells in enumerate(zip(*curves.values())))
         return _Document("qecbatch.simulate.v2", summary, header=("t", *curves),
                          lines=_csv_lines(rows))
+    median_tau = est.median_tau()
     return _Document("qecbatch.simulate.v2", summary, {
         "threshold": threshold,
         "t": list(range(config.t_max + 1)),
         **curves,
-        "median_tau": None if math.isinf(est.median_tau()) else est.median_tau(),
+        "median_tau": None if math.isinf(median_tau) else median_tau,
         "workers": est.workers,
     })
 

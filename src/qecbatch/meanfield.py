@@ -44,8 +44,6 @@ Rule = tuple[np.ndarray, Callable[[int], ValueError]]
 
 def _points(*values) -> list[np.ndarray]:
     """Scalars or arrays broadcast to 1-d float arrays of one length."""
-    if not any(isinstance(v, np.ndarray) for v in values):
-        return list(np.array(values, dtype=float).reshape(len(values), 1))
     return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
 
 
@@ -116,8 +114,8 @@ def _fixed_point(n, rate, alpha):
 
 
 def _closed_form(fixed, rate, k):
-    """The k-th iterate, fixed_point * (1 - (1 - rate)**k)."""
-    return fixed * (1.0 - (1.0 - rate) ** k)
+    """The k-th iterate, fixed_point * (1 - (1 - rate)**k), without rounding 1 - rate."""
+    return fixed * -np.expm1(k * np.log1p(-rate))
 
 
 def mf_iterate(n, p, alpha, delta, k) -> float | np.ndarray:
@@ -138,7 +136,7 @@ def mf_iterate(n, p, alpha, delta, k) -> float | np.ndarray:
     _raise_first(_iterate_rules(p_, alpha_, delta_, k_))
     rate = p_ - delta_
     x = _closed_form(_fixed_point(n_, rate, alpha_), rate, k_)
-    return x if any(isinstance(v, np.ndarray) for v in (n, p, alpha, delta, k)) else float(x[0])
+    return x if any(np.ndim(v) for v in (n, p, alpha, delta, k)) else float(x[0])
 
 
 def iterate_recursion(n: float, p: float, alpha: float, delta: float, k: int) -> float:
@@ -222,6 +220,6 @@ def epochs_to_cross(p, alpha, beta, delta=None) -> CrossingTime:
         _raise_first(_crossing_rules(p_, alpha_, beta_, delta_) + ((broken, lambda i: ValueError(
             f"no crossing epoch is representable in floating point for p={p_[i]}, "
             f"alpha={alpha_[i]}, beta={beta_[i]}, delta={delta_[i]}")),))
-    if any(isinstance(v, np.ndarray) for v in values):
+    if any(np.ndim(v) for v in values):
         return CrossingTime(T=T, delta=delta_)
     return CrossingTime(T=int(T[0]), delta=float(delta_[0]))

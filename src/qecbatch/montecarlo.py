@@ -137,9 +137,9 @@ class HittingEstimate:
 
     p_hat_by_t[t] estimates P[X_t > threshold] for t = 0..t_max, with
     99% Clopper-Pearson bounds ci_low_by_t[t] <= p_hat_by_t[t] <=
-    ci_high_by_t[t] alongside. tau_samples holds each trajectory's first
-    exceedance epoch, -1 when it never crossed. workers is the number of
-    worker processes that ran, 1 when the fleet ran in this process.
+    ci_high_by_t[t] alongside; first_passage_by_t[t] counts the trajectories
+    first above the threshold at epoch t. workers is the number of worker
+    processes that ran, 1 when the fleet ran in this process.
     """
 
     threshold: float
@@ -148,26 +148,27 @@ class HittingEstimate:
     p_hat_by_t: np.ndarray
     ci_low_by_t: np.ndarray
     ci_high_by_t: np.ndarray
-    tau_samples: np.ndarray
+    first_passage_by_t: np.ndarray
     workers: int
 
     def median_tau(self) -> float:
         """Median hitting epoch; never-crossed trajectories count as +inf."""
-        taus = np.where(self.tau_samples < 0, np.inf, self.tau_samples.astype(float))
-        return float(np.median(taus))
+        ranks = [(self.n_traj + 1) // 2, self.n_traj // 2 + 1]
+        middle = np.searchsorted(np.cumsum(self.first_passage_by_t), ranks)
+        return float(np.mean(np.where(middle < self.first_passage_by_t.size, middle, np.inf)))
 
 
-def _exceed_worker(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _exceed_worker(args: tuple) -> np.ndarray:
+    """Per-epoch counts of the trajectories above the threshold and first above it."""
     spec, first_exceed, blocks = args
-    counts = np.zeros(spec.t_max + 1, dtype=np.int64)
-    taus = []
+    counts = np.zeros((2, spec.t_max + 1), dtype=np.int64)
     for t, x in _fleet(spec.params, spec.n_traj, spec.t_max, spec.master_seed, blocks=blocks):
         if t == 0:
-            taus.append(np.full(len(x), -1, dtype=np.int64))
+            crossed = np.zeros(len(x), dtype=bool)
         above = x >= first_exceed
-        counts[t] += np.count_nonzero(above)
-        taus[-1][above & (taus[-1] < 0)] = t
-    return counts, np.concatenate(taus)
+        counts[:, t] += np.count_nonzero(above), np.count_nonzero(above & ~crossed)
+        crossed |= above
+    return counts
 
 
 def run_batch(
@@ -176,9 +177,9 @@ def run_batch(
     """Estimate P[X_t > threshold] for t = 0..t_max across the fleet.
 
     Exceedance only depends on counts, so trajectories always run in
-    count mode. Each worker gets whole blocks and aggregation is a sum of
-    integer counters, hence the result is invariant to n_workers. At most
-    one worker runs per CPU this process may use, however many are asked.
+    count mode. Each worker gets whole blocks and returns per-epoch
+    counters; their sum, invariant to n_workers, is the result, and memory
+    does not grow with n_traj. At most one worker runs per usable CPU.
     """
     chain.check_integer("n_workers", n_workers, least=1)
     first_exceed = chain.first_above(threshold, spec.params.n)
@@ -192,8 +193,7 @@ def run_batch(
     else:
         with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_exceed_worker, args))
-    counts = sum(r[0] for r in results)
-    taus = np.concatenate([r[1] for r in results])
+    counts, first_passage = sum(results)
     low, high = _clopper_pearson(counts, spec.n_traj)
     return HittingEstimate(
         threshold=threshold,
@@ -202,7 +202,7 @@ def run_batch(
         p_hat_by_t=counts / spec.n_traj,
         ci_low_by_t=low,
         ci_high_by_t=high,
-        tau_samples=taus,
+        first_passage_by_t=first_passage,
         workers=workers,
     )
 

@@ -709,15 +709,15 @@ def _least_crossing(p: float, alpha: float, beta: float, T: int) -> bool:
 
 
 def test_crossings_above_2_to_53_are_the_least_in_every_command(tmp_path):
-    """At p = 3e-16, alpha = 1.65e-16, 1 - rate rounds from 1 - 2.77e-16 to
-    1 - 2.2e-16, so the iterates cross near 9.05e15. bounds, sweep and
-    meanfield each print the first epoch whose iterate passes the target."""
-    point = ["--p", "3e-16", "--alpha", "1.65e-16"]
+    """At p = 1e-16, alpha = 5.5e-17 the iterates cross beta = 0.35 near
+    2.18e16. bounds, sweep and meanfield each print the first epoch whose
+    iterate passes the target."""
+    point = ["--p", "1e-16", "--alpha", "5.5e-17"]
     assert main(["bounds", "--l", "100", *point, "--theta", "0.1",
                  "--out", str(tmp_path / "bounds.json")]) == 0
     report = json.loads((tmp_path / "bounds.json").read_text())["report"]
     T = report["crossing_epochs"]
-    assert T > 2**53 and _least_crossing(3e-16, 1.65e-16, report["residual_rate"], T)
+    assert T > 2**53 and _least_crossing(1e-16, 5.5e-17, report["residual_rate"], T)
     assert main(["sweep", "--l", "100", *point, "--theta", "0.1", "--grid", "q:0:0.1:2",
                  "--out", str(tmp_path / "sweep.csv")]) == 0
     rows = _read_sweep(tmp_path / "sweep.csv")
@@ -725,17 +725,17 @@ def test_crossings_above_2_to_53_are_the_least_in_every_command(tmp_path):
     assert main(["meanfield", *point, "--beta", "0.35",
                  "--out", str(tmp_path / "meanfield.json")]) == 0
     doc = json.loads((tmp_path / "meanfield.json").read_text())
-    assert _least_crossing(3e-16, 1.65e-16, 0.35, doc["T"])
+    assert _least_crossing(1e-16, 5.5e-17, 0.35, doc["T"])
 
 
 def test_meanfield_csv_longer_than_the_cap_is_refused(tmp_path, capsys):
-    """T = 9051161687627578 here: one CSV row per epoch would never fit, so
+    """T = 7257472520428883 here: one CSV row per epoch would never fit, so
     the run exits 1, names T and points to JSON, which still answers."""
     point = ["meanfield", "--p", "3e-16", "--alpha", "1.65e-16", "--beta", "0.35"]
     out = tmp_path / "meanfield.csv"
     assert main([*point, "--format", "csv", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "T=9051161687627578" in err and "--format json" in err
+    assert "T=7257472520428883" in err and "--format json" in err
     assert not out.exists()
     assert main([*point, "--format", "json", "--out", str(tmp_path / "meanfield.json")]) == 0
 
@@ -771,8 +771,8 @@ def test_documents_refuse_non_finite_keys(tmp_path, capsys, flags, key):
 
 def test_crossing_epochs_stay_exact_above_2_to_53(tmp_path):
     """A count above 2^53 is printed as the exact integer; through a float
-    it would end in ...144."""
-    T = 12221539834570143
+    it would end in ...692."""
+    T = 13664866374051691
     assert overhead_bound(100, 3e-16, 2.1e-16, 0.01).crossing_epochs == T
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--l", "100", "--p", "3e-16", "--alpha", "2.1e-16",

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -179,17 +180,17 @@ def _counting_closed_form(monkeypatch) -> list[int]:
 
 def test_crossing_near_9e15_is_found_or_refused_in_bounded_passes(monkeypatch):
     """At p = 3e-16, alpha = 1.65e-16, beta = 0.35 the iterates first pass
-    beta at 9.05e15. Doubling from k = 1 and bisecting find that epoch in at
+    beta at 7.26e15. Doubling from k = 1 and bisecting find that epoch in at
     most 2 * 62 + 2 passes; with the last epoch below it, the point is
     refused in as few."""
     p, alpha, beta = 3e-16, 1.65e-16, 0.35
     calls = _counting_closed_form(monkeypatch)
     crossing = epochs_to_cross(p, alpha, beta)
     assert 0 < calls[0] <= 2 * 62 + 2
-    assert crossing.T == 9051161687627578
+    assert crossing.T == 7257472520428883
     assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T) > beta
     assert mf_iterate(1.0, p, alpha, crossing.delta, crossing.T - 1) <= beta
-    monkeypatch.setattr(meanfield, "_LAST_EPOCH", 8 * 10**15)
+    monkeypatch.setattr(meanfield, "_LAST_EPOCH", 7 * 10**15)
     calls[0] = 0
     with pytest.raises(ValueError, match="no crossing epoch is representable"):
         epochs_to_cross(p, alpha, beta)
@@ -241,3 +242,36 @@ def test_recursion_tracks_exact_chain_mean():
 def test_default_delta_is_half_the_room():
     crossing = epochs_to_cross(0.3, 0.06, 0.4)
     assert crossing.delta == pytest.approx(0.5 * (0.3 - 0.06 / 0.6), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, alpha, beta", [
+    (0.2, 0.05, 0.5),
+    (1.7e-9, 4.2e-10, 0.46),
+    (3.1e-12, 2.2e-12, 0.238),
+    (2.95566408e-15, 9.39653480e-16, 0.444),
+    (3e-16, 1.65e-16, 0.35),
+    (3e-16, 2.1e-16, 0.2),
+    (1e-16, 5.5e-17, 0.35),
+])
+def test_crossing_epoch_is_that_of_exact_arithmetic(p, alpha, beta):
+    """The evaluated crossing epoch is the one of the stored rate, fixed point
+    and beta in exact arithmetic, up to the few units of 2^-52 by which the
+    product k * log1p(-rate) rounds. Through 1 - rate, the epochs at
+    p = 1.7e-9 sat 6e-9 of T away, and those near p = 3e-16 about 20%."""
+    crossing = epochs_to_cross(p, alpha, beta)
+    rate = p - crossing.delta
+    fixed = _fixed_point(1.0, rate, alpha)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k = (1 - Decimal(beta) / Decimal(fixed)).ln() / (1 - Decimal(rate)).ln()
+    exact = int(k) + 1
+    assert abs(crossing.T - exact) <= 1 + 4 * 2**-52 * exact
+
+
+def test_sequences_are_taken_as_arrays():
+    """A list holds one value per point, like an array; a 0-d array is a scalar."""
+    T = epochs_to_cross([0.2, 0.3], 0.05, 0.5).T
+    assert T.tolist() == epochs_to_cross(np.array([0.2, 0.3]), 0.05, 0.5).T.tolist()
+    iterates = mf_iterate(1.0, 0.2, 0.05, 0.01, [1, 2, 3])
+    assert iterates.tolist() == mf_iterate(1.0, 0.2, 0.05, 0.01, np.arange(1, 4)).tolist()
+    assert type(mf_iterate(1.0, np.array(0.2), 0.05, 0.01, 3)) is float

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from scipy.stats import binom, chi2, kstest
 
 from qecbatch import checks, montecarlo
@@ -67,7 +70,7 @@ def test_run_batch_worker_invariance():
     serial = run_batch(spec, 5.0, n_workers=1)
     pooled = run_batch(spec, 5.0, n_workers=3)
     np.testing.assert_array_equal(serial.p_hat_by_t, pooled.p_hat_by_t)
-    np.testing.assert_array_equal(serial.tau_samples, pooled.tau_samples)
+    np.testing.assert_array_equal(serial.first_passage_by_t, pooled.first_passage_by_t)
 
 
 def test_run_batch_worker_invariance_across_blocks():
@@ -78,7 +81,7 @@ def test_run_batch_worker_invariance_across_blocks():
     for workers in (2, 3):
         pooled = run_batch(spec, 3.0, n_workers=workers)
         np.testing.assert_array_equal(serial.p_hat_by_t, pooled.p_hat_by_t)
-        np.testing.assert_array_equal(serial.tau_samples, pooled.tau_samples)
+        np.testing.assert_array_equal(serial.first_passage_by_t, pooled.first_passage_by_t)
 
 
 def test_run_batch_caps_workers_at_usable_cpus(monkeypatch):
@@ -107,7 +110,7 @@ def test_run_batch_caps_workers_at_usable_cpus(monkeypatch):
     capped = run_batch(spec, 3.0, n_workers=10**6)
     assert opened == [2]
     np.testing.assert_array_equal(serial.p_hat_by_t, capped.p_hat_by_t)
-    np.testing.assert_array_equal(serial.tau_samples, capped.tau_samples)
+    np.testing.assert_array_equal(serial.first_passage_by_t, capped.first_passage_by_t)
 
 
 def test_run_batch_basics():
@@ -117,8 +120,8 @@ def test_run_batch_basics():
     assert est.p_hat_by_t.shape == (13,)
     assert np.all((0.0 <= est.p_hat_by_t) & (est.p_hat_by_t <= 1.0))
     assert np.all((est.ci_low_by_t <= est.p_hat_by_t) & (est.p_hat_by_t <= est.ci_high_by_t))
-    crossed = est.tau_samples[est.tau_samples >= 0]
-    assert crossed.min() >= 1
+    assert est.first_passage_by_t.shape == (13,)
+    assert est.first_passage_by_t[0] == 0
 
 
 def test_run_batch_quiet_and_saturated_corners():
@@ -130,15 +133,52 @@ def test_run_batch_quiet_and_saturated_corners():
     est = run_batch(TrajectoryBatch(params=saturated, n_traj=20, t_max=6, master_seed=1), 29.5)
     assert est.p_hat_by_t[0] == 0.0
     assert np.all(est.p_hat_by_t[1:] == 1.0)
-    assert np.all(est.tau_samples == 1)
+    assert est.first_passage_by_t.tolist() == [0, 20, 0, 0, 0, 0, 0]
 
 
 def test_run_batch_unreachable_threshold():
     spec = TrajectoryBatch(params=PARAMS, n_traj=50, t_max=10, master_seed=5)
     est = run_batch(spec, PARAMS.n)  # X > n never happens
     assert np.all(est.p_hat_by_t == 0.0)
-    assert np.all(est.tau_samples == -1)
+    assert est.first_passage_by_t.sum() == 0
     assert math.isinf(est.median_tau())
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8), st.integers(0, 4))
+@example([0, 0, 0], 3)  # none crossed, odd fleet
+@example([0, 0], 2)  # none crossed, even fleet
+@example([0, 2, 1], 0)  # all crossed, odd fleet
+@example([1, 0, 3], 0)  # all crossed, even fleet
+def test_median_tau_from_counts_is_the_fleet_median(first_passage, never):
+    """The median read off the first-passage counts is np.median of the
+    fleet's epochs, never-crossed trajectories taken as +inf."""
+    n_traj = sum(first_passage) + never
+    assume(n_traj > 0)
+    curve = np.zeros(len(first_passage))
+    est = montecarlo.HittingEstimate(
+        threshold=0.0, n_traj=n_traj, master_seed=0, p_hat_by_t=curve, ci_low_by_t=curve,
+        ci_high_by_t=curve, first_passage_by_t=np.array(first_passage, dtype=np.int64),
+        workers=1)
+    epochs = np.repeat(np.arange(len(first_passage), dtype=float), first_passage)
+    fleet = np.concatenate([epochs, np.full(never, np.inf)])
+    median = est.median_tau()
+    assert type(median) is float
+    assert median == np.median(fleet)
+
+
+def test_run_batch_memory_does_not_grow_with_the_fleet():
+    """A fleet of 49 blocks keeps per-epoch counters, not an array over
+    the fleet: one int64 epoch per trajectory would take 1.6 MB here."""
+    spec = TrajectoryBatch(params=ModelParams(n=10, p=0.3, alpha=0.1), n_traj=200_000,
+                           t_max=2, master_seed=4)
+    tracemalloc.start()
+    try:
+        est = run_batch(spec, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.first_passage_by_t.sum() > 0
+    assert peak < 512 * 1024
 
 
 def test_p_hat_curve_is_monotone_within_noise():
