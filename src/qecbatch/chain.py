@@ -7,8 +7,10 @@ kinds are absorbing on a single qubit (a second hit changes nothing),
 so the memory is fully described by how many, or which, qubits
 currently carry an error: count mode advances arrays of error counts,
 mask mode boolean error masks. `correct` is the one written correction
-rule; the check_* functions and `first_above` are the one written rule
-for each scalar input.
+rule: it refuses keys it cannot rank and runs the rule body, which sorts
+each row's ranks in place. `step` passes its own fresh keys, which lie in
+[0, 1), to that body directly. The check_* functions and `first_above`
+are the one written rule for each scalar input.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def correct(mask: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarray:
     """The correction rule: in each row of `mask` (qubits on the last axis,
     True marks an error), clear the min(#errors, budget) erroneous qubits
     with the smallest keys. Keys must be finite and non-negative; others
-    are refused.
+    are refused before the rule runs.
 
     With i.i.d. uniform keys drawn independently of the mask, the cleared
     qubits form a uniform subset of the errors. Keys broadcast against the
@@ -141,26 +143,34 @@ def correct(mask: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarray:
     smaller one too.
 
     Each row is ranked as keys / mask: an error keeps its key, and a healthy
-    qubit gets inf (nan for a zero key), which sorts after every error. One
-    sort along the row gives its budget-th smallest rank, and the errors at
-    or below it are cleared; a row with fewer errors than the budget has no
-    finite threshold and is cleared whole. A row whose budget-th and next
-    ranks are equal and finite ties at the boundary, and only such rows are
-    corrected by argpartition over their keys, so that every row clears
-    exactly min(#errors, budget).
+    qubit gets inf (nan for a zero key), which sorts after every error. The
+    ranks are sorted in place, which gives the budget-th smallest rank of
+    each row, and the errors whose key is at or below it are cleared; a row
+    with fewer errors than the budget has no finite threshold and is cleared
+    whole. A row whose budget-th and next ranks are equal and finite ties at
+    the boundary, and only such rows are corrected by argpartition over
+    their keys, so that every row clears exactly min(#errors, budget).
     """
     if not (keys.min(initial=0) >= 0 and keys.max(initial=0) < np.inf):
         raise ValueError("correction keys must be finite and non-negative")
+    return _correct(mask, keys, budget)
+
+
+def _correct(mask: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarray:
+    """The body of `correct`, for keys already known to be finite and
+    non-negative."""
     n = mask.shape[-1]
     if budget >= n:
         return np.zeros_like(mask)
     if budget == 0:
         return mask
     with np.errstate(divide="ignore", invalid="ignore"):
-        ranked = keys / mask
-    ordered = np.sort(ranked, axis=-1)
+        ordered = keys / mask
+    # an error's rank is its key and a healthy qubit is never in the mask,
+    # so the ranks need not outlive their sort
+    ordered.sort(axis=-1)
     kth = ordered[..., budget - 1:budget]
-    out = mask & (ranked > kth)
+    out = mask & (keys > kth)
     tied = np.flatnonzero((kth == ordered[..., budget:budget + 1]) & (kth < np.inf))
     if tied.size:
         held = mask.reshape(-1, n)[tied]
@@ -191,14 +201,16 @@ def step(mask: np.ndarray, params: ModelParams, rng: np.random.Generator) -> np.
 
     Every qubit is hit with probability p; a hit on an erroneous qubit
     changes nothing, so the fresh errors are a uniform Binomial(#healthy, p)
-    subset of the healthy qubits. `correct` then clears min(#errors,
-    k_batch) errors by fresh uniform keys. Hits and keys are drawn over the
-    last two axes and shared by any axes in front of them, which advances
-    stacked memories under common randomness.
+    subset of the healthy qubits. The correction rule then clears
+    min(#errors, k_batch) errors by fresh uniform keys; they come straight
+    from rng.random and lie in [0, 1), so they go to the rule body without
+    the key check of `correct`. Hits and keys are drawn over the last two
+    axes and shared by any axes in front of them, which advances stacked
+    memories under common randomness.
     """
     shape = mask.shape[-2:]
     mask = mask | (rng.random(shape) < params.p)
-    return correct(mask, rng.random(shape), params.k_batch)
+    return _correct(mask, rng.random(shape), params.k_batch)
 
 
 def inject_static_noise(

@@ -301,6 +301,11 @@ def run_coupled(
     high-rate memory, below q_low the low-rate one too. Each high hit is
     thus copied with probability q_low / q_high, which reproduces the
     Binomial(n - x, q_low) marginal exactly.
+
+    Rows are scanned for violations only in an epoch where some qubit is
+    in error in the low memory alone. That loses no count: a row whose low
+    set lies inside its high set holds no more errors than the high one, so
+    every row with a count violation has an inclusion violation too.
     """
     if not 0.0 <= q_low <= q_high <= 1.0:
         raise ValueError(
@@ -316,13 +321,18 @@ def run_coupled(
         draws = rng.random(pair.shape[1:])
         hits, copied = draws < q_high, draws < q_low
         low = pair[1]
-        pit.add((copied & ~low).sum(axis=1), n - low.sum(axis=1), rng.random(len(hits)))
-        return pair | np.stack([hits, copied])
+        pit.add(np.count_nonzero(copied & ~low, axis=1), n - np.count_nonzero(low, axis=1),
+                rng.random(len(hits)))
+        out = pair.copy()
+        out[0] |= hits
+        out[1] |= copied
+        return out
 
     for t, (high, low) in _fleet(replace(params, q=q_high), n_traj, t_max, master_seed,
                                  "pairs", inject):
-        if t > 0:  # at epoch 0 both memories are empty
-            inclusion_violations += int(np.any(low & ~high, axis=1).sum())
+        stray = low & ~high  # none at epoch 0, where both memories are empty
+        if stray.any():
+            inclusion_violations += int(np.any(stray, axis=1).sum())
             count_violations += int((low.sum(axis=1) > high.sum(axis=1)).sum())
     stat, pvalue = pit.chi2()
     return CouplingReport(
@@ -351,13 +361,24 @@ def _pit_batch(
     prob) cdf F and pmf f: exactly Uniform(0, 1) when fresh follows that
     law, whatever trials is, which lets injections at different
     occupancies pool into one test.
+
+    Draws repeat a few (trials, fresh) pairs, so each distinct pair is
+    transformed once: its key is its cell in the grid spanned by the
+    draws, offset to start at zero. A grid too large for an int64 key is
+    refused.
     """
     values = np.asarray(fresh, dtype=np.int64)
     if values.size == 0:
         return np.empty(0)
     m = np.asarray(trials, dtype=np.int64)
-    lower = binom_dist.cdf(values - 1, m, prob)
-    return lower + np.asarray(coins) * binom_dist.pmf(values, m, prob)
+    low_m, low_v = int(m.min()), int(values.min())
+    width = int(values.max()) - low_v + 1
+    if (int(m.max()) - low_m + 1) * width >= 2**63:
+        raise ValueError("PIT draws span more (trials, fresh) pairs than an int64 key holds")
+    cells, inverse = np.unique((m - low_m) * width + (values - low_v), return_inverse=True)
+    m, values = cells // width + low_m, cells % width + low_v
+    lower = binom_dist.cdf(values - 1, m, prob)[inverse]
+    return lower + np.asarray(coins) * binom_dist.pmf(values, m, prob)[inverse]
 
 
 class _PitHistogram:

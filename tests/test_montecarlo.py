@@ -8,7 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import binom, chi2, kstest
 
-from qecbatch import checks, montecarlo
+from qecbatch import chain, checks, montecarlo
 from qecbatch.chain import ModelParams, correct
 from qecbatch.checks import oracle_vs_monte_carlo
 from qecbatch.exact import (
@@ -358,6 +358,69 @@ def test_coupled_pit_folds_give_the_unchunked_report(monkeypatch):
     assert whole.pit_chi2_stat is not None
 
 
+def test_mask_mode_outputs_are_pinned():
+    """Every mask-mode report, bit for bit: coupled runs at two shapes and
+    the uniformity test with and without static phases, recorded once from
+    the reference implementation of the correction rule and the coupling."""
+    wide = run_coupled(ModelParams(100, 0.2, 0.1), 0.01, 0.05, 150, 50, 0)
+    assert wide == montecarlo.CouplingReport(
+        n=100, q_low=0.01, q_high=0.05, n_traj=150, t_max=50, pairs_checked=7500,
+        inclusion_violations=0, inclusion_fraction=1.0, count_violations=0,
+        injection_events=7500, pit_chi2_stat=23.082666666666665,
+        pit_chi2_pvalue=0.23372032736227447, pit_dof=19)
+    periodic = run_coupled(ModelParams(37, 0.3, 0.2, q_period=3), 0.0, 0.1, 900, 20, 0)
+    assert periodic == montecarlo.CouplingReport(
+        n=37, q_low=0.0, q_high=0.1, n_traj=900, t_max=20, pairs_checked=18000,
+        inclusion_violations=0, inclusion_fraction=1.0, count_violations=0,
+        injection_events=6300, pit_chi2_stat=13.92380952380952,
+        pit_chi2_pvalue=0.7881145466603245, pit_dof=19)
+    pinned = {
+        0.0: (57.586487215813264, 0.18732354265061926, [
+            248, 233, 234, 239, 231, 240, 244, 245, 243, 238, 228, 255, 252, 245, 233, 224,
+            244, 245, 247, 240, 250, 238, 234, 230, 237, 242, 245, 243, 238, 246, 233, 230,
+            255, 245, 249, 230, 238, 236, 231, 243, 233, 250, 248, 246, 229, 241, 243, 248,
+            230, 237]),
+        0.02: (66.2971792753452, 0.050354592988544326, [
+            239, 245, 235, 238, 242, 245, 239, 248, 234, 220, 233, 248, 254, 229, 239, 237,
+            244, 234, 241, 239, 235, 245, 227, 243, 247, 245, 245, 240, 239, 253, 242, 240,
+            246, 243, 232, 222, 229, 234, 248, 225, 244, 238, 257, 246, 252, 238, 247, 248,
+            228, 241]),
+    }
+    for q, (statistic, pvalue, counts) in pinned.items():
+        result = uniformity_check(TrajectoryBatch(
+            ModelParams(50, 0.2, 0.05, q=q, q_period=5), 300, 30, 0, RecordMode.LOCATIONS), 30)
+        assert (result.statistic, result.pvalue) == (statistic, pvalue)
+        assert result.counts.tolist() == counts
+
+
+def test_violation_counters_count_a_broken_coupling(monkeypatch):
+    """A step that corrects the low memory with keys of its own breaks the
+    coupling: both counters must then be positive and equal a row-by-row
+    recount of the same pairs, and the dominance check must fail."""
+    params = ModelParams(n=30, p=0.3, alpha=0.1)
+    seen = []
+
+    def own_keys(pair, params, rng):
+        shape = pair.shape[-2:]
+        pair = pair | (rng.random(shape) < params.p)
+        out = np.stack([correct(pair[0], rng.random(shape), params.k_batch),
+                        correct(pair[1], rng.random(shape), params.k_batch)])
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(chain, "step", own_keys)
+    report = run_coupled(params, 0.02, 0.05, n_traj=200, t_max=20, master_seed=5)
+    rows = [(high, low) for pair in seen for high, low in zip(*pair)]
+    assert len(rows) == report.pairs_checked
+    inclusion = sum(any(l and not h for h, l in zip(high, low)) for high, low in rows)
+    count = sum(int(low.sum()) > int(high.sum()) for high, low in rows)
+    assert report.inclusion_violations == inclusion > 0
+    assert report.count_violations == count > 0
+    assert report.inclusion_fraction == 1.0 - inclusion / report.pairs_checked
+    ok, _ = checks.coupled_dominance(params, 0.02, 0.05, 200, 20, 5, pvalue_floor=0.0)
+    assert not ok
+
+
 def test_coupled_validation():
     with pytest.raises(ValueError):
         run_coupled(PARAMS, 0.06, 0.05, n_traj=10, t_max=5, master_seed=1)
@@ -411,6 +474,34 @@ def test_randomized_pit_is_uniform():
     stat = ((observed - 200.0) ** 2 / 200.0).sum()
     # chi-square with 19 dof: far from the 1e-3 tail
     assert stat < 43.82
+
+
+def _direct_pit(fresh, trials, prob, coins):
+    fresh, trials = np.asarray(fresh, dtype=np.int64), np.asarray(trials, dtype=np.int64)
+    return (binom.cdf(fresh - 1, trials, prob)
+            + np.asarray(coins) * binom.pmf(fresh, trials, prob))
+
+
+def test_pit_batch_transforms_each_pair_once_to_the_same_values():
+    """Transforming each distinct (trials, fresh) pair once and gathering
+    the results back gives the direct formula's values bit for bit, also
+    where trials or fresh is 0 and where trials*(max fresh + 1) would wrap
+    an int64; a grid no int64 key can cover is refused."""
+    rng = np.random.default_rng(11)
+    trials = rng.integers(0, 6, size=5000)
+    fresh = rng.binomial(trials, 0.3)
+    coins = rng.random(5000)
+    assert np.array_equal(_pit_batch(fresh, trials, 0.3, coins),
+                          _direct_pit(fresh, trials, 0.3, coins))
+    assert np.array_equal(_pit_batch([0] * 7, [0] * 7, 0.3, coins[:7]),
+                          _direct_pit([0] * 7, [0] * 7, 0.3, coins[:7]))
+    assert _pit_batch([], [], 0.3, []).size == 0
+    huge = 2**40 + rng.integers(0, 3, size=300)  # 2^40 * (2^24 + 1) wraps int64
+    fresh = rng.integers(2**24 - 4, 2**24 + 1, size=300)
+    assert np.array_equal(_pit_batch(fresh, huge, 2**-16, coins[:300]),
+                          _direct_pit(fresh, huge, 2**-16, coins[:300]))
+    with pytest.raises(ValueError, match="int64 key"):
+        _pit_batch([0, 8], [0, 2**62], 0.3, [0.5, 0.5])
 
 
 def test_location_counts_requires_location_mode():
