@@ -242,7 +242,8 @@ def uniform_error_locations(
     for _ in range(t_probe):
         mask = correct(mask | (rng.random(mask.shape) < params.p), np.arange(params.n),
                        params.k_batch)
-    biased = chi_square_uniformity(mask.sum(axis=0), mask.sum(axis=1))
+    biased = chi_square_uniformity(mask.sum(axis=0),
+                                   np.bincount(mask.sum(axis=1), minlength=params.n + 1))
     ok = not fair.degenerate and fair.pvalue >= pvalue_floor and biased.pvalue < pvalue_floor
     return ok, f"fair p = {fair.pvalue:.4f}, biased p = {biased.pvalue:.2e}"
 

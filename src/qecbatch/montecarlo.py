@@ -13,6 +13,12 @@ draws from its own SFC64 stream, seeded from the word (master_seed,
 block_index) through numpy's SeedSequence. Results are therefore
 identical for the same master seed no matter how blocks are scheduled
 across workers.
+
+Per-trajectory state never leaves its block: each estimator folds a
+block into totals of a fixed size, per-epoch exceedance counters, a PIT
+histogram, per-qubit counts with an occupancy histogram, or two exact
+integer sums, and adds those up across blocks. Memory therefore stays
+that of one block however many trajectories run.
 """
 
 from __future__ import annotations
@@ -235,26 +241,52 @@ def steady_fraction(spec: TrajectoryBatch) -> SteadyFraction:
 
     The standard error comes from the spread of per-trajectory time
     averages; epochs within one trajectory are correlated, trajectories
-    are not.
+    are not. A block sums each trajectory's counts over the D = t_max -
+    burn_in epochs into an int64 S_j, and at its last epoch adds them into
+    the exact integers T = sum S_j and Q = sum S_j^2. The mean T / (N D n)
+    and the standard error sqrt((N Q - T^2) / (N^2 (N - 1))) / (D n) are
+    then each rounded once from their exact values; the error is 0.0 for
+    one trajectory. A spec with n D of 2^63 or more, where S_j could
+    wrap, is refused.
     """
     burn_in = spec.t_max // 2
-    parts = []
+    scale = spec.params.n * (spec.t_max - burn_in)  # the most errors one S_j can sum
+    chain.check_integer("n * (t_max - t_max // 2)", scale, below=2**63)
+    total = squares = 0
     for t, x in _fleet(spec.params, spec.n_traj, spec.t_max, spec.master_seed):
         if t == 0:
-            parts.append(np.zeros(len(x)))
+            sums = np.zeros(len(x), dtype=np.int64)
         elif t > burn_in:
-            parts[-1] += x
-    per_traj = np.concatenate(parts) / ((spec.t_max - burn_in) * spec.params.n)
-    stderr = (
-        float(per_traj.std(ddof=1) / math.sqrt(spec.n_traj)) if spec.n_traj > 1 else 0.0
-    )
+            sums += x
+        if t == spec.t_max:
+            block = sums.tolist()  # Python ints: T and Q outgrow int64
+            total += sum(block)
+            squares += sum(s * s for s in block)
+    count = spec.n_traj
+    stderr = 0.0
+    if count > 1:
+        stderr = _sqrt_ratio(count * squares - total * total,
+                             count * count * (count - 1) * scale * scale)
     return SteadyFraction(
-        mean_fraction=float(per_traj.mean()),
+        mean_fraction=total / (count * scale),  # int / int rounds once
         stderr=stderr,
         n_traj=spec.n_traj,
         burn_in=burn_in,
         t_max=spec.t_max,
     )
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) rounded once, for integers num >= 0 and den > 0.
+
+    root = floor(sqrt(num / den) * 2^shift) holds at least 55 bits, and its
+    last bit is set when the root is inexact, so converting it to a float
+    rounds as the exact root would.
+    """
+    shift = max(0, (110 - num.bit_length() + den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * shift) // den)
+    root |= root * root * den != num << 2 * shift
+    return math.ldexp(float(root), -shift)
 
 
 @dataclass(frozen=True)
@@ -435,50 +467,79 @@ class UniformityResult:
 
 def location_counts(spec: TrajectoryBatch, t_probe: int) -> tuple[np.ndarray, np.ndarray]:
     """Error locations at epoch t_probe: per-qubit error counts summed over
-    the fleet, and each trajectory's number of errors."""
+    the fleet, and the occupancy histogram, whose entry x (of n + 1) counts
+    the trajectories that hold x errors. Both are added up block by block,
+    so memory does not grow with the fleet."""
     if spec.record is not RecordMode.LOCATIONS:
         raise ValueError("location_counts needs a batch with record=LOCATIONS")
     chain.check_integer("t_probe", t_probe, least=0, below=spec.t_max + 1)
     n = spec.params.n
     counts = np.zeros(n, dtype=np.int64)
-    errors = []
+    occupancy = np.zeros(n + 1, dtype=np.int64)
     for t, mask in _fleet(spec.params, spec.n_traj, t_probe, spec.master_seed, "masks"):
         if t == t_probe:
             counts += mask.sum(axis=0)
-            errors.append(mask.sum(axis=1))
-    return counts, np.concatenate(errors)
+            occupancy += np.bincount(mask.sum(axis=1), minlength=n + 1)
+    return counts, occupancy
 
 
-def chi_square_uniformity(counts: np.ndarray, errors: np.ndarray) -> UniformityResult:
-    """Chi-square over per-qubit error counts, given each trajectory's
-    number of errors.
+def _tally(name: str, values: np.ndarray) -> np.ndarray:
+    """`values` as an int64 array, refused unless it is 1-d, of an integer
+    dtype and free of negative entries, rather than rounded or read as
+    counts it cannot be."""
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-d integer array, got {array.dtype} of shape "
+                         f"{array.shape}")
+    if (array < 0).any():
+        raise ValueError(f"{name} must not be negative, got {array.min()}")
+    return array.astype(np.int64)
+
+
+def chi_square_uniformity(counts: np.ndarray, occupancy: np.ndarray) -> UniformityResult:
+    """Chi-square over per-qubit error counts, given the occupancy
+    histogram: occupancy[x] trajectories hold x errors, for x = 0..n.
 
     A trajectory with x errors on a uniform subset of the n qubits adds
     x (n - x) / n to the expected sum of squared deviations
     sum_i (c_i - mean c)^2. Dividing that sum by
-    sum_j x_j (n - x_j) / (n (n - 1)) gives a statistic that is
-    approximately chi-square with dof = n - 1. Degenerate when every
-    trajectory holds no error or only errors, where the test carries no
-    information and reports p-value 1.
+    sum_x occupancy[x] x (n - x) / (n (n - 1)) gives a statistic that is
+    approximately chi-square with dof = n - 1. The fleet size, error total
+    and that spread are exact integer sums over the histogram. Degenerate
+    when every trajectory holds no error or only errors, where the test
+    carries no information and reports p-value 1.
+
+    Refused: either array not 1-d, not of an integer dtype or with a
+    negative entry; no qubits; an occupancy not of n + 1 entries; error
+    totals of qubits and trajectories that disagree; and a qubit in error
+    in more trajectories than there are.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    errors = np.asarray(errors, dtype=np.int64)
+    counts = _tally("counts", counts)
+    occupancy = _tally("occupancy", occupancy)
     n = counts.size
-    if errors.sum() != counts.sum():
-        raise ValueError(
-            f"trajectories hold {errors.sum()} errors but qubits {counts.sum()}"
-        )
-    spread = int((errors * (n - errors)).sum())
+    if n < 1:
+        raise ValueError("counts must cover at least one qubit")
+    if occupancy.size != n + 1:
+        raise ValueError(f"occupancy must have n + 1 = {n + 1} entries, got {occupancy.size}")
+    # exact Python-int sums over the n + 1 occupancies
+    tally = list(enumerate(occupancy.tolist()))
+    n_traj = sum(c for _, c in tally)
+    errors, held = sum(c * x for x, c in tally), sum(counts.tolist())
+    if errors != held:
+        raise ValueError(f"trajectories hold {errors} errors but qubits {held}")
+    if counts.max() > n_traj:
+        raise ValueError(f"a qubit is in error in {counts.max()} trajectories of {n_traj}")
+    spread = sum(c * x * (n - x) for x, c in tally)
     if spread == 0:
         return UniformityResult(
             statistic=0.0, pvalue=1.0, dof=n - 1, degenerate=True,
-            counts=counts, n_traj=errors.size,
+            counts=counts, n_traj=n_traj,
         )
     stat = float(((counts - counts.mean()) ** 2).sum() * n * (n - 1) / spread)
     pvalue = float(chi2_dist.sf(stat, n - 1))
     return UniformityResult(
         statistic=stat, pvalue=pvalue, dof=n - 1, degenerate=False,
-        counts=counts, n_traj=errors.size,
+        counts=counts, n_traj=n_traj,
     )
 
 

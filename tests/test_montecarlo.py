@@ -1,6 +1,8 @@
+import decimal
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -312,6 +314,74 @@ def test_steady_fraction_averages_past_half_the_horizon():
     assert result.mean_fraction == pytest.approx(counts.mean() / PARAMS.n, rel=1e-12)
 
 
+def _peak(estimator, *args) -> int:
+    """tracemalloc's peak, in bytes, over one call of the estimator."""
+    tracemalloc.start()
+    try:
+        estimator(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _exact_steady(spec: TrajectoryBatch) -> tuple[Fraction, Fraction]:
+    """The steady fraction's mean and squared standard error as exact
+    rationals, from every trajectory's count sum past the burn-in."""
+    burn_in = spec.t_max // 2
+    sums = []
+    for t, x in montecarlo._fleet(spec.params, spec.n_traj, spec.t_max, spec.master_seed):
+        if t == 0:
+            block = [0] * len(x)
+            sums.append(block)
+        elif t > burn_in:
+            block[:] = [s + v for s, v in zip(block, x.tolist())]
+    sums = [s for block in sums for s in block]
+    count, scale = len(sums), (spec.t_max - burn_in) * spec.params.n
+    total, squares = sum(sums), sum(s * s for s in sums)
+    mean = Fraction(total, count * scale)
+    if count == 1:
+        return mean, Fraction(0)
+    return mean, Fraction(count * squares - total**2, count**2 * (count - 1) * scale**2)
+
+
+@pytest.mark.parametrize("params, n_traj, t_max, seed", [
+    (PARAMS, 1, 9, 3),
+    (ModelParams(n=40, p=0.3, alpha=0.15), 2 * 4096 + 3, 6, 5),
+    # the mean read one ulp off when it was the float mean of float averages
+    (ModelParams(n=100_000, p=0.2, alpha=0.05), 200, 200, 1),
+])
+def test_steady_fraction_is_rounded_once_from_exact_sums(params, n_traj, t_max, seed):
+    spec = TrajectoryBatch(params=params, n_traj=n_traj, t_max=t_max, master_seed=seed)
+    result = steady_fraction(spec)
+    mean, variance = _exact_steady(spec)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        stderr = float((decimal.Decimal(variance.numerator)
+                        / decimal.Decimal(variance.denominator)).sqrt())
+    assert result.mean_fraction == float(mean)
+    assert result.stderr == stderr
+    assert (result.stderr == 0.0) == (n_traj == 1)
+
+
+def test_steady_fraction_refuses_sums_that_could_wrap():
+    """n (t_max - burn_in) errors must fit a trajectory's int64 sum. One
+    below the limit runs, and its fleet total, past 2^63, is still exact."""
+    huge = ModelParams(n=2**62, p=0.2, alpha=0.05)
+    with pytest.raises(ValueError, match=r"n \* \(t_max - t_max // 2\) must be below 2\^63"):
+        steady_fraction(TrajectoryBatch(params=huge, n_traj=1, t_max=4, master_seed=1))
+    edge = TrajectoryBatch(params=replace(huge, n=2**62 - 1), n_traj=3, t_max=4, master_seed=1)
+    assert steady_fraction(edge).mean_fraction == float(_exact_steady(edge)[0])
+
+
+def test_steady_fraction_memory_does_not_grow_with_the_fleet():
+    """Ten times the trajectories, in 49 count blocks, peak within 10% of
+    the memory of 5: no per-trajectory value outlives its block."""
+    params = ModelParams(n=10, p=0.3, alpha=0.1)
+    peaks = [_peak(steady_fraction, TrajectoryBatch(params, n_traj, 2, 4))
+             for n_traj in (20_000, 200_000)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_coupled_dominance_healthy():
     params = ModelParams(n=60, p=0.2, alpha=0.05)
     report = run_coupled(params, 0.01, 0.05, n_traj=400, t_max=30, master_seed=31)
@@ -513,12 +583,13 @@ def test_location_counts_requires_location_mode():
     )
     with pytest.raises(ValueError):
         location_counts(tracked, 6)
-    counts, errors = location_counts(tracked, 3)
-    assert counts.shape == (PARAMS.n,) and errors.shape == (5,)
+    counts, occupancy = location_counts(tracked, 3)
+    assert counts.shape == (PARAMS.n,) and occupancy.shape == (PARAMS.n + 1,)
     assert counts.min() >= 0 and counts.max() <= 5
-    assert counts.sum() == errors.sum()
-    counts, errors = location_counts(tracked, 0)
-    assert counts.sum() == 0 and errors.sum() == 0
+    assert occupancy.sum() == 5
+    assert counts.sum() == occupancy @ np.arange(PARAMS.n + 1)
+    counts, occupancy = location_counts(tracked, 0)
+    assert counts.sum() == 0 and occupancy.tolist() == [5] + [0] * PARAMS.n
 
 
 def test_location_counts_track_the_exact_mean():
@@ -531,7 +602,7 @@ def test_location_counts_track_the_exact_mean():
         params=params, n_traj=n_traj, t_max=t_probe, master_seed=13,
         record=RecordMode.LOCATIONS,
     )
-    counts, errors = location_counts(spec, t_probe)
+    counts, _ = location_counts(spec, t_probe)
     dist = evolve(build_kernel(params), StateDistribution.point_mass(params.n), t_probe)
     states = np.arange(params.n + 1)
     var = float(dist.mass @ states**2) - dist.mean() ** 2
@@ -582,26 +653,77 @@ def test_uniformity_detects_mild_index_bias():
     for _ in range(30):
         mask |= rng.random(mask.shape) < params.p
         mask = correct(mask, rng.random(mask.shape) * weights, params.k_batch)
-    result = chi_square_uniformity(mask.sum(axis=0), mask.sum(axis=1))
+    result = chi_square_uniformity(mask.sum(axis=0),
+                                   np.bincount(mask.sum(axis=1), minlength=params.n + 1))
     assert result.pvalue < 1e-3
 
 
+def _occupancy(errors, n):
+    """The occupancy histogram of trajectories holding `errors` errors each."""
+    return np.bincount(errors, minlength=n + 1)
+
+
 def test_chi_square_degenerate_cases():
-    empty = chi_square_uniformity(np.zeros(8, dtype=np.int64), np.zeros(10, dtype=np.int64))
+    empty = chi_square_uniformity(np.zeros(8, dtype=np.int64), _occupancy([0] * 10, 8))
     assert empty.degenerate and empty.pvalue == 1.0 and empty.n_traj == 10
-    full = chi_square_uniformity(np.full(8, 10), np.full(10, 8))
+    full = chi_square_uniformity(np.full(8, 10), _occupancy([8] * 10, 8))
     assert full.degenerate and full.pvalue == 1.0
     # every trajectory all-clear or all-bad: still no information on location
-    mixed = chi_square_uniformity(np.full(8, 4), np.array([8, 0, 8, 0, 8, 8, 0, 0, 0, 0]))
-    assert mixed.degenerate
-    with pytest.raises(ValueError):
-        chi_square_uniformity(np.array([1, 2]), np.array([1, 1]))
+    mixed = chi_square_uniformity(np.full(8, 4), _occupancy([8, 0, 8, 0, 8, 8, 0, 0, 0, 0], 8))
+    assert mixed.degenerate and mixed.n_traj == 10
+
+
+@pytest.mark.parametrize("counts, occupancy, match", [
+    # fractional counts used to be truncated to [1, 1], giving statistic 0 and p = 1
+    ([1.7, 1.3], [0, 2, 0], "counts must be a 1-d integer array"),
+    ([[1, 1]], [0, 2, 0], "counts must be a 1-d integer array"),
+    ([1, 1], [[0, 2, 0]], "occupancy must be a 1-d integer array"),
+    # a negative count used to pass as a degenerate fleet
+    ([-1, 3], [0, 2, 0], "counts must not be negative"),
+    ([1, 1], [-1, 2, 1], "occupancy must not be negative"),
+    # empty counts used to give dof = -1
+    (np.array([], dtype=np.int64), [3], "at least one qubit"),
+    # a trajectory with 7 errors on 2 qubits used to give a statistic of -0.0
+    ([5, 5], [0, 0, 0, 1, 0, 0, 0, 1], "occupancy must have n \\+ 1 = 3 entries"),
+    ([1, 2], [0, 2, 0], "trajectories hold 2 errors but qubits 3"),
+    ([7, 3], [0, 0, 5], "a qubit is in error in 7 trajectories of 5"),
+])
+def test_chi_square_refuses_impossible_fleets(counts, occupancy, match):
+    with pytest.raises(ValueError, match=match):
+        chi_square_uniformity(np.asarray(counts), np.asarray(occupancy))
+
+
+def test_occupancy_gives_the_per_trajectory_statistic():
+    """Over a fleet of three mask blocks, the statistic read off the
+    occupancy histogram equals, bit for bit, the one computed from each
+    trajectory's own error count."""
+    params = ModelParams(n=30, p=0.3, alpha=0.1, q=0.02, q_period=4)
+    spec = TrajectoryBatch(params, 5000, 12, 29, RecordMode.LOCATIONS)
+    result = uniformity_check(spec, 12)
+    masks = [mask for t, mask in montecarlo._fleet(params, 5000, 12, 29, "masks") if t == 12]
+    assert len(masks) == 3
+    counts = sum(mask.sum(axis=0) for mask in masks)
+    errors = np.concatenate([mask.sum(axis=1) for mask in masks])
+    spread = int((errors * (params.n - errors)).sum())
+    statistic = float(((counts - counts.mean()) ** 2).sum() * params.n * (params.n - 1) / spread)
+    assert result.counts.tolist() == counts.tolist() and result.n_traj == 5000
+    assert result.statistic == statistic
+    assert result.pvalue == float(chi2.sf(statistic, params.n - 1))
+
+
+def test_location_counts_memory_does_not_grow_with_the_fleet():
+    """Ten times the trajectories, in 31 mask blocks, peak within 10% of
+    the memory of 4: no per-trajectory value outlives its block."""
+    params = ModelParams(n=10, p=0.3, alpha=0.1)
+    peaks = [_peak(location_counts, TrajectoryBatch(params, n_traj, 2, 4, RecordMode.LOCATIONS), 2)
+             for n_traj in (20_000, 200_000)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_chi_square_hand_statistic():
     # ten trajectories with two errors each on four qubits: the spread is
     # 10 * 2 * 2 = 40, so the statistic is sum (c - 5)^2 * 4 * 3 / 40
-    pairs = np.full(10, 2)
+    pairs = _occupancy([2] * 10, 4)
     flat = chi_square_uniformity(np.array([5, 5, 5, 5]), pairs)
     assert not flat.degenerate
     assert flat.statistic == 0.0 and flat.pvalue == 1.0
