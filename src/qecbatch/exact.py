@@ -21,9 +21,13 @@ operator, every row padded with zeros to the block's widest, the first
 time a push carries mass into it, so a distribution that sits on a few
 hundred states touches a few blocks, not all of them. Each push also
 skips the leading and trailing blocks whose combined mass is at most
-_SKIP_TAIL. One phase thus moves a distribution by at most _TAIL_EPS in
-total variation, and every phase a distribution goes through adds it to
-the distribution's `err`. Kernels alive at the same time share the rows
+_SKIP_TAIL, then spends what is left of that budget on the edge rows of
+the first and last kept blocks, and multiplies each block on its kept
+rows alone through scipy's CSC product kernel. One phase thus moves a
+distribution by at most _TAIL_EPS in total variation, and every phase a
+distribution goes through adds it to the distribution's `err`; a hitting
+law stops pushing once no taboo mass is left, and still counts every
+phase. Kernels alive at the same time share the rows
 of each phase they have in common, so a block is built once however many
 of them reach it; the rows go with the last kernel that holds them.
 Static phases run on the schedule of `chain.static_phase_due`, the same
@@ -41,7 +45,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse import csc_array
+from scipy.sparse import _sparsetools, csc_array
 from scipy.special import bdtr, ndtri
 from scipy.stats import binom
 
@@ -75,7 +79,7 @@ EXACT_N_CAP = 20_000
 
 # Total-variation budget of one phase, build_kernel's truncation, split
 # once: each band row leaves out at most _ROW_TAIL on either side, and each
-# push skips blocks holding at most _SKIP_TAIL of the mass.
+# push skips blocks and edge rows holding at most _SKIP_TAIL of the mass.
 _TAIL_EPS = 1e-16
 _ROW_TAIL = _TAIL_EPS / 4
 _SKIP_TAIL = _TAIL_EPS / 2
@@ -239,6 +243,16 @@ class _Block(NamedTuple):
     first: int
 
 
+def _product(op: csc_array, mass: np.ndarray, a: int, z: int) -> np.ndarray:
+    """op[:, a:z] @ mass[a:z], with no copy of op: scipy's CSC kernel, the
+    one op @ mass runs, on the column pointers of columns a .. z - 1 alone.
+    Over all columns it gives the bits of op @ mass."""
+    out = np.zeros(op.shape[0])
+    _sparsetools.csc_matvec(op.shape[0], z - a, op.indptr[a : z + 1], op.indices, op.data,
+                            mass[a:z], out)
+    return out
+
+
 class _Rows:
     """The rows of one phase, a correction epoch (budget k_batch, prob p)
     or a static phase (budget 0, prob q), built by _band in aligned blocks
@@ -279,9 +293,14 @@ class _Rows:
             block = self._blocks[b] = _Block(op, first)
         return block
 
-    def push(self, mass: np.ndarray) -> np.ndarray:
-        """mass pushed through this phase, leaving out the leading and
-        trailing blocks whose combined mass is at most _SKIP_TAIL."""
+    def kept(self, mass: np.ndarray) -> tuple[int, int]:
+        """The states start .. end - 1 that a push of mass multiplies, (0, 0)
+        when it multiplies none; the rest hold at most _SKIP_TAIL.
+
+        The leading and trailing blocks whose combined mass fits the budget
+        are skipped first. What is left of it then trims the leading rows of
+        the first kept block and the trailing rows of the last, leaving each
+        at least one row, so the same blocks are pushed either way."""
         sums = np.add.reduceat(mass, self._starts).tolist()
         lead, stop, skip = 0, len(sums), _SKIP_TAIL
         while lead < stop and sums[lead] <= skip:
@@ -290,10 +309,29 @@ class _Rows:
         while stop > lead and sums[stop - 1] <= skip:
             skip -= sums[stop - 1]
             stop -= 1
+        if lead == stop:
+            return 0, 0
+        start, end = lead * _BLOCK, min(stop * _BLOCK, mass.size)
+        if mass[start] <= skip:
+            head = mass[start : min(start + _BLOCK, end)].cumsum()
+            rows = min(int(head.searchsorted(skip, "right")), head.size - 1)
+            skip -= head[rows - 1] if rows else 0.0
+            start += rows
+        if mass[end - 1] <= skip:
+            tail = mass[max(start, (stop - 1) * _BLOCK) : end][::-1].cumsum()
+            end -= min(int(tail.searchsorted(skip, "right")), tail.size - 1)
+        return start, end
+
+    def push(self, mass: np.ndarray) -> np.ndarray:
+        """mass pushed through this phase, multiplying only the states that
+        kept() returns: every block is pushed on its kept columns alone."""
+        start, end = self.kept(mass)
         out = np.zeros(mass.size)
-        for b in range(lead, stop):
+        for b in range(start // _BLOCK, -(-end // _BLOCK)):
             op, first = self.block(b)
-            out[first : first + op.shape[0]] += op @ mass[b * _BLOCK : (b + 1) * _BLOCK]
+            x0 = b * _BLOCK
+            out[first : first + op.shape[0]] += _product(
+                op, mass[x0 : x0 + op.shape[1]], max(start - x0, 0), min(end - x0, op.shape[1]))
         return out
 
     def band(self) -> np.ndarray:
@@ -477,14 +515,23 @@ def evolve(kernel: TransitionKernel, dist0: StateDistribution, steps: int) -> St
 
 
 def tail_prob(dist: StateDistribution, threshold: float) -> float:
-    """P[X > threshold] under this distribution (strictly above)."""
+    """P[X > threshold] under this distribution (strictly above).
+
+    Where the mass at or below the threshold is under 1/2, the tail is 1
+    minus that mass: the smaller side's sum keeps the digits that a sum
+    near 1 rounds away, so a tail curve of a q = 0 run from zero errors,
+    which in exact arithmetic never falls, does not dip by an ulp near 1.
+    With static phases a tail may truly fall.
+    """
     first = first_above(threshold, dist.n)
     if first == 0:
         return 1.0
     if first > dist.n:
         return 0.0
-    # the pushed mass can sum a few ulps above 1
-    return min(1.0, float(dist.mass[first:].sum()))
+    # the mass is nonnegative and sums to 1 within _MASS_TOL, so either side
+    # lies in [0, 1] even where the pushed mass sums a few ulps off 1
+    below = float(dist.mass[:first].sum())
+    return 1.0 - below if below < 0.5 else float(dist.mass[first:].sum())
 
 
 @dataclass(frozen=True)
@@ -555,22 +602,30 @@ def hitting_time_distribution(
     same epoch's correction repairs therefore does not count as a hit,
     which matches what a sampled trajectory of post-correction counts
     sees. The mass left after t_max epochs is the survival probability.
+
+    Pushing stops once no taboo mass is left: the later epochs keep pmf 0,
+    and err still counts every phase through t_max on the static-phase
+    schedule.
     """
     check_integer("t_max", t_max, least=1)
-    n = kernel.params.n
-    first = first_above(threshold, n)
+    params = kernel.params
+    first = first_above(threshold, params.n)
     pmf = np.zeros(t_max + 1)
     if first == 0:
         # threshold below zero: the fresh memory already exceeds it
         pmf[0] = 1.0
         return HittingTimeDistribution(threshold=threshold, pmf=pmf, survival=0.0)
-    pushes = _pushes(kernel, StateDistribution.point_mass(n).mass, 0, t_max, first)
-    for t, (mass, err, cut) in enumerate(pushes, start=1):
+    pushes = _pushes(kernel, StateDistribution.point_mass(params.n).mass, 0, t_max, first)
+    for t, (mass, _, cut) in enumerate(pushes, start=1):
         pmf[t] = cut
+        if not mass.any():  # a NaN counts as mass
+            break
+    phases = t_max + sum(static_phase_due(t, params) for t in range(t_max))
     # the pushed mass can sum a few ulps above 1, as in tail_prob; unlike
     # min(1.0, x), np.minimum keeps a NaN
     return HittingTimeDistribution(
-        threshold=threshold, pmf=pmf, survival=float(np.minimum(mass.sum(), 1.0)), err=err,
+        threshold=threshold, pmf=pmf, survival=float(np.minimum(mass.sum(), 1.0)),
+        err=phases * _TAIL_EPS,
     )
 
 

@@ -700,6 +700,124 @@ def test_push_skips_at_most_its_share(low, pushed):
     assert below > 0.0 if pushed else below == 0.0
 
 
+@pytest.mark.parametrize("n, prob, budget", [(4000, 0.2, 200), (1000, 0.02, 0)])
+def test_ranged_product_is_scipys_product(n, prob, budget):
+    """_product calls scipy's private CSC kernel on a slice of the column
+    pointers. On real blocks of a correction phase and of a static phase
+    whose rows have small means, it equals scipy's public product of the
+    column slice bit for bit over random ranges, and of the whole operator
+    over all columns. A scipy release that renames or changes the kernel
+    fails here first."""
+    rng = np.random.default_rng(29)
+    rows = exact._Rows(n, prob, budget)
+    for b in (0, len(rows._blocks) // 2, len(rows._blocks) - 1):
+        op = rows.block(b).op
+        mass = rng.random(op.shape[1])
+        assert exact._product(op, mass, 0, op.shape[1]).tobytes() == (op @ mass).tobytes()
+        for _ in range(20):
+            a, z = np.sort(rng.choice(op.shape[1] + 1, 2, replace=False))
+            assert exact._product(op, mass, a, z).tobytes() == (op[:, a:z] @ mass[a:z]).tobytes()
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The (op, a, z) of every block product from here on: columns
+    a .. z - 1 of the block operator op."""
+    calls = []
+    product = exact._product
+
+    def counted(op, mass, a, z):
+        calls.append((op, a, z))
+        return product(op, mass, a, z)
+
+    monkeypatch.setattr(exact, "_product", counted)
+    return calls
+
+
+def multiplied(rows, products):
+    """The states that the products of rows' blocks multiplied, as
+    (start, end) spans in the order of the products."""
+    x0 = {id(block.op): b * exact._BLOCK for b, block in enumerate(rows._blocks) if block}
+    return [(x0[id(op)] + a, x0[id(op)] + z) for op, a, z in products if id(op) in x0]
+
+
+def test_point_mass_push_multiplies_one_column(products):
+    rows = build_kernel(ModelParams(n=4000, p=0.2, alpha=0.05)).rows
+    out = rows.push(StateDistribution.point_mass(4000).mass)
+    assert multiplied(rows, products) == [(0, 1)]
+    assert out.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def skip_grid():
+    """Distributions that reach the budget in different ways: point masses
+    at block edges, a run's epochs, a spread start whose tails fall to
+    1e-30, and runs of 1e-19 that fill whole blocks and then rows."""
+    n = 2000
+    for x in (0, 255, 256, 1000, n):
+        yield StateDistribution.point_mass(n, x).mass
+    params = ModelParams(n=n, p=0.2, alpha=0.05, q=0.02, q_period=2)
+    for dist in epochs(build_kernel(params), StateDistribution.point_mass(n), 30):
+        yield dist.mass
+    x = np.arange(n + 1)
+    spread = np.exp(-math.log(1e30) * ((x - 1000) / 1000) ** 2)
+    yield spread / spread.sum()
+    for lead, trail in ((300, 0), (0, 300), (100, 200), (600, 0)):
+        mass = np.zeros(n + 1)
+        mass[:lead] = 1e-19
+        mass[n + 1 - trail :] = 1e-19
+        mass[1000] = 1.0 - mass.sum()
+        yield mass
+
+
+def test_push_leaves_out_at_most_its_share(products):
+    """The skipped blocks and the rows a push does not multiply hold at
+    most _SKIP_TAIL together, in both phases of every distribution of the
+    grid; the multiplied rows are one run of states."""
+    kernel = build_kernel(ModelParams(n=2000, p=0.2, alpha=0.05, q=0.02, q_period=2))
+    trimmed = 0
+    for mass in skip_grid():
+        for rows in (kernel.rows, kernel.static_rows):
+            products.clear()
+            rows.push(mass)
+            starts, ends = zip(*multiplied(rows, products))
+            assert list(starts[1:]) == list(ends[:-1])
+            left = math.fsum(mass[: starts[0]]) + math.fsum(mass[ends[-1] :])
+            assert left <= exact._SKIP_TAIL
+            trimmed += sum(z - a for _, a, z in products) < sum(op.shape[1] for op, _, _ in products)
+    assert trimmed > 10  # pushes that leave out rows of the blocks they multiply
+
+
+def test_hitting_law_stops_once_no_mass_is_left(monkeypatch):
+    """The n = 4000 law of test_hitting_law_after_taboo_mass_dies_out has no
+    taboo mass left after epoch 8: it pushes at most 9 times, not 60."""
+    calls = [0]
+    push = exact._Rows.push
+
+    def counted(self, mass):
+        calls[0] += 1
+        return push(self, mass)
+
+    monkeypatch.setattr(exact._Rows, "push", counted)
+    law = hitting_time_distribution(build_kernel(ModelParams(n=4000, p=0.2, alpha=0.05)), 2000, 60)
+    assert calls[0] <= 9
+    assert law.survival == 0.0 and not law.pmf[calls[0] + 1 :].any()
+
+
+@pytest.mark.parametrize("params, beta", [
+    (ModelParams(n=300, p=0.2, alpha=0.05), 0.5),  # README's exact example
+    (ModelParams(n=100, p=0.5, alpha=0.2), 0.3),
+    (ModelParams(n=1000, p=0.2, alpha=0.05), 0.3),
+    (ModelParams(n=4000, p=0.5, alpha=0.2), 0.5),
+])
+def test_tail_curves_without_static_phases_never_fall(params, beta):
+    """From zero errors with q = 0 the tail is nondecreasing in time, and
+    the computed curve must not dip by an ulp once it passes 1/2."""
+    dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), 60)
+    tails = np.array([tail_prob(dist, params.n * beta) for dist in dists])
+    assert tails[-1] > 0.5
+    assert (np.diff(tails) >= 0.0).all()
+
+
 def test_hitting_err_counts_static_phases():
     """10 correction epochs and the static phases before epochs 0, 3, 6
     and 9 add _TAIL_EPS each, as evolve counts them."""
