@@ -20,16 +20,15 @@ _BLOCK states. A block is built, checked and stored as its own sparse
 operator, every row padded with zeros to the block's widest, the first
 time a push carries mass into it, so a distribution that sits on a few
 hundred states touches a few blocks, not all of them. Each push also
-skips the leading and trailing blocks whose combined mass is at most
-_SKIP_TAIL, then spends what is left of that budget on the edge rows of
-the first and last kept blocks, and multiplies each block on its kept
-rows alone through scipy's CSC product kernel. One phase thus moves a
-distribution by at most _TAIL_EPS in total variation, and every phase a
+leaves out the leading rows whose mass fits _SKIP_TAIL, then the trailing
+rows whose mass fits what is left of it, and multiplies each block on its
+kept rows alone through scipy's CSC product kernel. One phase thus moves
+a distribution by at most _TAIL_EPS in total variation, and every phase a
 distribution goes through adds it to the distribution's `err`; a hitting
 law stops pushing once no taboo mass is left, and still counts every
-phase. Kernels alive at the same time share the rows
-of each phase they have in common, so a block is built once however many
-of them reach it; the rows go with the last kernel that holds them.
+phase. Kernels alive at the same time share the rows of each phase they
+have in common, so a block is built once however many of them reach it;
+the rows go with the last kernel that holds them.
 Static phases run on the schedule of `chain.static_phase_due`, the same
 one the Monte Carlo fleet follows.
 """
@@ -79,7 +78,8 @@ EXACT_N_CAP = 20_000
 
 # Total-variation budget of one phase, build_kernel's truncation, split
 # once: each band row leaves out at most _ROW_TAIL on either side, and each
-# push skips blocks and edge rows holding at most _SKIP_TAIL of the mass.
+# push leaves out leading and trailing rows holding at most _SKIP_TAIL of
+# the mass.
 _TAIL_EPS = 1e-16
 _ROW_TAIL = _TAIL_EPS / 4
 _SKIP_TAIL = _TAIL_EPS / 2
@@ -262,8 +262,7 @@ class _Rows:
 
     def __init__(self, n: int, prob: float, budget: int):
         self.n, self.prob, self.budget = n, prob, budget
-        self._starts = np.arange(0, n + 1, _BLOCK)
-        self._blocks: list[_Block | None] = [None] * self._starts.size
+        self._blocks: list[_Block | None] = [None] * (n // _BLOCK + 1)
 
     def block(self, b: int) -> _Block:
         block = self._blocks[b]
@@ -297,34 +296,24 @@ class _Rows:
         """The states start .. end - 1 that a push of mass multiplies, (0, 0)
         when it multiplies none; the rest hold at most _SKIP_TAIL.
 
-        The leading and trailing blocks whose combined mass fits the budget
-        are skipped first. What is left of it then trims the leading rows of
-        the first kept block and the trailing rows of the last, leaving each
-        at least one row, so the same blocks are pushed either way."""
-        sums = np.add.reduceat(mass, self._starts).tolist()
-        lead, stop, skip = 0, len(sums), _SKIP_TAIL
-        while lead < stop and sums[lead] <= skip:
-            skip -= sums[lead]
-            lead += 1
-        while stop > lead and sums[stop - 1] <= skip:
-            skip -= sums[stop - 1]
-            stop -= 1
-        if lead == stop:
+        start is the number of leading rows whose cumulative mass fits the
+        budget, and the trailing rows are left out while they fit what those
+        rows left of it. The kept states are one run, so a far tail that the
+        budget cannot cover is multiplied with every state between it and
+        the bulk. A NaN stops both cumulative searches, so it is multiplied.
+        """
+        lead = mass.cumsum()
+        start = int(lead.searchsorted(_SKIP_TAIL, "right"))
+        if start == mass.size:
             return 0, 0
-        start, end = lead * _BLOCK, min(stop * _BLOCK, mass.size)
-        if mass[start] <= skip:
-            head = mass[start : min(start + _BLOCK, end)].cumsum()
-            rows = min(int(head.searchsorted(skip, "right")), head.size - 1)
-            skip -= head[rows - 1] if rows else 0.0
-            start += rows
-        if mass[end - 1] <= skip:
-            tail = mass[max(start, (stop - 1) * _BLOCK) : end][::-1].cumsum()
-            end -= min(int(tail.searchsorted(skip, "right")), tail.size - 1)
-        return start, end
+        left = _SKIP_TAIL - (lead[start - 1] if start else 0.0)
+        trail = mass[:start:-1].cumsum()  # rows n down to start + 1: row start is kept
+        return start, mass.size - int(trail.searchsorted(left, "right"))
 
     def push(self, mass: np.ndarray) -> np.ndarray:
         """mass pushed through this phase, multiplying only the states that
-        kept() returns: every block is pushed on its kept columns alone."""
+        kept() returns: each block they reach is pushed on its kept columns
+        alone, and no other block is built."""
         start, end = self.kept(mass)
         out = np.zeros(mass.size)
         for b in range(start // _BLOCK, -(-end // _BLOCK)):
@@ -339,15 +328,17 @@ class _Rows:
         being zero."""
         blocks = [self.block(b).op for b in range(len(self._blocks))]
         probs = np.zeros((self.n + 1, max(op.nnz // op.shape[1] for op in blocks)))
-        for x0, op in zip(self._starts, blocks):
+        for b, op in enumerate(blocks):
+            x0 = b * _BLOCK
             rows = op.data.reshape(op.shape[1], -1)
             probs[x0 : x0 + rows.shape[0], : rows.shape[1]] = rows
         return probs
 
     def dense(self) -> np.ndarray:
         dense = np.zeros((self.n + 1, self.n + 1))
-        for b, x0 in enumerate(self._starts):
+        for b in range(len(self._blocks)):
             op, first = self.block(b)
+            x0 = b * _BLOCK
             dense[x0 : x0 + op.shape[1], first : first + op.shape[0]] = op.T.toarray()
         return dense
 
@@ -395,12 +386,9 @@ class TransitionKernel:
     def static_probs(self) -> np.ndarray | None:
         return None if self.static_rows is None else self.static_rows.band()
 
-    def dense(self, static: bool = False) -> np.ndarray:
-        """The correction-epoch (or static-phase) kernel as an (n+1) x (n+1) matrix."""
-        rows = self.static_rows if static else self.rows
-        if rows is None:
-            raise ValueError("kernel has no static phase")
-        return rows.dense()
+    def dense(self) -> np.ndarray:
+        """The correction-epoch kernel as an (n+1) x (n+1) matrix."""
+        return self.rows.dense()
 
 
 def build_kernel(params: ModelParams) -> TransitionKernel:

@@ -102,13 +102,11 @@ def test_size_cap():
 
 def test_static_kernel_only_adds_errors():
     kernel = build_kernel(ModelParams(n=6, p=0.2, alpha=0.3, q=0.15))
-    static = kernel.dense(static=True)
+    static = kernel.static_rows.dense()
     assert np.abs(static.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.allclose(np.tril(static, -1), 0.0)  # the count never drops
     no_static = build_kernel(ModelParams(n=6, p=0.2, alpha=0.3))
     assert no_static.static_probs is None
-    with pytest.raises(ValueError, match="no static phase"):
-        no_static.dense(static=True)
 
 
 def test_evolve_interleaves_static_phases():
@@ -120,7 +118,7 @@ def test_evolve_interleaves_static_phases():
     kernel = build_kernel(params)
     with pytest.raises(TypeError):  # the one budget cannot be swapped for another
         replace(kernel, truncation=0.0)
-    static, probs = kernel.dense(static=True), kernel.dense()
+    static, probs = kernel.static_rows.dense(), kernel.dense()
     masses = [StateDistribution.point_mass(3).mass]
     masses.append(masses[-1] @ static @ probs)                # epoch 0
     masses.append(masses[-1] @ probs)                         # epoch 1
@@ -351,7 +349,7 @@ def test_static_kernel_shares_the_correction_blocks(band_calls):
     assert len(band_calls) == 2
     static.dense()
     assert len(band_calls) == 2
-    static.dense(static=True)
+    static.static_rows.dense()
     assert [call[1:3] for call in band_calls[2:]] == [(0.02, 0), (0.02, 0)]
 
 
@@ -421,7 +419,7 @@ def test_hitting_time_first_epoch_matches_direct_calc():
     params = ModelParams(n=5, p=0.3, alpha=0.2, q=0.1)
     kernel = build_kernel(params)
     law = hitting_time_distribution(kernel, 1, t_max=3)
-    mass = StateDistribution.point_mass(5).mass @ kernel.dense(static=True) @ kernel.dense()
+    mass = StateDistribution.point_mass(5).mass @ kernel.static_rows.dense() @ kernel.dense()
     assert law.pmf[1] == pytest.approx(mass[2:].sum(), abs=1e-14)
 
 
@@ -787,6 +785,34 @@ def test_push_leaves_out_at_most_its_share(products):
     assert trimmed > 10  # pushes that leave out rows of the blocks they multiply
 
 
+def test_push_trims_the_leading_rows_first(products):
+    """The leading rows up to the bulk at state 400 hold 2.44e-17 and the
+    last block 3e-17: each fits _SKIP_TAIL, 5e-17, but not both. The push
+    leaves out the leading rows, then the 178 trailing rows that fit the
+    2.56e-17 left, rather than whole trailing blocks first."""
+    n = 2000
+    rows = build_kernel(ModelParams(n=n, p=0.2, alpha=0.05)).rows
+    mass = np.zeros(n + 1)
+    mass[:256] = 1e-17 / 256
+    mass[256:456] = 2e-17 / 200
+    mass[1792:] = 3e-17 / (n + 1 - 1792)
+    mass[400] += 1.0 - mass.sum()
+    rows.push(mass)
+    spans = multiplied(rows, products)
+    assert (spans[0][0], spans[-1][1]) == (400, 1823)
+
+
+@pytest.mark.parametrize("x", [0, 1000, 2000])
+def test_push_multiplies_a_nan(x):
+    """A NaN in the first, a middle or the last row of a mass reaches the
+    pushed output rather than being left out with the tails."""
+    kernel = build_kernel(ModelParams(n=2000, p=0.2, alpha=0.05, q=0.02))
+    mass = StateDistribution.point_mass(2000, 700).mass
+    mass[x] = np.nan
+    for rows in (kernel.rows, kernel.static_rows):
+        assert np.isnan(rows.push(mass)).any()
+
+
 def test_hitting_law_stops_once_no_mass_is_left(monkeypatch):
     """The n = 4000 law of test_hitting_law_after_taboo_mass_dies_out has no
     taboo mass left after epoch 8: it pushes at most 9 times, not 60."""
@@ -964,8 +990,9 @@ def test_spread_start_matches_dense_reference():
 
 def test_hitting_law_after_taboo_mass_dies_out():
     """After epoch 8 the mass left below n / 2 is about 1e-32, under the
-    5e-17 a push may skip, so the pushes skip every block; the law still
-    accounts for all mass and err still counts every phase."""
+    5e-17 a push may leave out, so the next push multiplies no row and the
+    law stops there; it still accounts for all mass and err still counts
+    every phase."""
     kernel = build_kernel(ModelParams(n=4000, p=0.2, alpha=0.05))
     law = hitting_time_distribution(kernel, 2000, t_max=60)
     assert law.survival == 0.0
