@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -51,9 +52,14 @@ _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
 
 # The most rows any document holds: the largest grid `sweep` evaluates, and
 # the longest curve `simulate`, `exact --beta` or a `meanfield` CSV writes.
-# Sweep peak memory grows by about 0.75 kB per point (75 MiB for a 10^5-point
-# CSV sweep), so the cap is near 0.8 GB.
+# A CSV sweep peaks about 0.24 kB per point above its import footprint
+# (24 MiB at 10^5 points, 236 MiB at the cap), mostly the bound's columns;
+# its rows are streamed, never held whole.
 SWEEP_POINT_CAP = 10**6
+
+# Lines per block that a document is written in, and grid points per chunk
+# of sweep rows formatted together.
+_CHUNK = 4096
 
 
 class UsageError(ValueError):
@@ -311,11 +317,17 @@ class _Document(NamedTuple):
     lines: Iterable[str] = ()
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to a temp file beside path, _CHUNK lines
+    per block, then rename it over path. On any error, from the lines or the
+    disk, the temp file goes and path keeps what it held."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    lines = iter(lines)
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as stream:
+            while block := list(itertools.islice(lines, _CHUNK)):
+                stream.write("\n".join(block) + "\n")
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -471,25 +483,71 @@ def _run_couple(config: ExperimentConfig, fmt: str) -> _Document:
     return _Document("qecbatch.couple.v1", summary, {"report": report})
 
 
-def _cells(
-    values: object, count: int, convert: Callable[[object], object], missing: object,
-) -> np.ndarray:
-    """One sweep column of `count` cells: `missing` for a NaN, convert(v) otherwise.
+def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """A column's distinct values as Python scalars, and each point's index
+    among them.
 
-    `values` is one scalar for the whole column or an array with a value
-    per point. convert runs once per distinct value (distinct as bits, so
-    -0.0 and 0.0 stay apart), on the value as a Python scalar.
+    Floats are told apart by their bits, so -0.0 and 0.0 stay apart. A str
+    column holds a few labels, matched one label at a time. An object column
+    holds Python ints, with NaN where the figure does not apply.
     """
-    shown = np.broadcast_to(values == values, count)  # NaN alone is unequal to itself
-    cells = np.full(count, missing, dtype=object)
-    if np.ndim(values) == 0:
-        cells[shown] = convert(values)
-        return cells
-    picked = values[shown]
-    keys = picked.view(np.uint64) if picked.dtype == np.float64 else picked
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    cells[shown] = np.array([convert(v) for v in picked[first].tolist()], dtype=object)[inverse]
-    return cells
+    if values.dtype == np.float64:
+        bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+        return bits.view(np.float64).tolist(), index
+    if values.dtype == object:
+        shown = values == values  # NaN alone is unequal to itself
+        ints, index = np.unique(values[shown].astype(np.int64), return_inverse=True)
+        placed = np.full(values.size, ints.size)
+        placed[shown] = index
+        return [*ints.tolist(), math.nan], placed
+    labels: list = []
+    index = np.full(values.size, -1)
+    while (left := np.flatnonzero(index < 0)).size:
+        label = values[left[0]]
+        index[values == label] = len(labels)
+        labels.append(label.item())
+    return labels, index
+
+
+def _sweep_rows(
+    table: Mapping[str, object], axes: Sequence[GridAxis],
+    convert: Callable[[object], object], convert_l: Callable[[object], object], missing: object,
+) -> Iterator[tuple]:
+    """The sweep's rows of cells in grid order, formed _CHUNK points at a time
+    as they are read.
+
+    A cell is `missing` for a NaN and convert(v) otherwise (convert_l in the
+    l column), v a Python scalar. A grid axis is converted once per step and
+    picked by each point's step on it, a scalar column once, and any other
+    column once per distinct value in each chunk.
+    """
+    def texts(name: str, values: Iterable[object]) -> np.ndarray:
+        conv = convert_l if name == "l" else convert
+        return np.array([missing if v != v else conv(v) for v in values], dtype=object)
+
+    count = math.prod(axis.steps for axis in axes)
+    # the texts of each axis and scalar column, with the run of points that
+    # shares a text and the texts' count: a scalar is one text for every point
+    fixed, stride = {}, count
+    for axis in axes:
+        stride //= axis.steps
+        fixed[axis.name] = texts(axis.name, axis.values().tolist()), stride, axis.steps
+    fixed.update((name, (texts(name, [values]), count, 1)) for name, values in table.items()
+                 if name not in fixed and np.ndim(values) == 0)
+
+    def chunk(start: int) -> Iterator[tuple]:
+        at = np.arange(start, min(start + _CHUNK, count))
+        cells = []
+        for name, values in table.items():
+            if name in fixed:
+                shown, run, period = fixed[name]
+                cells.append(shown[at // run % period])
+            else:
+                distinct, index = _distinct(values[start:start + at.size])
+                cells.append(texts(name, distinct)[index])
+        return zip(*cells)
+
+    return itertools.chain.from_iterable(map(chunk, range(0, count, _CHUNK)))
 
 
 def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
@@ -506,38 +564,33 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
             f"sweep grid has {count} points, more than the {SWEEP_POINT_CAP} allowed"
         )
     point: dict[str, object] = {name: getattr(config, name) for name in _SWEEPABLE}
-    meshes = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
-    point.update((name, mesh.ravel()) for name, mesh in zip(names, meshes))
     if "l" in names:
-        fractional = np.flatnonzero(np.mod(point["l"], 1.0) != 0.0)
+        steps = axes[names.index("l")].values()
+        fractional = np.flatnonzero(np.mod(steps, 1.0) != 0.0)
         if fractional.size:
-            raise UsageError(
-                f"sweep grid point l={float(point['l'][fractional[0]])!r} is not an integer"
-            )
+            raise UsageError(f"sweep grid point l={float(steps[fractional[0]])!r} is not an integer")
     else:
         check_integer("l", config.l, below=2**63)
+    meshes = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
     columns = bounds_mod.overhead_columns(
-        **{name: point[name] for name in _SWEEPABLE}, noise=Noise(config.noise),
+        **{**point, **{name: mesh.ravel() for name, mesh in zip(names, meshes)}},
+        noise=Noise(config.noise),
     )
     # the point, its noise and the bound's own columns, which empty what does not apply
     table = {**point, "noise": config.noise,
              **{f.name: getattr(columns, f.name) for f in fields(columns)}}
-    # CSV cells are text, JSON cells Python values; l is an integer in both
-    if fmt == "csv":
-        convert, convert_l, missing = str, (lambda v: str(int(v))), ""
-    else:
-        convert, convert_l, missing = (lambda v: v), int, None
-    cells = [_cells(values, count, convert_l if name == "l" else convert, missing)
-             for name, values in table.items()]
     if "theta" not in names:
         _note_theta_preset(config.theta)
     feasible = int(np.count_nonzero(columns.status == "ok"))
     summary = f"sweep: {count} grid points, {feasible} with finite bounds"
+    # CSV cells are text, JSON cells Python values; l is an integer in both
     if fmt == "csv":
+        rows = _sweep_rows(table, axes, str, lambda v: str(int(v)), "")
         return _Document("qecbatch.sweep.v1", summary, header=tuple(table),
-                         lines=map(",".join, zip(*cells)))
+                         lines=map(",".join, rows))
+    rows = _sweep_rows(table, axes, lambda v: v, int, None)
     return _Document("qecbatch.sweep.v1", summary, {
-        "rows": [dict(zip(table, row)) for row in zip(*cells)],
+        "rows": [dict(zip(table, row)) for row in rows],
     })
 
 
@@ -589,11 +642,11 @@ def run(config: ExperimentConfig) -> int:
         head = [f"# schema={doc.schema}",
                 f"# config={json.dumps(mapping, sort_keys=True, allow_nan=False)}",
                 ",".join(doc.header)]
-        text = "\n".join([*head, *doc.lines]) + "\n"
+        lines = itertools.chain(head, doc.lines)
     else:
         body = {"schema": doc.schema, "config": mapping, **doc.payload}
-        text = json.dumps(body, indent=2, sort_keys=True, default=_encode, allow_nan=False) + "\n"
-    _write_atomic(path, text)
+        lines = [json.dumps(body, indent=2, sort_keys=True, default=_encode, allow_nan=False)]
+    _write_atomic(path, lines)
     print(f"{doc.summary}; wrote {path}")
     return 0
 

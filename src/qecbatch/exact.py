@@ -620,6 +620,11 @@ def hitting_time_distribution(
 def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
     """Exact E[X_t] for t = 0..t_max, starting from zero errors.
 
+    It is never below meanfield.mf_iterate(n, p, k / n, 0, t), with
+    k = params.k_batch, the mean of the chain without its clamp at n clean
+    qubits, and equals it to rounding wherever the clamp carries no mass.
+    The budget is k/n, not alpha.
+
     Its kernel shares the blocks of any live kernel of the same params, so
     a caller that holds one pays only for blocks it has not built yet.
     """

@@ -130,6 +130,14 @@ def mf_iterate(n, p, alpha, delta, k) -> float | np.ndarray:
     scalars or 1-d arrays broadcast to one length; returns a float when
     all are scalars and an array otherwise. A point outside the domain
     raises its first rule's error.
+
+    With delta = 0 and the budget k/n, k = ModelParams.k_batch,
+    mf_iterate(n, p, k / n, 0, t) is E[X_t] of the unclamped chain from
+    zero errors: in clean qubits C = n - X, one epoch is
+    C' = Bin(C, 1 - p) + k, whose mean is (1 - p) E[C] + k. The real chain
+    clamps C' at n, which only adds errors, so exact.mean_curve is never
+    below this iterate, and equals it to rounding wherever the clamp
+    carries no mass. The budget is k/n = floor(n * alpha)/n, not alpha.
     """
     n_, p_, alpha_, delta_, k_ = np.broadcast_arrays(*_points(n, p, alpha, delta),
                                                       np.atleast_1d(k))

@@ -3,7 +3,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qecbatch import montecarlo
+from qecbatch import cli, montecarlo
 from qecbatch.bounds import overhead_bound
 from qecbatch.chain import ModelParams, Noise
 from qecbatch.checks import CHECKS, Check
@@ -657,6 +660,88 @@ def test_sweep_keeps_values_apart_to_the_last_bit(tmp_path):
         residual = (0.2 - 0.12) / 0.2 - theta
         assert (row["theta"], row["residual_rate"], row["n_min"]) == (
             repr(theta), repr(residual), repr(100 / (1.0 - 2.0 * residual)))
+
+
+# every kind of cell: an l axis, empty out-of-domain cells, impossible and ok
+# rows, and q steps that differ only in the sign of zero
+_STREAM_GRID = ["--noise", "depolarizing", "--grid", "l:0:30:4", "--grid", "p:0.1:0.9:5",
+                "--grid", "alpha:0:0.6:7", "--grid", "theta:0:0.5:6", "--grid", "q:0:-0.0:2"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_documents_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, fmt):
+    """Rows formed and written 7 at a time give the bytes of one default
+    run, which forms all 1680 rows in one chunk."""
+    docs = []
+    for chunk in (cli._CHUNK, 7):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        monkeypatch.setenv("QECBATCH_OUT_DIR", str(tmp_path / str(chunk)))
+        assert main(["sweep", *_STREAM_GRID, "--format", fmt]) == 0
+        docs.append((tmp_path / str(chunk) / f"sweep.{fmt}").read_bytes())
+    assert docs[0] == docs[1]
+    if fmt == "csv":
+        rows = _read_sweep(tmp_path / "7" / "sweep.csv")
+        assert len(rows) == 1680 > 4096 // 7
+        assert {row["status"] for row in rows} == {"ok", "impossible", "out-of-domain"}
+        assert {row["q"] for row in rows} == {"0.0", "-0.0"}
+        assert {row["l"] for row in rows} == {"0", "10", "20", "30"}
+        assert all(row["crossing_epochs"].isdigit() == (row["status"] == "ok") for row in rows)
+
+
+def test_a_sweep_that_fails_after_its_first_chunk_keeps_the_old_file(tmp_path, monkeypatch,
+                                                                      capsys):
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n")
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    distinct, calls = cli._distinct, []
+
+    def failing(values):
+        calls.append(values.size)
+        if len(calls) > 10:  # one call per bound column per chunk
+            assert list(tmp_path.glob(".sweep.csv.tmp-*")), "the first chunk is not written"
+            raise ValueError("cell formatting failed")
+        return distinct(values)
+
+    monkeypatch.setattr(cli, "_distinct", failing)
+    assert main(["sweep", *_STREAM_GRID, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cell formatting failed\n"
+    assert calls == [7] * 11
+    assert out.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]
+
+
+def test_a_large_csv_sweep_streams_in_bounded_memory(tmp_path):
+    """A 10^5-point CSV sweep peaks at most 40 MiB above the RSS of a
+    process that has imported the CLI; holding the whole document took
+    62.6 MiB, streaming it 24.
+
+    A process forked from pytest starts with pytest's peak RSS as its own
+    ru_maxrss, which would hide the sweep's, so a small interpreter in
+    between starts the measured one.
+    """
+    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    script = (
+        "import resource, sys\n"
+        "from qecbatch.cli import main\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "sweep.csv"
+    result = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-c", script, "sweep", "--l", "100",
+         "--grid", "p:0.05:0.5:50", "--grid", "alpha:0.02:0.45:50", "--grid", "theta:0.01:0.3:40",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    summary, measured = result.stdout.splitlines()
+    code, above = measured.split()
+    assert summary.startswith("sweep: 100000 grid points") and code == "0"
+    assert float(above) <= 40.0, f"peak RSS {above} MiB above import"
+    assert out.read_text().count("\n") == 3 + 100_000
 
 
 _UNIT = st.floats(0.0, 1.0)

@@ -25,6 +25,7 @@ from qecbatch.exact import (
     mean_curve,
     tail_prob,
 )
+from qecbatch.meanfield import mf_iterate
 
 # Hand-computed rows for n=2, p=0.5, budget 1:
 # from 0: Y~Bin(2,.5) -> lands on 0 with 0.25+0.5, on 1 with 0.25
@@ -452,6 +453,30 @@ def test_mean_curve_with_static_phases():
     for t in range(13):
         assert means[t] == pytest.approx(dist.mean(), abs=1e-10)
         dist = evolve(kernel, dist, 1)
+
+
+def test_exact_mean_is_never_below_the_iterate_at_budget_k_over_n():
+    """mf_iterate(n, p, k/n, 0, t) is E[X_t] of the chain without its clamp
+    at n clean qubits, and the clamp only adds errors (rows of the ROADMAP's
+    table)."""
+    def curves(n, p, alpha, t_max):
+        params = ModelParams(n=n, p=p, alpha=alpha)
+        dists = list(epochs(build_kernel(params), StateDistribution.point_mass(n), t_max))
+        t = np.arange(t_max + 1)
+        return (np.array([dist.mean() for dist in dists]), np.array([dist.err for dist in dists]),
+                mf_iterate(n, p, params.k_batch / n, 0.0, t), mf_iterate(n, p, alpha, 0.0, t))
+
+    # the clamp carries no mass: equal to rounding
+    means, _, iterate, _ = curves(1000, 0.2, 0.1, 30)
+    assert np.all(np.abs(means - iterate) <= 1e-13 * iterate)
+    # k = 99 while n * alpha = 100.0: the iterate at k/n holds, the one at alpha does not
+    means, _, iterate, at_alpha = curves(997, 0.3, 0.1003, 30)
+    assert np.all(np.abs(means - iterate) <= 1e-13 * iterate)
+    assert np.abs(means - at_alpha).max() > 1.0
+    # the clamp binds: the exact mean is above the iterate, by up to 10.1 qubits
+    means, err, iterate, _ = curves(1000, 0.2, 0.199, 60)
+    assert np.all(means >= iterate - 1000 * err)
+    assert (means - iterate).max() > 10.0
 
 
 def test_band_raw_mass_is_checked_against_the_exact_pmf():
