@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -103,6 +103,13 @@ _LAWS = {
 }
 
 
+# The labels that BoundColumns.status and capacity_mode hold as one code a
+# point: an index into these tables.
+_STATUSES = ("ok", "impossible", "out-of-domain")
+_OK, _IMPOSSIBLE, _OUT_OF_DOMAIN = range(len(_STATUSES))
+_CAPACITY_MODES = ("", *(law.mode for law in _LAWS.values()))
+
+
 def _law(noise: Noise) -> _Law:
     """The law of a Noise member; any other value, its string included, is refused."""
     if not isinstance(noise, Noise):
@@ -179,14 +186,19 @@ class BoundColumns:
     table of the overhead answer, which overhead_bound and the sweep read.
 
     status is "out-of-domain" where overhead_bound raises, "ok" where the
-    bound is finite and "impossible" where it gives a verdict. A figure is
-    NaN wherever it does not apply: each one out of the domain, n_min,
-    overhead_lb and crossing_epochs unless the status is ok, and the
+    bound is finite and "impossible" where it gives a verdict.
+    capacity_mode names the noise's capacity, which both the bound and the
+    baseline divide by; it is empty out of the domain. These two are label
+    columns, one uint8 code a point into the column's table in LABELS. A
+    figure is NaN wherever it does not apply: each one out of the domain,
+    n_min, overhead_lb and crossing_epochs unless the status is ok, and the
     baseline where the capacity vanishes at the effective idle rate.
     crossing_epochs holds the exact int64 counts as Python ints, as an
-    int64 has no NaN. capacity_mode names the noise's capacity, which both
-    the bound and the baseline divide by; it is empty out of the domain.
+    int64 has no NaN.
     """
+
+    LABELS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "capacity_mode": _CAPACITY_MODES, "status": _STATUSES}
 
     capacity_mode: np.ndarray
     status: np.ndarray
@@ -220,15 +232,15 @@ def overhead_columns(l, p, alpha, theta, noise: Noise = Noise.ERASURE, q=0.0) ->
     ok = live[~unreachable]
     crossing_epochs = np.full(p.shape, np.nan, dtype=object)
     crossing_epochs[ok] = epochs[~unreachable]
-    status = np.where(inside, "impossible", "out-of-domain")
-    status[ok] = "ok"
-    n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=status == "ok")
+    status = np.where(inside, np.uint8(_IMPOSSIBLE), np.uint8(_OUT_OF_DOMAIN))
+    status[ok] = _OK
+    n_min = np.divide(l, rate, out=np.full(p.shape, np.nan), where=status == _OK)
     base_rate = np.where(inside, law.rate(np.where(inside, _effective_rate(p, q), 0.0)), 0.0)
     alpha_thr, noise_thr, residual, crossover = (np.where(inside, v, np.nan) for v in (
         alpha_thr, alpha * law.den / law.num, residual, p * (1.0 - p) * (1.0 - q)))
     return BoundColumns(
-        capacity_mode=np.where(inside, law.mode, ""), status=status,
-        n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
+        capacity_mode=np.where(inside, np.uint8(_CAPACITY_MODES.index(law.mode)), np.uint8(0)),
+        status=status, n_min=n_min, overhead_lb=n_min / l, crossing_epochs=crossing_epochs,
         alpha_threshold=alpha_thr, noise_threshold=noise_thr, residual_rate=residual,
         crossover_alpha=crossover,
         baseline_full_parallel=np.divide(l, base_rate, out=np.full(p.shape, np.nan),
@@ -262,6 +274,7 @@ def overhead_bound(
     check_integer("l", l, below=2**63)  # its least value is a domain rule of overhead_columns
     columns = overhead_columns(l, p, alpha, theta, noise, q)
     row = {f.name: getattr(columns, f.name).item(0) for f in fields(columns)}
+    row.update((name, labels[row[name]]) for name, labels in columns.LABELS.items())
     status = row.pop("status")
     if status == "out-of-domain":
         _raise_first(_domain_rules(*_points(l, p, alpha, theta, q)))

@@ -17,13 +17,14 @@ from scipy.stats import binom, norm
 from .bounds import hitting_prob_lb
 from .chain import ModelParams, correct
 from .exact import (EXACT_N_CAP, StateDistribution, build_kernel, check_h_monotone, epochs,
-                    evolve, hitting_time_distribution, tail_prob)
+                    evolve, hitting_time_distribution, mean_curve, tail_prob)
 from .meanfield import epochs_to_cross, iterate_recursion, mf_iterate
 from .montecarlo import (RecordMode, TrajectoryBatch, chi_square_uniformity, run_batch,
                          run_coupled, steady_fraction, trajectory_rng, uniformity_check)
 
 __all__ = ["Check", "CHECKS", "binomial_misses", "closed_forms_vs_iteration",
-           "crossing_formula_vs_iteration", "exact_tail_dominates_bound", "oracle_vs_monte_carlo"]
+           "crossing_formula_vs_iteration", "exact_mean_is_the_iterate",
+           "exact_tail_dominates_bound", "oracle_vs_monte_carlo"]
 
 
 def binomial_misses(counts: np.ndarray, n_traj: int, truth: np.ndarray, z: float) -> int:
@@ -115,6 +116,60 @@ def exact_tail_dominates_bound(
                     if tail_prob(dist, n * beta) < bound.value - tol:
                         violations += 1
     return violations == 0, f"{checked} grid points, {violations} bound violations"
+
+
+def _clamp_bound(n: int, p: float, k: int, t_max: int) -> np.ndarray:
+    """B_t for t = 0..t_max: Bernstein's bound on sum_{s<=t} E[(C_s - n)^+],
+    what the clamp at n clean qubits can add to E[X_t] from zero errors.
+
+    C_s = Bin(n, v^s) + sum_{i<s} Bin(k, v^i), v = 1 - p, is the clean count
+    of the unclamped chain, a sum of independent indicators with mean mu
+    and variance var in closed form. Where d = n - mu > 0, Bernstein gives
+    P[C_s - n > u] <= exp(-f(d + u)), f(a) = a^2 / (2 var + 2 a / 3), and f
+    is convex, so E[(C_s - n)^+] <= exp(-f(d)) / f'(d); it is also at most
+    E[(C_s - mu)^+] <= sd / 2.
+    """
+    s = np.arange(1, t_max + 1)
+    v = (1.0 - p) ** s
+    cohorts = (1.0 - p) ** (s - 1)  # the cohort that has thinned for i = s - 1 epochs
+    mean = n * v + k * np.cumsum(cohorts)
+    var = n * v * (1.0 - v) + k * np.cumsum(cohorts * (1.0 - cohorts))
+    d = n - mean
+    scale = 2.0 * var + 2.0 * d / 3.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bernstein = np.exp(-d * d / scale) * scale**2 / (4.0 * d * var + 2.0 * d * d / 3.0)
+    terms = np.fmin(np.where(d > 0.0, bernstein, np.inf), np.sqrt(var) / 2.0)
+    return np.concatenate(([0.0], np.cumsum(terms)))
+
+
+def exact_mean_is_the_iterate(
+    cases: Sequence[tuple[int, float, float]], t_max: int, rtol: float,
+) -> tuple[bool, str]:
+    """exact.mean_curve against mf_iterate(n, p, k / n, 0, t), k = k_batch,
+    the mean of the chain without its clamp at n clean qubits, for each
+    (n, p, alpha) in cases at q = 0 and every t <= t_max.
+
+    The clamp only adds errors, so everywhere iterate - n err <= exact <=
+    iterate + B_t + n err, err being the truncation of t phases and B_t
+    _clamp_bound's; both sides allow rtol of the iterate for rounding.
+    Where B_t is far below the iterate's last digit the two are equal to
+    rounding, so a kernel off by one in its budget or 1e-6 in p fails.
+    """
+    t = np.arange(t_max + 1)
+    gap = clamp = 0.0
+    bad = 0
+    for n, p, alpha in cases:
+        params = ModelParams(n=n, p=p, alpha=alpha)
+        k = params.k_batch
+        exact = mean_curve(params, t_max)
+        iterate = mf_iterate(n, p, k / n, 0.0, t)
+        slack = n * t * build_kernel(params).truncation + rtol * iterate
+        bound = _clamp_bound(n, p, k, t_max)
+        bad += int(np.count_nonzero((exact < iterate - slack) | (exact > iterate + bound + slack)))
+        gap = max(gap, float(np.abs(exact - iterate).max()))
+        clamp = max(clamp, float(bound[-1]))
+    return bad == 0, (f"{len(cases)} cases x {t_max + 1} epochs, {bad} outside; "
+                      f"max |exact - iterate| = {gap:.3g}, max B_t = {clamp:.3g} qubits")
 
 
 def steady_fraction_matches_fixed_point(
@@ -307,4 +362,15 @@ CHECKS: tuple[Check, ...] = (
           verify=dict(params=ModelParams(n=50, p=0.2, alpha=0.05), n_traj=2000, t_probe=30,
                       n_biased=300, pvalue_floor=1e-3),
           acceptance=dict(n_traj=10_000, n_biased=2000, seed=209)),
+    # (n, p, alpha): the clamp carries no mass in the first five at verify
+    # size, among them n alpha = 99.9991 with k = 99 at 997 qubits; it binds
+    # at 1000 qubits and alpha = 0.199, and from the first epochs at small n p
+    Check(10, "exact mean is the mean-field iterate", exact_mean_is_the_iterate,
+          verify=dict(cases=((1000, 0.2, 0.1), (997, 0.3, 0.1003), (4000, 0.2, 0.05),
+                             (300, 0.7, 0.3), (1000, 0.5, 0.25), (1000, 0.2, 0.199),
+                             (100, 0.2, 0.1)), t_max=30, rtol=1e-14),
+          acceptance=dict(cases=((1000, 0.2, 0.1), (997, 0.3, 0.1003), (4000, 0.2, 0.05),
+                                 (300, 0.7, 0.3), (1000, 0.5, 0.25), (2500, 0.6, 0.3333),
+                                 (1000, 0.2, 0.18), (1000, 0.2, 0.199), (100, 0.2, 0.1),
+                                 (200, 0.02, 0.01), (3999, 0.9, 0.45)), t_max=60)),
 )

@@ -52,8 +52,8 @@ _SWEEPABLE = ("l", "p", "alpha", "theta", "q")
 
 # The most rows any document holds: the largest grid `sweep` evaluates, and
 # the longest curve `simulate`, `exact --beta` or a `meanfield` CSV writes.
-# A CSV sweep peaks about 0.24 kB per point above its import footprint
-# (24 MiB at 10^5 points, 236 MiB at the cap), mostly the bound's columns;
+# A CSV sweep peaks about 0.14 kB per point above its import footprint
+# (14 MiB at 10^5 points, 136 MiB at the cap), mostly the bound's columns;
 # its rows are streamed, never held whole.
 SWEEP_POINT_CAP = 10**6
 
@@ -487,26 +487,18 @@ def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
     """A column's distinct values as Python scalars, and each point's index
     among them.
 
-    Floats are told apart by their bits, so -0.0 and 0.0 stay apart. A str
-    column holds a few labels, matched one label at a time. An object column
-    holds Python ints, with NaN where the figure does not apply.
+    Floats are told apart by their bits, so -0.0 and 0.0 stay apart. An
+    object column holds Python ints, with NaN where the figure does not
+    apply.
     """
     if values.dtype == np.float64:
         bits, index = np.unique(values.view(np.uint64), return_inverse=True)
         return bits.view(np.float64).tolist(), index
-    if values.dtype == object:
-        shown = values == values  # NaN alone is unequal to itself
-        ints, index = np.unique(values[shown].astype(np.int64), return_inverse=True)
-        placed = np.full(values.size, ints.size)
-        placed[shown] = index
-        return [*ints.tolist(), math.nan], placed
-    labels: list = []
-    index = np.full(values.size, -1)
-    while (left := np.flatnonzero(index < 0)).size:
-        label = values[left[0]]
-        index[values == label] = len(labels)
-        labels.append(label.item())
-    return labels, index
+    shown = values == values  # NaN alone is unequal to itself
+    ints, index = np.unique(values[shown].astype(np.int64), return_inverse=True)
+    placed = np.full(values.size, ints.size)
+    placed[shown] = index
+    return [*ints.tolist(), math.nan], placed
 
 
 def _sweep_rows(
@@ -518,8 +510,9 @@ def _sweep_rows(
 
     A cell is `missing` for a NaN and convert(v) otherwise (convert_l in the
     l column), v a Python scalar. A grid axis is converted once per step and
-    picked by each point's step on it, a scalar column once, and any other
-    column once per distinct value in each chunk.
+    picked by each point's step on it, a scalar column once, a label column
+    of BoundColumns once per label and picked by each point's code, and any
+    other column once per distinct value in each chunk.
     """
     def texts(name: str, values: Iterable[object]) -> np.ndarray:
         conv = convert_l if name == "l" else convert
@@ -534,6 +527,8 @@ def _sweep_rows(
         fixed[axis.name] = texts(axis.name, axis.values().tolist()), stride, axis.steps
     fixed.update((name, (texts(name, [values]), count, 1)) for name, values in table.items()
                  if name not in fixed and np.ndim(values) == 0)
+    labelled = {name: texts(name, labels)
+                for name, labels in bounds_mod.BoundColumns.LABELS.items()}
 
     def chunk(start: int) -> Iterator[tuple]:
         at = np.arange(start, min(start + _CHUNK, count))
@@ -542,6 +537,8 @@ def _sweep_rows(
             if name in fixed:
                 shown, run, period = fixed[name]
                 cells.append(shown[at // run % period])
+            elif name in labelled:
+                cells.append(labelled[name][values[start:start + at.size]])
             else:
                 distinct, index = _distinct(values[start:start + at.size])
                 cells.append(texts(name, distinct)[index])
@@ -581,7 +578,7 @@ def _run_sweep(config: ExperimentConfig, fmt: str) -> _Document:
              **{f.name: getattr(columns, f.name) for f in fields(columns)}}
     if "theta" not in names:
         _note_theta_preset(config.theta)
-    feasible = int(np.count_nonzero(columns.status == "ok"))
+    feasible = int(np.count_nonzero(columns.status == columns.LABELS["status"].index("ok")))
     summary = f"sweep: {count} grid points, {feasible} with finite bounds"
     # CSV cells are text, JSON cells Python values; l is an integer in both
     if fmt == "csv":

@@ -16,19 +16,22 @@ quantile search. A row is the running product of its pmf ratios, whose
 operands for a whole block are gathered as each row's window of one
 counting sequence, and its raw mass is checked against scipy's binomial
 pmf kernel, binom._pmf, at its lower cut. Rows come in aligned blocks of
-_BLOCK states. A block is built, checked and stored as its own sparse
-operator, every row padded with zeros to the block's widest, the first
-time a push carries mass into it, so a distribution that sits on a few
-hundred states touches a few blocks, not all of them. Each push also
-leaves out the leading rows whose mass fits _SKIP_TAIL, then the trailing
-rows whose mass fits what is left of it, and multiplies each block on its
-kept rows alone through scipy's CSC product kernel. One phase thus moves
+_BLOCK states. Each push leaves out the leading rows whose mass fits
+_SKIP_TAIL, then the trailing rows whose mass fits what is left of it. A
+block is built, checked and stored as its own sparse operator, every row
+padded with zeros to the block's widest, the first time a push keeps two
+of its rows, so a distribution that sits on a few hundred states touches
+a few blocks, not all of them. A push that keeps one state of a block not
+yet built, as a run from a point mass starts, reads that state's row
+alone, built and checked once; a phase of one block builds it at once.
+Each push multiplies every block or row on its kept rows alone through
+scipy's CSC product kernel. One phase thus moves
 a distribution by at most _TAIL_EPS in total variation, and every phase a
 distribution goes through adds it to the distribution's `err`; a hitting
 law stops pushing once no taboo mass is left, and still counts every
 phase. Kernels alive at the same time share the rows of each phase they
-have in common, so a block is built once however many of them reach it;
-the rows go with the last kernel that holds them.
+have in common, so a block or single row is built once however many of
+them reach it; the rows go with the last kernel that holds them.
 Static phases run on the schedule of `chain.static_phase_due`, the same
 one the Monte Carlo fleet follows.
 """
@@ -71,9 +74,10 @@ __all__ = [
 # a phase whose every block has been built holds 16.0 million entries:
 # 128 MB of float64 plus 64 MB of int32 landing states, the worst case,
 # held once however many live kernels share the phase. Blocks are built
-# only where mass arrives: 60 epochs from zero errors at p = 0.2,
-# alpha = 0.05 build 46 of the 79 blocks. Reading probs materialises the
-# full 20001 x 1188 band, another 190 MB.
+# only where a push keeps two of their rows: 60 epochs from zero errors at
+# p = 0.2, alpha = 0.05 read row 0 alone and build 46 of the 79 blocks,
+# never block 0. Reading probs materialises the full 20001 x 1188 band,
+# another 190 MB.
 EXACT_N_CAP = 20_000
 
 # Total-variation budget of one phase, build_kernel's truncation, split
@@ -84,7 +88,8 @@ _TAIL_EPS = 1e-16
 _ROW_TAIL = _TAIL_EPS / 4
 _SKIP_TAIL = _TAIL_EPS / 2
 
-# Kernel states per block; a block is built the first time it carries mass.
+# Kernel states per block; a block is built the first time a push keeps two
+# of its rows.
 _BLOCK = 256
 
 # Each band row's raw mass, its running product of pmf ratios scaled by
@@ -256,40 +261,45 @@ def _product(op: csc_array, mass: np.ndarray, a: int, z: int) -> np.ndarray:
 class _Rows:
     """The rows of one phase, a correction epoch (budget k_batch, prob p)
     or a static phase (budget 0, prob q), built by _band in aligned blocks
-    of _BLOCK states the first time a block is needed; each block is
-    checked as it is built.
+    of _BLOCK states the first time a push keeps two rows of a block; a
+    push that keeps one state of a block not yet built reads that state's
+    row alone, built once. Each block and row is checked as it is built.
     """
 
     def __init__(self, n: int, prob: float, budget: int):
         self.n, self.prob, self.budget = n, prob, budget
         self._blocks: list[_Block | None] = [None] * (n // _BLOCK + 1)
+        self._rows: dict[int, _Block] = {}
+
+    def _operator(self, x0: int, x1: int) -> _Block:
+        """Rows x0 .. x1 - 1 as one checked operator."""
+        band, offset, _ = _band(self.n, self.prob, self.budget, x0, x1)
+        least = band.min()
+        if not least >= 0.0:  # NaN fails too
+            raise ValueError(f"kernel rows have negative entries, the least {least}")
+        drift = np.abs(band.sum(axis=1) - 1.0).max()
+        if not drift <= _ROW_SUM_TOL:
+            raise ValueError(f"kernel rows sum to 1 +/- {drift}, beyond tolerance")
+        # column x holds the w entries of row x's band, j into it landing on
+        # offset[x] + j clipped into 0 .. n: entries clipped onto 0 are summed
+        # by the product, and those past the row's width are zeros
+        rows, w = band.shape
+        low = int(offset.min())
+        first = max(low, 0)
+        last = min(int(offset.max()) + w - 1, self.n)
+        # row x's dest is its window of one landing sequence, clipped once
+        lands = np.arange(low - first, int(offset.max()) - first + w, dtype=np.int32)
+        np.clip(lands, 0, last - first, out=lands)
+        dest = sliding_window_view(lands, w)[offset - low]
+        indptr = np.arange(0, rows * w + 1, w, dtype=np.int32)
+        return _Block(csc_array((band.ravel(), dest.ravel(), indptr),
+                                shape=(last - first + 1, rows)), first)
 
     def block(self, b: int) -> _Block:
         block = self._blocks[b]
         if block is None:
             x0 = b * _BLOCK
-            band, offset, _ = _band(self.n, self.prob, self.budget, x0,
-                                    min(x0 + _BLOCK, self.n + 1))
-            least = band.min()
-            if not least >= 0.0:  # NaN fails too
-                raise ValueError(f"kernel rows have negative entries, the least {least}")
-            drift = np.abs(band.sum(axis=1) - 1.0).max()
-            if not drift <= _ROW_SUM_TOL:
-                raise ValueError(f"kernel rows sum to 1 +/- {drift}, beyond tolerance")
-            # column x holds the w entries of row x's band, j into it landing on
-            # offset[x] + j clipped into 0 .. n: entries clipped onto 0 are summed
-            # by the product, and those past the row's width are zeros
-            rows, w = band.shape
-            low = int(offset.min())
-            first = max(low, 0)
-            last = min(int(offset.max()) + w - 1, self.n)
-            # row x's dest is its window of one landing sequence, clipped once
-            lands = np.arange(low - first, int(offset.max()) - first + w, dtype=np.int32)
-            np.clip(lands, 0, last - first, out=lands)
-            dest = sliding_window_view(lands, w)[offset - low]
-            indptr = np.arange(0, rows * w + 1, w, dtype=np.int32)
-            op = csc_array((band.ravel(), dest.ravel(), indptr), shape=(last - first + 1, rows))
-            block = self._blocks[b] = _Block(op, first)
+            block = self._blocks[b] = self._operator(x0, min(x0 + _BLOCK, self.n + 1))
         return block
 
     def kept(self, mass: np.ndarray) -> tuple[int, int]:
@@ -313,12 +323,20 @@ class _Rows:
     def push(self, mass: np.ndarray) -> np.ndarray:
         """mass pushed through this phase, multiplying only the states that
         kept() returns: each block they reach is pushed on its kept columns
-        alone, and no other block is built."""
+        alone, and no other block is built. A push that keeps one state x
+        whose block is not built multiplies x's row alone, unless the phase
+        is one block, which its next push would build anyway."""
         start, end = self.kept(mass)
         out = np.zeros(mass.size)
-        for b in range(start // _BLOCK, -(-end // _BLOCK)):
-            op, first = self.block(b)
-            x0 = b * _BLOCK
+        lead = start // _BLOCK
+        if end - start == 1 and self._blocks[lead] is None and len(self._blocks) > 1:
+            row = self._rows.get(start)
+            if row is None:
+                row = self._rows[start] = self._operator(start, end)
+            spans = [(row, start)]
+        else:
+            spans = [(self.block(b), b * _BLOCK) for b in range(lead, -(-end // _BLOCK))]
+        for (op, first), x0 in spans:
             out[first : first + op.shape[0]] += _product(
                 op, mass[x0 : x0 + op.shape[1]], max(start - x0, 0), min(end - x0, op.shape[1]))
         return out
@@ -397,10 +415,11 @@ def build_kernel(params: ModelParams) -> TransitionKernel:
     Row x spreads Binomial(n - x, p) fresh errors y over the landing
     states max(x + y - k_batch, 0), keeping y between the row's two tail
     quantiles; the static phase does the same with q and no correction.
-    Rows are built block by block as pushes reach them, and a phase is
-    shared with every live kernel that has it: equal params, or a kernel
-    differing only in q or q_period for the correction rows. Refuses n
-    beyond EXACT_N_CAP.
+    Rows are built block by block as pushes keep two rows of a block, or
+    one row alone where a push keeps one state, and a phase is shared with
+    every live kernel that has it: equal params, or a kernel differing
+    only in q or q_period for the correction rows. Refuses n beyond
+    EXACT_N_CAP.
     """
     if params.n > EXACT_N_CAP:
         raise ValueError(f"n={params.n} exceeds the exact-mode cap of {EXACT_N_CAP}")
@@ -460,8 +479,9 @@ def _pushes(
     for which chain.static_phase_due(t, kernel.params) holds, the
     simulator's own schedule. After each epoch the states from `first` up
     are emptied, and cut is the mass they held; first = n + 1 empties
-    none. This is the only code that pushes mass through a kernel's rows,
-    and each push builds only the blocks that carry mass, so the cost
+    none. This is the only code that pushes mass through a kernel's rows.
+    Each push builds only the blocks where it keeps two rows or more, and
+    a push that keeps one state reads that state's row alone, so the cost
     follows the distribution's support.
     """
     phases = 0
@@ -625,8 +645,9 @@ def mean_curve(params: ModelParams, t_max: int) -> np.ndarray:
     qubits, and equals it to rounding wherever the clamp carries no mass.
     The budget is k/n, not alpha.
 
-    Its kernel shares the blocks of any live kernel of the same params, so
-    a caller that holds one pays only for blocks it has not built yet.
+    Its kernel shares the blocks and rows of any live kernel of the same
+    params, so a caller that holds one pays only for what it has not built
+    yet.
     """
     check_integer("t_max", t_max, least=0)
     dists = epochs(build_kernel(params), StateDistribution.point_mass(params.n), t_max)

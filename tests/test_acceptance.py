@@ -1,4 +1,4 @@
-"""Acceptance suite: nine end-to-end criteria with one printed verdict each:
+"""Acceptance suite: ten end-to-end criteria with one printed verdict each:
 the rows of `qecbatch.checks.CHECKS` at acceptance size, and criterion 8.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines;

@@ -63,7 +63,9 @@ def test_capacity_mode_follows_the_noise():
     assert overhead_bound(100, 0.2, 0.15, 0.1).capacity_mode == "erasure-exact"
     depolarizing = (100, 0.2, 0.18, 0.05, Noise.DEPOLARIZING)
     assert overhead_bound(*depolarizing).capacity_mode == "hashing"
-    assert overhead_columns(*depolarizing).capacity_mode.tolist() == ["hashing"]
+    columns = overhead_columns(*depolarizing)
+    assert [BoundColumns.LABELS["capacity_mode"][code] for code in columns.capacity_mode] == [
+        "hashing"]
     for function in (overhead_bound, overhead_columns):
         with pytest.raises(TypeError, match="capacity"):
             function(*depolarizing, capacity="hashing")
@@ -90,7 +92,7 @@ def test_thresholds_are_the_fraction_of_p_bit_for_bit(noise, alpha_threshold, no
     alpha = p * rng.uniform(0.0, 1.0, p.size)
     columns = overhead_columns(7, p, alpha, 0.5 * (p - alpha) / p, noise)
     # a crossing epoch past 2^62 puts some of the tiniest p out of the domain
-    inside = columns.status != "out-of-domain"
+    inside = columns.status != BoundColumns.LABELS["status"].index("out-of-domain")
     assert inside.sum() > 3500
     assert columns.alpha_threshold[inside].tolist() == alpha_threshold(p[inside]).tolist()
     assert columns.noise_threshold[inside].tolist() == noise_threshold(alpha[inside]).tolist()
@@ -215,8 +217,11 @@ def test_bound_columns_leave_empty_what_does_not_apply():
     is NaN where the capacity vanishes at the effective idle rate."""
     columns = overhead_columns(100, 0.2, np.array([0.25, 0.05, 0.12, 0.12]), 0.1,
                                q=np.array([0.0, 0.0, 0.0, 1.0]))
-    assert columns.status.tolist() == ["out-of-domain", "impossible", "ok", "ok"]
-    assert columns.capacity_mode.tolist() == ["", *["erasure-exact"] * 3]
+    labels = {name: [table[code] for code in getattr(columns, name)]
+              for name, table in BoundColumns.LABELS.items()}
+    assert labels == {"status": ["out-of-domain", "impossible", "ok", "ok"],
+                      "capacity_mode": ["", *["erasure-exact"] * 3]}
+    assert {getattr(columns, name).dtype for name in labels} == {np.dtype(np.uint8)}
     figures = [f.name for f in fields(BoundColumns) if f.name not in ("status", "capacity_mode")]
     empty = {name: [value != value for value in getattr(columns, name).tolist()]
              for name in figures}

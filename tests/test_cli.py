@@ -904,7 +904,7 @@ def test_verify_exit_codes(capsys):
 
 def test_verify_runs_the_shared_checks(capsys):
     """verify passes with one line per row, in table order. The rows cover
-    criteria 1-9 once each, counting criterion 8, which the acceptance
+    criteria 1-10 once each, counting criterion 8, which the acceptance
     suite runs through the CLI; names are unique; each row sets arguments
     at both sizes, and verify takes any seed from --master-seed."""
     assert main(["verify"]) == 0
@@ -912,7 +912,7 @@ def test_verify_runs_the_shared_checks(capsys):
     assert [line.split(" (", 1)[0] for line in lines] == [
         *(f"[verify] {row.name}: ok" for row in CHECKS),
         f"[verify] all {len(CHECKS)} checks passed"]
-    assert sorted([row.criterion for row in CHECKS] + [8]) == list(range(1, 10))
+    assert sorted([row.criterion for row in CHECKS] + [8]) == list(range(1, 11))
     assert len({row.name for row in CHECKS}) == len(CHECKS)
     for row in CHECKS:
         assert row.verify and row.acceptance

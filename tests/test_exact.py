@@ -758,16 +758,99 @@ def products(monkeypatch):
 
 
 def multiplied(rows, products):
-    """The states that the products of rows' blocks multiplied, as
-    (start, end) spans in the order of the products."""
+    """The states that the products of rows' blocks and single rows
+    multiplied, as (start, end) spans in the order of the products."""
     x0 = {id(block.op): b * exact._BLOCK for b, block in enumerate(rows._blocks) if block}
+    x0.update((id(row.op), x) for x, row in rows._rows.items())
     return [(x0[id(op)] + a, x0[id(op)] + z) for op, a, z in products if id(op) in x0]
 
 
 def test_point_mass_push_multiplies_one_column(products):
-    rows = build_kernel(ModelParams(n=4000, p=0.2, alpha=0.05)).rows
-    out = rows.push(StateDistribution.point_mass(4000).mass)
-    assert multiplied(rows, products) == [(0, 1)]
+    """A push from zero errors builds no block: it multiplies row 0 alone,
+    the widest row of block 0, and returns the bytes that a push through
+    the built block returns, in a correction phase, a static phase with
+    small row means and a phase at p = 1/2 and n = 2 * 10^4."""
+    for n, prob, budget in ((4000, 0.2, 200), (1000, 0.02, 0), (20_000, 0.5, 1000)):
+        products.clear()
+        rows = exact._Rows(n, prob, budget)
+        mass = StateDistribution.point_mass(n).mass
+        out = rows.push(mass)
+        assert rows._blocks == [None] * len(rows._blocks)
+        assert [(op.shape[1], a, z) for op, a, z in products] == [(1, 0, 1)]
+        assert multiplied(rows, products) == [(0, 1)]
+        built = exact._Rows(n, prob, budget)
+        built.block(0)
+        assert out.tobytes() == built.push(mass).tobytes()
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_state_inside_its_block_pushes_its_row_alone():
+    """State 255 is not the widest row of block 0 at n = 300, so its row
+    alone is summed over fewer padded zeros than the block's: the two
+    pushes agree to rounding, and each keeps all the mass."""
+    mass = StateDistribution.point_mass(300, 255).mass
+    rows, built = exact._Rows(300, 0.2, 15), exact._Rows(300, 0.2, 15)
+    built.block(0)
+    alone, blocked = rows.push(mass), built.push(mass)
+    assert rows._blocks == [None, None]
+    assert np.abs(alone - blocked).max() <= 3e-17
+    for out in (alone, blocked):
+        assert out.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, prob, budget, x", [
+    (300, 0.02, 15, 0),  # row 0's first 16 counts land on state 0
+    (300, 0.02, 15, 7),
+    (300, 0.2, 15, 255),
+    (300, 0.7, 15, 0),
+    (4000, 0.2, 200, 1000),
+])
+def test_a_single_row_push_is_the_binomial_law(n, prob, budget, x):
+    """From x errors, a push that reads x's row alone puts on each state
+    the Binomial(n - x, prob) mass of the counts landing there, those
+    landing below 0 summed onto state 0, within the row's two tails."""
+    out = exact._Rows(n, prob, budget).push(StateDistribution.point_mass(n, x).mass)
+    y = np.arange(n - x + 1)
+    reference = np.bincount(np.maximum(x + y - budget, 0), binom.pmf(y, n - x, prob),
+                            minlength=n + 1)
+    assert np.abs(out - reference).sum() <= 2 * exact._ROW_TAIL + 1e-14
+
+
+def test_a_run_from_one_start_builds_its_row_once(band_calls):
+    """evolve, the hitting law and mean_curve from zero errors over live
+    kernels of one params read the same row 0 of the correction phase. At
+    n = 4000 the first epoch carries the mass past block 0, which is never
+    built."""
+    params = no_live_phase(ModelParams(n=4000, p=0.2, alpha=0.05))
+    kernel = build_kernel(params)
+    evolve(kernel, StateDistribution.point_mass(4000), 5)
+    hitting_time_distribution(kernel, 2000, 10)
+    mean_curve(params, 5)
+    assert [args for args in band_calls if args[4] - args[3] == 1] == [(4000, 0.2, 200, 0, 1)]
+    assert kernel.rows._blocks[0] is None
+
+
+def test_a_one_block_phase_builds_its_block(band_calls):
+    """At n = 100 a phase is one block, which the next push would build:
+    a point-mass push builds it at once and reads no single row."""
+    rows = exact._Rows(100, 0.2, 5)
+    rows.push(StateDistribution.point_mass(100).mass)
+    assert band_calls == [(100, 0.2, 5, 0, 101)]
+    assert rows._rows == {}
+
+
+def test_a_push_that_keeps_two_rows_builds_the_block(band_calls, products):
+    """A point mass reads its row alone; a later push that keeps two rows of
+    that block builds the block and multiplies both of its columns."""
+    rows = exact._Rows(600, 0.2, 30)
+    rows.push(StateDistribution.point_mass(600, 3).mass)
+    assert rows._blocks == [None, None, None]
+    mass = np.zeros(601)
+    mass[3:5] = 0.5
+    out = rows.push(mass)
+    assert band_calls == [(600, 0.2, 30, 3, 4), (600, 0.2, 30, 0, 256)]
+    assert multiplied(rows, products) == [(3, 4), (3, 5)]
+    assert rows._blocks[0] is not None and rows._blocks[1] is None
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
 

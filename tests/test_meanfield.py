@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from qecbatch import meanfield
-from qecbatch.checks import crossing_formula_vs_iteration
+from qecbatch.checks import _clamp_bound, crossing_formula_vs_iteration
 from qecbatch.meanfield import (
     CrossingTime,
     InfeasibleThresholdError,
@@ -23,6 +24,23 @@ def test_closed_form_frozen_value():
     # hand calculation: (0.1/0.15) * (1 - 0.85^3) = 0.25725
     assert mf_iterate(1.0, 0.2, 0.05, 0.05, 3) == pytest.approx(0.25725, rel=1e-12)
     assert mf_iterate(100.0, 0.2, 0.05, 0.05, 3) == pytest.approx(25.725, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p, k", [(100, 0.2, 10), (200, 0.02, 2), (300, 0.7, 90),
+                                     (1000, 0.2, 199)])
+def test_clamp_bound_covers_the_unclamped_excess(n, p, k):
+    """_clamp_bound's B_t is at least the sum over s <= t of E[(C_s - n)^+]
+    under the unclamped clean count's exact law, its cohorts Bin(n, v^s)
+    and Bin(k, v^i) for i < s convolved in full; B_0 = 0."""
+    t_max = 30
+    bound = _clamp_bound(n, p, k, t_max)
+    assert bound[0] == 0.0
+    law, excess = np.array([1.0]), 0.0
+    for s in range(1, t_max + 1):
+        law = np.convolve(law, binom.pmf(np.arange(k + 1), k, (1.0 - p) ** (s - 1)))
+        total = np.convolve(law, binom.pmf(np.arange(n + 1), n, (1.0 - p) ** s))
+        excess += float(total[n + 1:] @ np.arange(1, total.size - n))
+        assert bound[s] >= excess * (1.0 - 1e-12)
 
 
 def test_iterates_start_at_zero_and_grow():

@@ -148,21 +148,24 @@ def test_exact_oracle_jobs_pass(tmp_path, monkeypatch):
 
 def test_exact_oracle_jobs_build_each_block_once(tmp_path, monkeypatch):
     """Within a job, `mean_curve` and the job's own kernel share their
-    blocks; across jobs nothing is kept, so the second cycle builds as
-    many blocks as the first."""
+    blocks and single rows; across jobs nothing is kept, so the second
+    cycle builds as many `_band` calls and rows as the first. The n = 500
+    jobs build their start row and later its block; the n = 1000 static
+    phase and the n = 4000 correction phase read row 0 alone and never
+    build block 0."""
     jobs, ctx = _oracle_jobs(tmp_path, monkeypatch)
-    calls = [0]
+    calls = []
     band = exact._band
 
     def counted(*args):
-        calls[0] += 1
+        calls.append(args)
         return band(*args)
 
     monkeypatch.setattr(exact, "_band", counted)
     for _ in range(2):
         built = []
         for seed, (label, job) in enumerate(jobs):
-            calls[0] = 0
+            calls.clear()
             assert job(seed, ctx).failures == [], label
-            built.append(calls[0])
-        assert built == [3, 5, 7, 12]
+            built.append((len(calls), sum(x1 - x0 for _, _, _, x0, x1 in calls)))
+        assert built == [(4, 603), (6, 1104), (7, 1382), (12, 2662)]
